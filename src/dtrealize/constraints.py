@@ -10,6 +10,13 @@ Two flavors over a shared degree-<=2 integer polynomial IR:
   radius variable, and relations become <= / > so that exact satisfaction
   survives rounding to nearby rationals (coefficients stay in {-10..10}).
 
+Both are described once, as groups of rows that share a monomial layout and
+differ only in the stencil offsets substituted into it; numpy computes a
+group's coefficients over all its offsets at once. The exported rows
+(``build_const``, ``build_constsqu``) and the flat term arrays that the
+float solver and the exact gate evaluate (``constsqu_terms``) both come
+from that description, so realization never materialises ConstSqu as rows.
+
 Systems are deterministic, exactly evaluable over Fraction, and exportable
 to JSON (lossless) and SMT-LIB2 (QF_NRA) for external complete solvers.
 """
@@ -21,16 +28,17 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import product
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .plane_graph import PlaneTriangulation
 
 # A variable is a tuple: ("px", i) ("py", i) ("cx", i, j) ("cy", i, j)
-# ("r", i, j), with i < j for edge variables.
+# ("r", i, j), with i < j for edge variables. A monomial is a sorted tuple
+# of 0, 1 or 2 VarIds.
 VarId = tuple
-# A polynomial is {monomial: int coeff}; a monomial is a sorted tuple of
-# 0, 1 or 2 VarIds.
-Poly = dict
 
 # Unit stencil around each point: center first, then the four corners and
 # four edge midpoints of the side-2 axis-aligned square.
@@ -40,6 +48,7 @@ STENCIL = (
     (-1, 0), (0, 1), (1, 0), (0, -1),
 )
 
+# a relation's index here is its code in term arrays
 RELATIONS = ("=", ">", "<", ">=", "<=")
 
 
@@ -47,98 +56,11 @@ class MissingVariable(KeyError):
     pass
 
 
-def _padd(a: Poly, b: Poly, sign: int = 1) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
-        c2 = out.get(m, 0) + sign * c
-        if c2:
-            out[m] = c2
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(sorted(ma + mb))
-            if len(m) > 2:
-                raise ValueError("degree above 2")
-            c = out.get(m, 0) + ca * cb
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _lin(var: VarId, offset: int = 0) -> Poly:
-    p: Poly = {(var,): 1}
-    if offset:
-        p[()] = offset
-    return p
-
-
-def _con_poly_sym(p0, p1, p2) -> Poly:
-    """Orientation polynomial on symbolic points (pairs of linear polys)."""
-    x0, y0 = p0
-    x1, y1 = p1
-    x2, y2 = p2
-    out: Poly = {}
-    for a, b, s in ((x2, y1, 1), (x2, y0, -1), (x0, y1, -1),
-                    (x1, y2, -1), (x1, y0, 1), (x0, y2, 1)):
-        out = _padd(out, _pmul(a, b), s)
-    return out
-
-
-# signed (x-index, y-index) pairs of the orientation form
-_CON_PAIRS = ((2, 1, 1), (2, 0, -1), (0, 1, -1), (1, 2, -1), (1, 0, 1), (0, 2, 1))
-
-
-def _con_poly_offsets(verts: tuple[int, int, int],
-                      offs: tuple[tuple[int, int], ...]) -> Poly:
-    """Orientation polynomial at stencil-shifted points, expanded directly.
-
-    Equivalent to _con_poly_sym on (X_v + dx, Y_v + dy) but built in O(1)
-    dictionary operations: the quadratic part is offset-independent and the
-    shifts only contribute linear and constant corrections.
-    """
-    out: Poly = {}
-
-    def add(mono: tuple, c: int) -> None:
-        if not c:
-            return
-        c2 = out.get(mono, 0) + c
-        if c2:
-            out[mono] = c2
-        else:
-            del out[mono]
-
-    for p, q, s in _CON_PAIRS:
-        xp = ("px", verts[p])
-        yq = ("py", verts[q])
-        ap, _bp = offs[p]
-        _aq, bq = offs[q]
-        add(tuple(sorted((xp, yq))), s)
-        add((xp,), s * bq)
-        add((yq,), s * ap)
-        add((), s * ap * bq)
-    return out
-
-
 @dataclass(frozen=True)
 class Constraint:
     poly: tuple            # canonical: sorted tuple of (monomial, coeff)
     relation: str
     tag: tuple
-
-    def poly_dict(self) -> Poly:
-        return {m: c for m, c in self.poly}
-
-
-def _freeze(p: Poly) -> tuple:
-    return tuple(sorted(p.items()))
 
 
 @dataclass(frozen=True)
@@ -156,15 +78,6 @@ def graph_digest(G: PlaneTriangulation) -> str:
          "outer_face": list(G.outer_face)},
         sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _point_vars(i: int) -> tuple[Poly, Poly]:
-    return _lin(("px", i)), _lin(("py", i))
-
-
-def _stencil_point(i: int, ell: int) -> tuple[Poly, Poly]:
-    dx, dy = STENCIL[ell]
-    return _lin(("px", i), dx), _lin(("py", i), dy)
 
 
 def _variables(G: PlaneTriangulation, with_radius: bool) -> tuple[VarId, ...]:
@@ -192,116 +105,198 @@ def _outer_pairs(outer: Sequence[int]):
         yield outer[t], outer[(t + 1) % k]
 
 
-def build_const(G: PlaneTriangulation, interior_over_all: bool = True) -> ConstraintSystem:
-    """Base system: convex outer cycle + witness-disc equalities/exclusions.
+# --- structure: groups of rows over stencil offsets ---------------------
 
-    ``interior_over_all`` quantifies the interior turn constraints over all
-    vertices other than the two consecutive outer ones (the displayed
-    condition); False restricts to non-outer vertices only.
+@dataclass(frozen=True)
+class _Group:
+    """Rows sharing one sorted monomial layout, one row per offset choice.
+
+    ``coefs[r]`` holds row r's coefficient of each monomial (0 where the row
+    lacks it); the row's tag is ``tag + suffixes[r]``.
     """
-    cons: list[Constraint] = []
+    tag: tuple
+    relation: str
+    monos: list
+    coefs: np.ndarray
+    suffixes: Sequence[tuple]
+
+
+_STENCIL = np.array(STENCIL, dtype=np.int64)
+# stencil indices of the three points of an orientation row, first slowest
+_TRIPLES = tuple(product(range(len(STENCIL)), repeat=3))
+_TRIPLE_OFFSETS = _STENCIL[np.array(_TRIPLES)]             # (729, 3, 2)
+_SINGLES = tuple((ell,) for ell in range(len(STENCIL)))
+_ORIGIN = np.zeros((1, 3, 2), dtype=np.int64)              # base system: no shift
+
+# signed (x-index, y-index) pairs of the orientation form
+_CON_PAIRS = ((2, 1, 1), (2, 0, -1), (0, 1, -1), (1, 2, -1), (1, 0, 1), (0, 2, 1))
+
+
+def _layout(terms: Iterable, n: int) -> tuple[list, np.ndarray]:
+    """Like monomials summed, sorted, with an (n, #monomials) coefficient matrix."""
+    acc: dict = {}
+    for mono, coef in terms:
+        mono = tuple(sorted(mono))
+        acc[mono] = acc.get(mono, 0) + coef
+    monos = sorted(acc)
+    coefs = np.empty((n, len(monos)), dtype=np.int64)
+    for col, mono in enumerate(monos):
+        coefs[:, col] = acc[mono]
+    return monos, coefs
+
+
+def _orientation(verts: tuple[int, int, int], offs: np.ndarray) -> tuple[list, np.ndarray]:
+    """Orientation polynomial at the points (X_v + a, Y_v + b), per offset row.
+
+    The quadratic part does not depend on the offsets; the shifts only add
+    linear and constant terms.
+    """
+    terms = []
+    for p, q, s in _CON_PAIRS:
+        xp, yq = ("px", verts[p]), ("py", verts[q])
+        a, b = offs[:, p, 0], offs[:, q, 1]
+        terms += [((xp, yq), s), ((xp,), s * b), ((yq,), s * a), ((), s * a * b)]
+    return _layout(terms, len(offs))
+
+
+def _orientation_groups(G: PlaneTriangulation, prefix: str, offs: np.ndarray,
+                        suffixes: Sequence[tuple]):
+    """Turns along the outer cycle; every other vertex inside each outer edge."""
     for i, j, k in _outer_triples(G.outer_face):
-        p = _con_poly_sym(_point_vars(i), _point_vars(j), _point_vars(k))
-        cons.append(Constraint(_freeze(p), ">", ("CON_TURN", i, j, k)))
-    outer_set = set(G.outer_face)
+        yield _Group((prefix + "_TURN", i, j, k), ">", *_orientation((i, j, k), offs), suffixes)
     for i, j in _outer_pairs(G.outer_face):
         for k in range(1, G.n + 1):
-            if k in (i, j):
-                continue
-            if not interior_over_all and k in outer_set:
-                continue
-            p = _con_poly_sym(_point_vars(i), _point_vars(k), _point_vars(j))
-            cons.append(Constraint(_freeze(p), "<", ("CON_INTERIOR", i, j, k)))
+            if k not in (i, j):
+                yield _Group((prefix + "_INTERIOR", i, j, k), "<",
+                             *_orientation((i, k, j), offs), suffixes)
 
+
+def _power_diff(u: int, w: int, edge: tuple[int, int]) -> tuple[list, np.ndarray]:
+    """|Z_u - C|^2 - |Z_w - C|^2 for the witness center C of ``edge``."""
+    CX, CY = ("cx", *edge), ("cy", *edge)
+    terms = []
+    for v, s in ((u, 1), (w, -1)):
+        X, Y = ("px", v), ("py", v)
+        terms += [((X, X), s), ((Y, Y), s), ((CX, X), -2 * s), ((CY, Y), -2 * s)]
+    return _layout(terms, 1)
+
+
+def _disc(v: int, edge: tuple[int, int]) -> tuple[list, np.ndarray]:
+    """|Z - C|^2 - R^2 at each stencil point Z = (X_v + a, Y_v + b)."""
+    X, Y = ("px", v), ("py", v)
+    CX, CY, R = ("cx", *edge), ("cy", *edge), ("r", *edge)
+    a, b = _STENCIL[:, 0], _STENCIL[:, 1]
+    return _layout([((X, X), 1), ((Y, Y), 1), ((CX, CX), 1), ((CY, CY), 1), ((R, R), -1),
+                    ((X, CX), -2), ((Y, CY), -2), ((X,), 2 * a), ((Y,), 2 * b),
+                    ((CX,), -2 * a), ((CY,), -2 * b), ((), a * a + b * b)], len(STENCIL))
+
+
+def _const_groups(G: PlaneTriangulation):
+    yield from _orientation_groups(G, "CON", _ORIGIN, [()])
     for i, j in G.edge_pairs():
-        xi, yi = _point_vars(i)
-        xj, yj = _point_vars(j)
-        cx, cy = _lin(("cx", i, j)), _lin(("cy", i, j))
-        # Xi^2 - Xj^2 + Yi^2 - Yj^2 - 2 Cx Xi - 2 Cy Yi + 2 Cx Xj + 2 Cy Yj = 0
-        eq = _pmul(xi, xi)
-        eq = _padd(eq, _pmul(xj, xj), -1)
-        eq = _padd(eq, _pmul(yi, yi))
-        eq = _padd(eq, _pmul(yj, yj), -1)
-        eq = _padd(eq, _pmul(cx, xi), -2)
-        eq = _padd(eq, _pmul(cy, yi), -2)
-        eq = _padd(eq, _pmul(cx, xj), 2)
-        eq = _padd(eq, _pmul(cy, yj), 2)
-        cons.append(Constraint(_freeze(eq), "=", ("DIS_EQ", i, j)))
+        yield _Group(("DIS_EQ", i, j), "=", *_power_diff(i, j, (i, j)), [()])
         for k in range(1, G.n + 1):
-            if k in (i, j):
-                continue
-            xk, yk = _point_vars(k)
-            ex = _pmul(xk, xk)
-            ex = _padd(ex, _pmul(xi, xi), -1)
-            ex = _padd(ex, _pmul(yk, yk))
-            ex = _padd(ex, _pmul(yi, yi), -1)
-            ex = _padd(ex, _pmul(cx, xk), -2)
-            ex = _padd(ex, _pmul(cy, yk), -2)
-            ex = _padd(ex, _pmul(cx, xi), 2)
-            ex = _padd(ex, _pmul(cy, yi), 2)
-            cons.append(Constraint(_freeze(ex), ">", ("DIS_EXCL", i, j, k)))
+            if k not in (i, j):
+                yield _Group(("DIS_EXCL", i, j, k), ">", *_power_diff(k, i, (i, j)), [()])
 
-    return ConstraintSystem(_variables(G, False), tuple(cons), "CONST", graph_digest(G))
+
+def _constsqu_groups(G: PlaneTriangulation):
+    yield from _orientation_groups(G, "CONSQU", _TRIPLE_OFFSETS, _TRIPLES)
+    for i, j in G.edge_pairs():
+        others = [k for k in range(1, G.n + 1) if k not in (i, j)]
+        for v in [i, j] + others:
+            inside = v in (i, j)
+            yield _Group(("DISSQU_IN" if inside else "DISSQU_OUT", i, j, v),
+                         "<=" if inside else ">", *_disc(v, (i, j)), _SINGLES)
+
+
+def _rows(groups) -> tuple[Constraint, ...]:
+    return tuple(
+        Constraint(tuple((m, c) for m, c in zip(g.monos, coefs) if c), g.relation, g.tag + suffix)
+        for g in groups for suffix, coefs in zip(g.suffixes, g.coefs.tolist()))
+
+
+def build_const(G: PlaneTriangulation) -> ConstraintSystem:
+    """Base system: convex outer cycle + witness-disc equalities/exclusions.
+
+    The interior turn constraints range over all vertices other than the two
+    consecutive outer ones (the displayed condition).
+    """
+    return ConstraintSystem(_variables(G, False), _rows(_const_groups(G)), "CONST",
+                            graph_digest(G))
 
 
 def build_constsqu(G: PlaneTriangulation) -> ConstraintSystem:
-    """Square-robustified system with unit stencils and radius variables.
+    """Square-robustified system with unit stencils and radius variables, as rows.
 
     Stencil offsets are substituted symbolically, so no point variables are
-    added: only (cx, cy, r) per edge beyond the base coordinates.
+    added: only (cx, cy, r) per edge beyond the base coordinates. The rows
+    serve export and reference checks; realization evaluates the same groups
+    through ``constsqu_terms``.
     """
-    cons: list[Constraint] = []
-    nine = range(len(STENCIL))
-    for i, j, k in _outer_triples(G.outer_face):
-        for li in nine:
-            for lj in nine:
-                for lk in nine:
-                    p = _con_poly_offsets((i, j, k),
-                                          (STENCIL[li], STENCIL[lj], STENCIL[lk]))
-                    cons.append(Constraint(_freeze(p), ">",
-                                           ("CONSQU_TURN", i, j, k, li, lj, lk)))
-    for i, j in _outer_pairs(G.outer_face):
-        for k in range(1, G.n + 1):
-            if k in (i, j):
-                continue
-            for li in nine:
-                for lk in nine:
-                    for lj in nine:
-                        p = _con_poly_offsets((i, k, j),
-                                              (STENCIL[li], STENCIL[lk], STENCIL[lj]))
-                        cons.append(Constraint(_freeze(p), "<",
-                                               ("CONSQU_INTERIOR", i, j, k, li, lk, lj)))
+    return ConstraintSystem(_variables(G, True), _rows(_constsqu_groups(G)), "CONSTSQU",
+                            graph_digest(G))
 
-    for i, j in G.edge_pairs():
-        CX, CY, R = ("cx", i, j), ("cy", i, j), ("r", i, j)
 
-        def disc_poly(v: int, ell: int) -> Poly:
-            # |Z - C|^2 - R^2 with Z = (X_v + a, Y_v + b), expanded directly
-            a, b = STENCIL[ell]
-            X, Y = ("px", v), ("py", v)
-            p: Poly = {
-                (X, X): 1, (Y, Y): 1, (CX, CX): 1, (CY, CY): 1, (R, R): -1,
-                tuple(sorted((X, CX))): -2, tuple(sorted((Y, CY))): -2,
-            }
-            for var, c in ((X, 2 * a), (Y, 2 * b), (CX, -2 * a), (CY, -2 * b)):
-                if c:
-                    p[(var,)] = c
-            if a or b:
-                p[()] = a * a + b * b
-            return p
+# --- term arrays --------------------------------------------------------
 
-        for v in (i, j):
-            for ell in nine:
-                cons.append(Constraint(_freeze(disc_poly(v, ell)), "<=",
-                                       ("DISSQU_IN", i, j, v, ell)))
-        for k in range(1, G.n + 1):
-            if k in (i, j):
-                continue
-            for ell in nine:
-                cons.append(Constraint(_freeze(disc_poly(k, ell)), ">",
-                                       ("DISSQU_OUT", i, j, k, ell)))
+@dataclass(frozen=True, eq=False)
+class TermSystem:
+    """A constraint system as flat term arrays, rows in order.
 
-    return ConstraintSystem(_variables(G, True), tuple(cons), "CONSTSQU", graph_digest(G))
+    Term t adds ``coefs[t] * v[ia[t]] * v[ib[t]]`` to row ``rows[t]``, where v
+    is the variable vector followed by a constant slot at index
+    ``len(variables)``; ``rel`` holds each row's index into RELATIONS.
+    """
+    variables: tuple[VarId, ...]
+    flavor: str
+    rows: np.ndarray
+    ia: np.ndarray
+    ib: np.ndarray
+    coefs: np.ndarray
+    rel: np.ndarray
+
+
+def term_system(system: ConstraintSystem | TermSystem) -> TermSystem:
+    """The term arrays of a system; a ConstraintSystem's rows are compiled in order."""
+    if isinstance(system, TermSystem):
+        return system
+    index = {v: k for k, v in enumerate(system.variables)}
+    slot = len(system.variables)
+    rows, ia, ib, coefs = [], [], [], []
+    for r, c in enumerate(system.constraints):
+        for mono, coeff in c.poly:
+            rows.append(r)
+            ia.append(index[mono[0]] if mono else slot)
+            ib.append(index[mono[1]] if len(mono) == 2 else slot)
+            coefs.append(coeff)
+    rel = [RELATIONS.index(c.relation) for c in system.constraints]
+    return TermSystem(system.variables, system.flavor,
+                      *(np.asarray(x, dtype=np.int64) for x in (rows, ia, ib, coefs, rel)))
+
+
+def constsqu_terms(G: PlaneTriangulation) -> TermSystem:
+    """ConstSqu(G) as term arrays, equal to ``term_system(build_constsqu(G))``.
+
+    Each group contributes its layout once per offset; zero coefficients are
+    dropped afterwards, as the rows drop them.
+    """
+    variables = _variables(G, True)
+    index = {v: k for k, v in enumerate(variables)}
+    slot = len(variables)
+    parts = []
+    first = 0
+    for g in _constsqu_groups(G):
+        n = len(g.coefs)
+        ia = np.array([index[m[0]] if m else slot for m in g.monos], dtype=np.int64)
+        ib = np.array([index[m[1]] if len(m) == 2 else slot for m in g.monos], dtype=np.int64)
+        parts.append((np.repeat(np.arange(first, first + n), len(ia)), np.tile(ia, n),
+                      np.tile(ib, n), g.coefs.ravel(),
+                      np.full(n, RELATIONS.index(g.relation))))
+        first += n
+    rows, ia, ib, coefs, rel = (np.concatenate(p) for p in zip(*parts))
+    keep = coefs != 0
+    return TermSystem(variables, "CONSTSQU", rows[keep], ia[keep], ib[keep], coefs[keep], rel)
 
 
 # --- evaluation ---------------------------------------------------------
@@ -364,44 +359,39 @@ def evaluate(system: ConstraintSystem, values: Mapping[VarId, Fraction]) -> Eval
     return EvaluationReport(all(r.satisfied for r in results), tuple(results), min_margin)
 
 
-def satisfied_exact(system: ConstraintSystem, values: Mapping[VarId, Fraction]) -> bool:
-    """Exact yes/no over a common denominator, avoiding Fraction per term.
+def exact_rows(system: ConstraintSystem | TermSystem, values: Mapping[VarId, Fraction],
+               mask: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Row values times D^2 as Python ints, D the LCM of the denominators.
 
-    Clearing all values to integers scaled by the LCM denominator D turns
-    each degree-<=2 polynomial into an integer combination (degree-1 terms
-    pick up a factor D, constants D^2), and only the sign matters.
+    Clearing all values to integers scaled by D turns each degree-<=2
+    polynomial into an integer combination: the constant slot holds D, so
+    degree-1 terms pick up a factor D and constants D^2. A boolean row
+    ``mask`` limits the work to the rows it selects; the others read 0.
     """
-    missing = [v for v in system.variables if v not in values]
+    t = term_system(system)
+    missing = [v for v in t.variables if v not in values]
     if missing:
         raise MissingVariable(missing[0])
-    D = 1
-    for v in system.variables:
-        D = math.lcm(D, values[v].denominator)
-    iv = {v: int(values[v] * D) for v in system.variables}
-    D2 = D * D
-    for c in system.constraints:
-        total = 0
-        for mono, coeff in c.poly:
-            if len(mono) == 2:
-                total += coeff * iv[mono[0]] * iv[mono[1]]
-            elif len(mono) == 1:
-                total += coeff * iv[mono[0]] * D
-            else:
-                total += coeff * D2
-        rel = c.relation
-        if rel == "=":
-            ok = total == 0
-        elif rel == ">":
-            ok = total > 0
-        elif rel == "<":
-            ok = total < 0
-        elif rel == ">=":
-            ok = total >= 0
-        else:
-            ok = total <= 0
-        if not ok:
-            return False
-    return True
+    D = math.lcm(*(values[v].denominator for v in t.variables))
+    iv = np.array([int(values[v] * D) for v in t.variables] + [D], dtype=object)
+    keep = slice(None) if mask is None else mask[t.rows]
+    totals = np.zeros(len(t.rel), dtype=object)
+    np.add.at(totals, t.rows[keep],
+              t.coefs[keep].astype(object) * iv[t.ia[keep]] * iv[t.ib[keep]])
+    return totals, D
+
+
+# whether a row value of sign -, 0, + satisfies each relation, in RELATIONS order
+_HOLDS = np.array([(0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0)], dtype=bool)
+
+
+def satisfied_exact(system: ConstraintSystem | TermSystem,
+                    values: Mapping[VarId, Fraction]) -> bool:
+    """Exact yes/no from Python-int row values over a common denominator."""
+    t = term_system(system)
+    totals, _ = exact_rows(t, values)
+    sign = (totals > 0).astype(np.int64) - (totals < 0)
+    return bool(np.all(_HOLDS[t.rel, sign + 1]))
 
 
 # --- export -------------------------------------------------------------

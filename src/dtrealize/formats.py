@@ -3,16 +3,24 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .geometry import RatPoint
 from .plane_graph import PlaneTriangulation, build_triangulation
-from .realizer import RealizationCertificate
 
 
 class FormatError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class RealizationCertificate:
+    points: tuple[tuple[int, int], ...]
+    outer_face: tuple[int, ...]
+    witness_centers: tuple[tuple[Fraction, Fraction], ...]  # per sorted edge
+    transcript: tuple[str, ...]
 
 
 # --- graph JSON ---------------------------------------------------------

@@ -126,9 +126,6 @@ class PlaneTriangulation:
     def inner_faces(self) -> list[list[int]]:
         return [f for f in self.faces if not _same_cycle(f, self.outer_face)]
 
-    def is_maximal_planar(self) -> bool:
-        return len(self.outer_face) == 3
-
 
 def build_triangulation(n: int, rotation: dict[int, list[int]],
                         outer_face: Sequence[int]) -> PlaneTriangulation:

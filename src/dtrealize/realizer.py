@@ -14,8 +14,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from . import oracle
-from .constraints import ConstraintSystem, VarId, build_const, build_constsqu, satisfied_exact
+from .constraints import (RELATIONS, ConstraintSystem, TermSystem, VarId, build_const,
+                          constsqu_terms, exact_rows, satisfied_exact, term_system)
+from .constraints import build_constsqu  # noqa: F401  (perfbench/tracing.py wraps this name)
+from .formats import RealizationCertificate
 from .geometry import RatPoint, circumcenter, dist_sq, pt
 from .plane_graph import (PlaneTriangulation, _canon_cycle, candidate_outer_faces,
                           reembed_with_outer_face, validate_triangulation)
@@ -36,14 +41,6 @@ class CertifyResult:
     failed_step: str | None = None
     detail: str = ""
     witness_centers: tuple[tuple[Fraction, Fraction], ...] = ()
-
-
-@dataclass(frozen=True)
-class RealizationCertificate:
-    points: tuple[tuple[int, int], ...]
-    outer_face: tuple[int, ...]
-    witness_centers: tuple[tuple[Fraction, Fraction], ...]  # per sorted edge
-    transcript: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -84,12 +81,12 @@ def certify(G: PlaneTriangulation, f_star: Sequence[int],
         return CertifyResult(False, tuple(transcript), "POINT_COUNT",
                              f"{len(pts)} points for {G.n} vertices")
 
-    report = oracle.general_position_check(pts)
-    if not report.ok:
-        return CertifyResult(False, tuple(transcript), "NOT_GENERAL_POSITION", str(report))
+    try:
+        dt = oracle.delaunay(pts)
+    except oracle.NotGeneralPosition as e:
+        return CertifyResult(False, tuple(transcript), "NOT_GENERAL_POSITION", str(e))
     transcript.append("general_position")
 
-    dt = oracle.delaunay(pts)
     got = {tuple(sorted((a + 1, b + 1))) for a, b in dt.edges}
     want = set(G.edge_pairs())
     if got != want:
@@ -150,33 +147,33 @@ def certify(G: PlaneTriangulation, f_star: Sequence[int],
     return CertifyResult(True, tuple(transcript), witness_centers=tuple(centers))
 
 
-def repair_radii(system: ConstraintSystem,
+def repair_radii(system: ConstraintSystem | TermSystem,
                  values: dict[VarId, Fraction]) -> dict[VarId, Fraction]:
     """Re-pick each witness radius to fit its rounded points and center.
 
-    The radius only appears squared against exact stencil distances, so any
-    rational r with max(inclusion dist^2) <= r^2 < min(exclusion dist^2)
-    restores the disc constraints; points and centers are left untouched.
-    The exact evaluator remains the sole acceptance gate.
+    With the radius set to 0, a disc row's value is the squared distance
+    from the center to one stencil point, so any rational r with
+    max(inside rows) <= r^2 < min(outside rows) restores the disc
+    constraints; points and centers are left untouched. The exact
+    evaluator remains the sole acceptance gate.
     """
-    from .constraints import STENCIL
+    t = term_system(system)
+    radii = [k for k, v in enumerate(t.variables) if v[0] == "r"]
+    square = (t.ia == t.ib) & np.isin(t.ia, radii)     # each disc row's -r^2 term
+    rows, radius = t.rows[square], t.ia[square]
+    inside = t.rel[rows] == RELATIONS.index("<=")
+    disc = np.zeros(len(t.rel), dtype=bool)
+    disc[rows] = True
+    totals, D = exact_rows(t, {**values, **{t.variables[k]: Fraction(0) for k in radii}}, disc)
+    d2 = totals[rows]                   # squared stencil distances times D^2
 
     out = dict(values)
-    edges = sorted({(v[1], v[2]) for v in system.variables if v[0] == "r"})
-    n = max(v[1] for v in system.variables if v[0] == "px")
-    for i, j in edges:
-        cx, cy = values[("cx", i, j)], values[("cy", i, j)]
-        center = RatPoint(cx, cy)
-
-        def d2(v: int, dx: int, dy: int) -> Fraction:
-            return dist_sq(center, RatPoint(values[("px", v)] + dx,
-                                            values[("py", v)] + dy))
-
-        max_in = max(d2(v, dx, dy) for v in (i, j) for dx, dy in STENCIL)
-        others = [k for k in range(1, n + 1) if k not in (i, j)]
-        if not others:
+    for k in radii:
+        own = radius == k
+        if not np.any(own & ~inside):
             continue
-        min_out = min(d2(k, dx, dy) for k in others for dx, dy in STENCIL)
+        max_in = Fraction(max(d2[own & inside]), D * D)
+        min_out = Fraction(min(d2[own & ~inside]), D * D)
         if max_in >= min_out:
             continue  # not repairable; exact evaluation will reject
         target = (max_in + min_out) / 2
@@ -184,7 +181,7 @@ def repair_radii(system: ConstraintSystem,
         for denom in (10**3, 10**6, 10**9, 10**12, 10**15):
             r = Fraction(round(approx * denom), denom)
             if max_in <= r * r < min_out:
-                out[("r", i, j)] = r
+                out[t.variables[k]] = r
                 break
     return out
 
@@ -297,7 +294,7 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             warm = _rescale_warm(H, [(float(x), float(y)) for x, y in warm_points])
         else:
             warm = _warm_start(H, solver_cfg)
-        system = build_constsqu(H)
+        system = constsqu_terms(H)
         outcome = solve(system, solver_cfg, G=H, initial_points=warm)
         attempt = {"outer_face": list(H.outer_face), "solver_status": outcome.status,
                    "min_margin": outcome.min_margin}

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSystem, MissingVariable, VarId
+from .constraints import ConstraintSystem, MissingVariable, TermSystem, VarId, term_system
 from .geometry import rationalize
 from .plane_graph import PlaneTriangulation, tutte_embedding
 
@@ -55,35 +55,20 @@ class SolveOutcome:
     restart_index: int
 
 
-# relation codes in the compiled form
-_EQ, _GT, _LT, _GE, _LE = 0, 1, 2, 3, 4
-_REL_CODE = {"=": _EQ, ">": _GT, "<": _LT, ">=": _GE, "<=": _LE}
+# relation codes: indices into constraints.RELATIONS
+_EQ, _GT, _LT, _GE, _LE = range(5)
 
 
 class CompiledSystem:
-    """Term-array form of a ConstraintSystem for vectorized evaluation."""
+    """Vectorized float evaluation of a system's term arrays."""
 
-    def __init__(self, system: ConstraintSystem):
-        self.system = system
-        self.var_index = {v: i for i, v in enumerate(system.variables)}
-        nv = len(system.variables)
-        self.nv = nv
-        rows, ia, ib, coefs = [], [], [], []
-        for r, c in enumerate(system.constraints):
-            for mono, coeff in c.poly:
-                a = self.var_index[mono[0]] if len(mono) >= 1 else nv
-                b = self.var_index[mono[1]] if len(mono) == 2 else nv
-                rows.append(r)
-                ia.append(a)
-                ib.append(b)
-                coefs.append(coeff)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.ia = np.asarray(ia, dtype=np.int64)
-        self.ib = np.asarray(ib, dtype=np.int64)
-        self.coefs = np.asarray(coefs, dtype=np.float64)
-        self.m = len(system.constraints)
-        self.rel = np.asarray([_REL_CODE[c.relation] for c in system.constraints],
-                              dtype=np.int64)
+    def __init__(self, system: ConstraintSystem | TermSystem):
+        t = term_system(system)
+        self.nv = len(t.variables)
+        self.rows, self.ia, self.ib = t.rows, t.ia, t.ib
+        self.coefs = t.coefs.astype(np.float64)
+        self.m = len(t.rel)
+        self.rel = t.rel
         self.is_eq = self.rel == _EQ
         self.n_eq = int(np.count_nonzero(self.is_eq))
         self.strict = (self.rel == _GT) | (self.rel == _LT)
@@ -143,7 +128,8 @@ class CompiledSystem:
         return ok, strict_margin
 
 
-def default_margin(system: ConstraintSystem, points: Sequence[tuple[float, float]]) -> float:
+def default_margin(system: ConstraintSystem | TermSystem,
+                   points: Sequence[tuple[float, float]]) -> float:
     if system.flavor == "CONSTSQU":
         return 1.0
     xs = [p[0] for p in points]
@@ -177,7 +163,7 @@ def _float_circumcenter(a, b, c) -> tuple[float, float] | None:
     return ux, uy
 
 
-def initialize(G: PlaneTriangulation, system: ConstraintSystem,
+def initialize(G: PlaneTriangulation, system: ConstraintSystem | TermSystem,
                config: SolverConfig,
                points: Sequence[tuple[float, float]] | None = None) -> dict[VarId, float]:
     """Starting assignment: scaled Tutte points plus circumcenter witnesses.
@@ -254,7 +240,7 @@ def penalty(system: ConstraintSystem, assignment: dict[VarId, float],
     return loss, {v: float(grad[i]) for i, v in enumerate(system.variables)}
 
 
-def solve(system: ConstraintSystem, config: SolverConfig,
+def solve(system: ConstraintSystem | TermSystem, config: SolverConfig,
           G: PlaneTriangulation | None = None,
           initial_points: Sequence[tuple[float, float]] | None = None) -> SolveOutcome:
     """Deterministic penalty descent with seeded restarts.

@@ -1,15 +1,19 @@
 """Constraint system generation, evaluation, and export."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from dtrealize.constraints import (STENCIL, MissingVariable, build_const,
-                                   build_constsqu, evaluate, export_system,
-                                   satisfied_exact, system_from_json,
-                                   system_to_json, system_to_smtlib2)
-from dtrealize.instances import fan_triangulation
-from dtrealize.plane_graph import build_triangulation
+                                   build_constsqu, constsqu_terms, evaluate,
+                                   exact_rows, export_system, satisfied_exact,
+                                   system_from_json, system_to_json,
+                                   system_to_smtlib2)
+from dtrealize.instances import fan_triangulation, sqrt_lower, sqrt_upper
+from dtrealize.plane_graph import build_triangulation, reembed_with_outer_face
+from dtrealize.realizer import realize
 
 K4_ROT = {1: [2, 4, 3], 2: [3, 4, 1], 3: [1, 4, 2], 4: [1, 2, 3]}
 
@@ -137,8 +141,35 @@ def test_evaluate_missing_variable():
         satisfied_exact(system, {})
 
 
+def _stencil_dist_sq(values, v, edge):
+    cx, cy = values[("cx", *edge)], values[("cy", *edge)]
+    return [(values[("px", v)] + a - cx) ** 2 + (values[("py", v)] + b - cy) ** 2
+            for a, b in STENCIL]
+
+
+def _near_boundary(G, rng):
+    """Realize's exact assignment, then single changes that land on or next to
+    a constraint boundary: one witness radius just inside or outside each of
+    its two bounds, and one point moved by +-1/D."""
+    res = realize(G)
+    H = reembed_with_outer_face(G, res.certificate.outer_face)
+    exact = res.exact_assignment
+    out = [exact]
+    i, j = rng.choice(H.edge_pairs())
+    max_in = max(d for v in (i, j) for d in _stencil_dist_sq(exact, v, (i, j)))
+    min_out = min(d for k in range(1, H.n + 1) if k not in (i, j)
+                  for d in _stencil_dist_sq(exact, k, (i, j)))
+    for bound in (max_in, min_out):
+        for r in (sqrt_lower(bound), sqrt_upper(bound)):
+            out.append({**exact, ("r", i, j): r})
+    D = math.lcm(*(x.denominator for x in exact.values()))
+    for sign in (1, -1):
+        var = (rng.choice(("px", "py")), rng.randrange(1, H.n + 1))
+        out.append({**exact, var: exact[var] + Fraction(sign, D)})
+    return H, out
+
+
 def test_satisfied_exact_agrees_with_evaluate():
-    import random
     G = k4()
     system = build_const(G)
     rng = random.Random(0)
@@ -146,6 +177,20 @@ def test_satisfied_exact_agrees_with_evaluate():
         values = {v: Fraction(rng.randrange(-20, 21), rng.randrange(1, 8))
                   for v in system.variables}
         assert satisfied_exact(system, values) == evaluate(system, values).satisfied
+
+    # the ConstSqu term arrays against the Fraction rows, near the boundary:
+    # same verdict, and every row value identical once denominators are cleared
+    verdicts = set()
+    for G in (k4(), fan_triangulation(5)):
+        H, assignments = _near_boundary(G, rng)
+        rows, terms = build_constsqu(H), constsqu_terms(H)
+        for values in assignments:
+            report = evaluate(rows, values)
+            assert satisfied_exact(terms, values) == report.satisfied
+            totals, D = exact_rows(terms, values)
+            assert [Fraction(t, D * D) for t in totals] == [r.residual for r in report.results]
+            verdicts.add(report.satisfied)
+    assert verdicts == {True, False}
 
 
 def test_json_roundtrip():

@@ -1,13 +1,23 @@
 """Graph / points / certificate serialization and the SVG plot."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dtrealize import formats
+from dtrealize import formats, realizer
 from dtrealize.geometry import pt
 from dtrealize.instances import fan_triangulation
 from dtrealize.realizer import realize
+
+
+def test_formats_imports_no_solver_stack():
+    tree = ast.parse(Path(formats.__file__).read_text())
+    imported = {n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    imported |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert not imported & {"realizer", "solver", "constraints", "numpy"}
+    assert realizer.RealizationCertificate is formats.RealizationCertificate
 
 
 def test_graph_json_round_trip():

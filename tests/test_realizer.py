@@ -1,8 +1,10 @@
 """End-to-end realization and the exact certifier."""
 
+import math
 from fractions import Fraction
 
-from dtrealize.constraints import build_constsqu, satisfied_exact
+from dtrealize import constraints, oracle, realizer
+from dtrealize.constraints import STENCIL, build_constsqu, constsqu_terms, satisfied_exact
 from dtrealize.geometry import dist_sq, pt
 from dtrealize.instances import fan_triangulation, random_instance
 from dtrealize.plane_graph import build_triangulation
@@ -40,6 +42,20 @@ def test_certify_accepts_k4():
         for k in range(4):
             if k + 1 not in (i, j):
                 assert dist_sq(c, pts[k]) > r2
+
+
+def test_certify_checks_general_position_once(monkeypatch):
+    calls = []
+    check = oracle.general_position_check
+
+    def counted(points):
+        calls.append(len(points))
+        return check(points)
+
+    monkeypatch.setattr(oracle, "general_position_check", counted)
+    G = k4()
+    assert certify(G, G.outer_face, K4_POINTS).ok
+    assert calls == [4]
 
 
 def test_certify_reflection_policy():
@@ -100,6 +116,18 @@ def test_realize_exact_assignment_satisfies_system():
     assert satisfied_exact(system, res.exact_assignment)
 
 
+def test_realize_builds_no_constsqu_rows(monkeypatch):
+    def refuse(G):
+        raise AssertionError("realize() must not build ConstSqu rows")
+
+    monkeypatch.setattr(constraints, "build_constsqu", refuse)
+    monkeypatch.setattr(realizer, "build_constsqu", refuse)
+    G = fan_triangulation(6)
+    res = realize(G)
+    assert res.status == "REALIZED"
+    assert certify(G, res.certificate.outer_face, res.certificate.points).ok
+
+
 def test_realize_triangle_direct():
     G = build_triangulation(3, {1: [2, 3], 2: [3, 1], 3: [1, 2]}, (1, 3, 2))
     res = realize(G)
@@ -122,18 +150,42 @@ def test_realize_warm_start():
     assert res.status == "REALIZED"
 
 
+def _stencil_repair(G, values):
+    """Reference radius fit: exact stencil distances in Fraction, edge by edge."""
+    out = dict(values)
+    for i, j in G.edge_pairs():
+        center = pt(values[("cx", i, j)], values[("cy", i, j)])
+
+        def d2(v):
+            return [dist_sq(center, pt(values[("px", v)] + a, values[("py", v)] + b))
+                    for a, b in STENCIL]
+
+        max_in = max(d2(i) + d2(j))
+        min_out = min(d for k in range(1, G.n + 1) if k not in (i, j) for d in d2(k))
+        if max_in >= min_out:
+            continue
+        approx = math.sqrt(float((max_in + min_out) / 2))
+        for denom in (10**3, 10**6, 10**9, 10**12, 10**15):
+            r = Fraction(round(approx * denom), denom)
+            if max_in <= r * r < min_out:
+                out[("r", i, j)] = r
+                break
+    return out
+
+
 def test_repair_radii_restores_disc_constraints():
-    G = k4()
-    system = build_constsqu(G)
-    res = realize(G)
-    values = dict(res.exact_assignment)
-    # spoil every radius; repair must bring the system back
-    for v in system.variables:
-        if v[0] == "r":
-            values[v] = Fraction(1, 7)
-    assert not satisfied_exact(system, values)
-    repaired = repair_radii(system, values)
-    assert satisfied_exact(system, repaired)
+    for G in (k4(), fan_triangulation(6)):
+        system = build_constsqu(G)
+        res = realize(G)
+        values = dict(res.exact_assignment)
+        # spoil every radius; repair must bring the system back
+        for v in system.variables:
+            if v[0] == "r":
+                values[v] = Fraction(1, 7)
+        assert not satisfied_exact(system, values)
+        repaired = repair_radii(system, values)
+        assert satisfied_exact(system, repaired)
+        assert repair_radii(constsqu_terms(G), values) == repaired == _stencil_repair(G, values)
 
 
 def test_realize_deterministic():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dtrealize.constraints import Constraint, ConstraintSystem, MissingVariable, \
-    build_const, build_constsqu
-from dtrealize.instances import fan_triangulation
+    build_const, build_constsqu, constsqu_terms, term_system
+from dtrealize.instances import fan_triangulation, random_instance
 from dtrealize.plane_graph import build_triangulation
 from dtrealize.solver import (DEFAULT_DENOMINATORS, CompiledSystem, SolverConfig,
                               default_margin, initialize, penalty,
@@ -88,6 +88,26 @@ def test_gradient_matches_finite_differences(build):
         fd = _central_difference(comp, vec, 1.0)
         denom = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(fd)))
         assert float(np.max(np.abs(grad - fd) / denom)) < 1e-5
+
+
+@pytest.mark.parametrize("G", [k4(), fan_triangulation(6), random_instance(9, 1005)[1]],
+                         ids=["k4", "fan6", "random9"])
+def test_constsqu_terms_match_compiled_rows(G):
+    """The stencil description yields the rows' term arrays, so the solver's
+    values and gradients are bit-identical on either."""
+    terms, rows = constsqu_terms(G), build_constsqu(G)
+    compiled = term_system(rows)
+    assert terms.variables == rows.variables
+    for name in ("rows", "ia", "ib", "coefs", "rel"):
+        assert np.array_equal(getattr(terms, name), getattr(compiled, name)), name
+    a, b = CompiledSystem(terms), CompiledSystem(rows)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        vec = rng.uniform(-30, 30, a.nv)
+        assert np.array_equal(a.values(vec), b.values(vec))
+        la, ga = a.loss_grad(vec, 1.0)
+        lb, gb = b.loss_grad(vec, 1.0)
+        assert la == lb and np.array_equal(ga, gb)
 
 
 def test_loss_zero_iff_satisfied():
