@@ -117,9 +117,13 @@ def cmd_emit(args) -> int:
 
 def cmd_realize(args) -> int:
     G = _load_graph(args.graph)
-    config = RealizeConfig(solver=_solver_config(args),
-                           allow_reflection=not args.strict_orientation,
-                           time_budget=args.time_budget)
+    try:
+        config = RealizeConfig(solver=_solver_config(args),
+                               allow_reflection=not args.strict_orientation,
+                               time_budget=args.time_budget)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     result = realize(G, config)
     if result.status == "REALIZED":
         cert = result.certificate
@@ -186,7 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("realize", help="search for an integer realization")
     r.add_argument("graph")
-    r.add_argument("--time-budget", type=float, default=None)
+    r.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
+                   help="one wall-clock deadline for the whole call, shared out "
+                        "across candidate outer faces; UNKNOWN when it passes. "
+                        "A stage already under way finishes first "
+                        "(default: no limit)")
     r.add_argument("--margin", type=float, default=None)
     r.add_argument("--max-iterations", type=int, default=None)
     r.add_argument("--restarts", type=int, default=None)

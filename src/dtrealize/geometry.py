@@ -1,8 +1,11 @@
 """Exact rational plane geometry: the predicates every other module trusts.
 
-All arithmetic here is over ``fractions.Fraction`` (arbitrary precision,
-always canonical), so every predicate is exact. Floating point never enters
-this module; callers bridge floats in via :func:`rationalize`.
+Every predicate is exact over int or ``fractions.Fraction`` coordinates
+(arbitrary precision), never float; callers bridge floats in via
+:func:`rationalize`. The predicates that only add, multiply and compare
+(``con_poly``, ``dist_sq``, ``in_circle_sign``, ``convex_hull``) run on
+Python ints as they are, which is far faster; :func:`circumcenter` divides,
+so it needs Fraction coordinates.
 """
 
 from __future__ import annotations

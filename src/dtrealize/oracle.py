@@ -2,9 +2,10 @@
 
 This is the independent ground truth the certifier compares against: all
 triples are tested with the exact empty-circumcircle predicate, O(n^4) but
-completely trustworthy at desk scale. No incremental or flip-based
-shortcuts, so nothing here shares code paths with the structures being
-certified.
+completely trustworthy at desk scale. Exact over int or Fraction
+coordinates, never float; integer points (as certify() passes them) are
+many times faster. No incremental or flip-based shortcuts, so nothing here
+shares code paths with the structures being certified.
 """
 
 from __future__ import annotations

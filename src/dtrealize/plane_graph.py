@@ -191,22 +191,12 @@ def validate_triangulation(G: PlaneTriangulation) -> ValidationReport:
 
     for u in labels:
         rot = {x: [y for y in G.rotation[x] if y != u] for x in labels if x != u}
-        if rot and not _is_connected_adj(rot):
+        try:
+            _check_connected(rot)
+        except NotConnected:
             v.append(Violation("NOT_2_CONNECTED", f"vertex {u} is a cut vertex", (u,)))
 
     return ValidationReport(not v, tuple(v))
-
-
-def _is_connected_adj(adj: dict[int, list[int]]) -> bool:
-    verts = list(adj)
-    stack, seen = [verts[0]], {verts[0]}
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(verts)
 
 
 def candidate_outer_faces(G: PlaneTriangulation) -> list[list[int]]:

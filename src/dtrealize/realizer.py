@@ -9,8 +9,10 @@ as UNKNOWN, never as a negative answer.
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass, field, replace
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,9 +31,31 @@ from .solver import SolverConfig, _float_circumcenter, round_candidates, solve
 
 @dataclass(frozen=True)
 class RealizeConfig:
+    """Options of one realize() call.
+
+    ``time_budget`` is the wall-clock limit, in seconds, of the whole call
+    (None: no limit). realize() turns it into one deadline at entry. Each
+    candidate outer face gets an equal share of the time still left, so time
+    one face leaves unused passes to the next; the warm-start solve stops
+    halfway through the share and the ConstSqu solve at its end. A face that
+    would start after the deadline is listed in the diagnostics with
+    ``solver_status`` ``"DEADLINE"`` and not searched, and no rounding
+    candidate starts after it. The deadline is checked between stages and at
+    every solver step, so a call can overrun it by at most one stage that is
+    not interrupted once started:
+
+    - one face's system builds and solve start-up (compiling the system and
+      building its start assignment);
+    - one rounding candidate's radius fit and exact gate, with its at most 4
+      certify calls.
+    """
     solver: SolverConfig = field(default_factory=SolverConfig)
     allow_reflection: bool = True
-    time_budget: float | None = None     # total seconds, split across faces
+    time_budget: float | None = None
+
+    def __post_init__(self):
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError("time_budget must be a non-negative number of seconds")
 
 
 @dataclass(frozen=True)
@@ -71,18 +95,20 @@ def certify(G: PlaneTriangulation, f_star: Sequence[int],
             allow_reflection: bool = True) -> CertifyResult:
     """Exact verification that DT(points) is G with outer face f_star.
 
-    Steps run in order; the first failure aborts with its step name.
+    ``points`` are integer pairs. Steps run in order; the first failure aborts with its step name.
     Witness discs are circumcircles of an incident Delaunay face per edge,
     re-derived here rather than taken from any solver output.
     """
     transcript: list[str] = []
-    pts = [pt(x, y) for x, y in points]
-    if len(pts) != G.n:
+    if len(points) != G.n:
         return CertifyResult(False, tuple(transcript), "POINT_COUNT",
-                             f"{len(pts)} points for {G.n} vertices")
+                             f"{len(points)} points for {G.n} vertices")
 
+    # the oracle's predicates only multiply and compare, so they run on the
+    # integers directly; the witness step divides and so needs Fraction
     try:
-        dt = oracle.delaunay(pts)
+        dt = oracle.delaunay([RatPoint(operator.index(x), operator.index(y))
+                              for x, y in points])
     except oracle.NotGeneralPosition as e:
         return CertifyResult(False, tuple(transcript), "NOT_GENERAL_POSITION", str(e))
     transcript.append("general_position")
@@ -116,6 +142,7 @@ def certify(G: PlaneTriangulation, f_star: Sequence[int],
         for a in range(3):
             e = tuple(sorted((f[a], f[(a + 1) % 3])))
             faces_of_edge.setdefault(e, []).append(f)
+    pts = [pt(x, y) for x, y in points]
     centers: list[tuple[Fraction, Fraction]] = []
     for i, j in G.edge_pairs():
         e = (i - 1, j - 1)
@@ -230,7 +257,8 @@ def _rescale_warm(H: PlaneTriangulation,
     return [(x * s, y * s) for x, y in pts]
 
 
-def _warm_start(H: PlaneTriangulation, solver_cfg: SolverConfig) -> list[tuple[float, float]] | None:
+def _warm_start(H: PlaneTriangulation, solver_cfg: SolverConfig,
+                deadline: float) -> list[tuple[float, float]] | None:
     """Stage-1 placement: solve the cheap base system, then upscale.
 
     A base-system solution realizes H in floats at some tiny robustness
@@ -238,7 +266,7 @@ def _warm_start(H: PlaneTriangulation, solver_cfg: SolverConfig) -> list[tuple[f
     stretches that radius past the unit stencil, so the robustified system
     is typically satisfied immediately at the scaled points.
     """
-    outcome = solve(build_const(H), solver_cfg, G=H)
+    outcome = solve(build_const(H), solver_cfg, G=H, deadline=deadline)
     if outcome.status != "SATISFIED_FLOAT":
         return None
     pts = [(outcome.assignment[("px", i)], outcome.assignment[("py", i)])
@@ -274,6 +302,8 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
 
     ``warm_points`` seeds the solver with a known placement (testing aid)."""
     config = config or RealizeConfig()
+    budget = math.inf if config.time_budget is None else config.time_budget
+    deadline = time.monotonic() + budget
     if G.n < 4:
         return _realize_small(G, config)
     report = validate_triangulation(G)
@@ -284,24 +314,28 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
 
     candidates = candidate_outer_faces(G)
     solver_cfg = config.solver
-    if config.time_budget is not None:
-        solver_cfg = replace(solver_cfg, time_budget=config.time_budget / len(candidates))
-
     diagnostics = []
-    for face in candidates:
+    for k, face in enumerate(candidates):
         H = reembed_with_outer_face(G, face)
+        now = time.monotonic()
+        if now > deadline:
+            diagnostics.append({"outer_face": list(H.outer_face), "solver_status": "DEADLINE"})
+            continue
+        share = (deadline - now) / (len(candidates) - k)
         if warm_points is not None:
             warm = _rescale_warm(H, [(float(x), float(y)) for x, y in warm_points])
         else:
-            warm = _warm_start(H, solver_cfg)
+            warm = _warm_start(H, solver_cfg, deadline=now + share / 2)
         system = constsqu_terms(H)
-        outcome = solve(system, solver_cfg, G=H, initial_points=warm)
+        outcome = solve(system, solver_cfg, G=H, initial_points=warm, deadline=now + share)
         attempt = {"outer_face": list(H.outer_face), "solver_status": outcome.status,
                    "min_margin": outcome.min_margin}
         if outcome.status != "SATISFIED_FLOAT":
             diagnostics.append(attempt)
             continue
         for exact in round_candidates(outcome.assignment, solver_cfg):
+            if time.monotonic() > deadline:
+                break
             exact = repair_radii(system, exact)
             if not satisfied_exact(system, exact):
                 continue
@@ -328,6 +362,7 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
                                              tuple(diagnostics),
                                              exact_assignment=exact)
                 attempt["certify_fail"] = cert.failed_step
-        attempt["note"] = "no rounded candidate satisfied the exact system"
+        if "certify_fail" not in attempt:  # no candidate passed the exact gate
+            attempt["note"] = "no rounded candidate satisfied the exact system"
         diagnostics.append(attempt)
     return RealizationResult("UNKNOWN", diagnostics=tuple(diagnostics))

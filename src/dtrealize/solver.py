@@ -20,7 +20,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSystem, MissingVariable, TermSystem, VarId, term_system
+from .constraints import (RELATIONS, ConstraintSystem, MissingVariable, TermSystem, VarId,
+                          term_system)
 from .geometry import rationalize
 from .plane_graph import PlaneTriangulation, tutte_embedding
 
@@ -36,12 +37,15 @@ class SolverConfig:
     initial_step: float = 1e-3
     stagnation_window: int = 200
     stagnation_rel: float = 1e-12
-    time_budget: float | None = None     # seconds, None = unlimited
     denominators: tuple[int, ...] = DEFAULT_DENOMINATORS
 
     def __post_init__(self):
-        if self.margin is not None and self.margin <= 0:
+        if self.margin is not None and not self.margin > 0:
             raise ValueError("margin must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must not be negative")
+        if self.restarts < 0:
+            raise ValueError("restarts must not be negative")
         if list(self.denominators) != sorted(self.denominators):
             raise ValueError("denominators must ascend")
 
@@ -55,8 +59,7 @@ class SolveOutcome:
     restart_index: int
 
 
-# relation codes: indices into constraints.RELATIONS
-_EQ, _GT, _LT, _GE, _LE = range(5)
+_EQ, _GT, _LT, _LE = map(RELATIONS.index, ("=", ">", "<", "<="))
 
 
 class CompiledSystem:
@@ -242,39 +245,39 @@ def penalty(system: ConstraintSystem, assignment: dict[VarId, float],
 
 def solve(system: ConstraintSystem | TermSystem, config: SolverConfig,
           G: PlaneTriangulation | None = None,
-          initial_points: Sequence[tuple[float, float]] | None = None) -> SolveOutcome:
+          initial_points: Sequence[tuple[float, float]] | None = None,
+          deadline: float = math.inf) -> SolveOutcome:
     """Deterministic penalty descent with seeded restarts.
 
     ``G`` enables the structured initialization; without it the start is
-    seeded random.
+    seeded random. ``deadline`` is a ``time.monotonic()`` instant after which
+    no further descent step or restart begins.
     """
     comp = CompiledSystem(system)
-    t0 = time.monotonic()
+    margin = config.margin
+    start = None
+    if G is not None:
+        values = initialize(G, system, config, points=initial_points)
+        start = np.asarray([values[v] for v in system.variables], dtype=np.float64)
+        point_mask = np.asarray([v[0] in ("px", "py") for v in system.variables])
+        if margin is None:
+            margin = default_margin(system, [(values[("px", i)], values[("py", i)])
+                                             for i in range(1, G.n + 1)])
+        # kept alive through the descent, this dict's table pins heap pages
+        # the descent's large temporaries free, raising peak RSS
+        del values
+    elif margin is None:
+        margin = 1.0 if system.flavor == "CONSTSQU" else 1e-3
 
     def start_vector(restart: int) -> np.ndarray:
         rng = np.random.default_rng(config.seed + restart)
-        if G is not None:
-            values = initialize(G, system, config, points=initial_points)
-            vec = np.asarray([values[v] for v in system.variables], dtype=np.float64)
-            if restart > 0:
-                jitter = 10.0 ** ((restart % 4) - 1)
-                point_mask = np.asarray(
-                    [v[0] in ("px", "py") for v in system.variables])
-                vec = vec + jitter * rng.standard_normal(len(vec)) * point_mask
-                vec = vec + 0.1 * jitter * rng.standard_normal(len(vec)) * ~point_mask
-            return vec
-        return 100.0 * rng.standard_normal(comp.nv)
-
-    margin = config.margin
-    if margin is None:
-        if G is not None:
-            probe = initialize(G, system, config, points=initial_points)
-            probe_pts = [(probe[("px", i)], probe[("py", i)])
-                         for i in range(1, max(v[1] for v in system.variables
-                                               if v[0] == "px") + 1)]
-            margin = default_margin(system, probe_pts)
-        else:
-            margin = 1.0 if system.flavor == "CONSTSQU" else 1e-3
+        if start is None:
+            return 100.0 * rng.standard_normal(comp.nv)
+        if restart == 0:
+            return start
+        jitter = 10.0 ** ((restart % 4) - 1)
+        vec = start + jitter * rng.standard_normal(len(start)) * point_mask
+        return vec + 0.1 * jitter * rng.standard_normal(len(start)) * ~point_mask
 
     best_vec: np.ndarray | None = None
     best_loss = math.inf
@@ -302,7 +305,7 @@ def solve(system: ConstraintSystem | TermSystem, config: SolverConfig,
         since_improve = 0
         for it in range(config.max_iterations):
             total_iters += 1
-            if config.time_budget is not None and time.monotonic() - t0 > config.time_budget:
+            if time.monotonic() > deadline:
                 break
             gd = float(grad @ direction)
             if gd >= 0:
@@ -360,7 +363,7 @@ def solve(system: ConstraintSystem | TermSystem, config: SolverConfig,
             best_loss = loss
             best_vec = vec.copy()
             best_restart = restart
-        if config.time_budget is not None and time.monotonic() - t0 > config.time_budget:
+        if time.monotonic() > deadline:
             break
 
     assert best_vec is not None

@@ -121,3 +121,16 @@ def test_seed_flag_deterministic(fan_file, tmp_path):
     assert main(["--seed", "9", "realize", str(fan_file), "-o", str(a)]) == EXIT_OK
     assert main(["--seed", "9", "realize", str(fan_file), "-o", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("option", [
+    ["--time-budget", "nan"],
+    ["--time-budget", "-1"],
+    ["--margin", "0"],
+    ["--restarts", "-1"],
+    ["--max-iterations", "-1"],
+])
+def test_realize_rejects_invalid_options(fan_file, option, capsys):
+    assert main(["realize", str(fan_file), *option]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

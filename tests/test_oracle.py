@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dtrealize import oracle
-from dtrealize.geometry import convex_hull, in_circle_sign, pt
+from dtrealize.geometry import RatPoint, convex_hull, in_circle_sign, pt
 from dtrealize.plane_graph import _same_cycle, validate_triangulation
 
 
@@ -85,3 +85,22 @@ def test_as_plane_triangulation_valid_and_consistent():
         # every DT face appears as an inner face
         inner = {tuple(sorted(f)) for f in G.inner_faces()}
         assert inner == {tuple(sorted((i + 1, j + 1, k + 1))) for i, j, k in dt.faces}
+
+
+def _delaunay_or_report(points):
+    try:
+        return oracle.delaunay(points)
+    except oracle.NotGeneralPosition as e:
+        return e.args[0]
+
+
+def test_delaunay_same_on_int_and_fraction_coordinates():
+    rng = np.random.default_rng(19)
+    # a wide range for general position, a tiny grid for duplicate points
+    # and cocircular quadruples
+    for bound, n in ((1 << 20, 9), (1 << 20, 12), (4, 6), (4, 7), (2, 5)):
+        for _ in range(3):
+            raw = [(int(x), int(y)) for x, y in rng.integers(0, bound + 1, size=(n, 2))]
+            ints = [RatPoint(x, y) for x, y in raw]
+            fracs = [pt(x, y) for x, y in raw]
+            assert _delaunay_or_report(ints) == _delaunay_or_report(fracs)

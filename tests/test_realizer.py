@@ -1,13 +1,14 @@
 """End-to-end realization and the exact certifier."""
 
 import math
+import time
 from fractions import Fraction
 
 from dtrealize import constraints, oracle, realizer
 from dtrealize.constraints import STENCIL, build_constsqu, constsqu_terms, satisfied_exact
 from dtrealize.geometry import dist_sq, pt
 from dtrealize.instances import fan_triangulation, random_instance
-from dtrealize.plane_graph import build_triangulation
+from dtrealize.plane_graph import build_triangulation, candidate_outer_faces
 from dtrealize.realizer import (RealizeConfig, certify, realize, repair_radii,
                                 scale_to_integers)
 
@@ -197,9 +198,68 @@ def test_realize_deterministic():
 
 
 def test_realize_respects_time_budget():
-    import time
     G = fan_triangulation(7)
     t0 = time.monotonic()
     res = realize(G, RealizeConfig(time_budget=120.0))
     assert time.monotonic() - t0 < 120.0
     assert res.status in ("REALIZED", "UNKNOWN")
+
+
+def bipyramid_kleetope():
+    """The triangular bipyramid with a vertex stacked in each of its 6 faces.
+
+    n = 11 with 18 faces; removing the 5 bipyramid vertices leaves 6
+    components, so it is not 1-tough and (Dillencourt) not Delaunay-realizable.
+    """
+    bipyramid = ((4, 1, 2), (4, 2, 3), (4, 3, 1), (5, 2, 1), (5, 3, 2), (5, 1, 3))
+    faces = [t for k, (x, y, z) in enumerate(bipyramid, start=6)
+             for t in ((x, y, k), (y, z, k), (z, x, k))]
+    # face (u, v, w) puts w right after u in the rotation at v
+    succ = {}
+    for u, v, w in faces:
+        for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
+            succ.setdefault(b, {})[a] = c
+    rotation = {}
+    for v, nxt in sorted(succ.items()):
+        ring = [min(nxt)]
+        while len(ring) < len(nxt):
+            ring.append(nxt[ring[-1]])
+        rotation[v] = ring
+    return build_triangulation(11, rotation, faces[0])
+
+
+def _timed_realize(G, budget):
+    t0 = time.monotonic()
+    res = realize(G, RealizeConfig(time_budget=budget))
+    return res, time.monotonic() - t0
+
+
+def test_time_budget_is_one_deadline():
+    G = bipyramid_kleetope()
+    res, elapsed = _timed_realize(G, 2.0)
+    assert res.status == "UNKNOWN"
+    assert elapsed < 3.5
+    assert len(res.diagnostics) == len(candidate_outer_faces(G)) == 18
+
+
+def test_faces_after_the_deadline_are_listed_not_searched():
+    G = bipyramid_kleetope()
+    res, elapsed = _timed_realize(G, 0.05)
+    assert res.status == "UNKNOWN"
+    assert elapsed < 1.0
+    assert len(res.diagnostics) == len(candidate_outer_faces(G)) == 18
+    skipped = [d for d in res.diagnostics if d["solver_status"] == "DEADLINE"]
+    assert skipped and all(d.keys() == {"outer_face", "solver_status"} for d in skipped)
+
+
+def test_certify_failure_is_not_reported_as_a_gate_failure(monkeypatch):
+    def reject(G, f_star, points, allow_reflection=True):
+        return realizer.CertifyResult(False, (), "EDGE_MISMATCH", "forced")
+
+    monkeypatch.setattr(realizer, "certify", reject)
+    res = realize(fan_triangulation(6))
+    assert res.status == "UNKNOWN"
+    assert res.diagnostics
+    for attempt in res.diagnostics:
+        assert attempt["certify_fail"] == "EDGE_MISMATCH"
+        assert "note" not in attempt

@@ -1,6 +1,7 @@
 """Penalty loss, analytic gradients, and the descent loop."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(margin=0.0)
     with pytest.raises(ValueError):
+        SolverConfig(margin=float("nan"))
+    with pytest.raises(ValueError):
         SolverConfig(denominators=(4, 1))
+    with pytest.raises(ValueError):
+        SolverConfig(restarts=-1)
+    with pytest.raises(ValueError):
+        SolverConfig(max_iterations=-1)
 
 
 def test_penalty_hinge_example():
@@ -201,3 +208,14 @@ def test_round_candidates_exact_reproduction():
     cands = list(round_candidates({("x",): 3.0}, cfg))
     assert cands[0][("x",)] == 3
     assert len(cands) == len(DEFAULT_DENOMINATORS)
+
+
+def test_solve_stops_at_past_deadline():
+    system = build_const(k4())
+    cfg = SolverConfig(seed=3)
+    comp = CompiledSystem(system)
+    start = 100.0 * np.random.default_rng(cfg.seed).standard_normal(comp.nv)
+    assert not comp.satisfied(start, 1e-3)[0]
+    out = solve(system, cfg, deadline=time.monotonic() - 1)
+    assert out.status == "EXHAUSTED"
+    assert out.iterations <= 1
