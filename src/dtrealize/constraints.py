@@ -13,9 +13,15 @@ Two flavors over a shared degree-<=2 integer polynomial IR:
 Both are described once, as groups of rows that share a monomial layout and
 differ only in the stencil offsets substituted into it; numpy computes a
 group's coefficients over all its offsets at once. The exported rows
-(``build_const``, ``build_constsqu``) and the flat term arrays that the
-float solver and the exact gate evaluate (``constsqu_terms``) both come
-from that description, so realization never materialises ConstSqu as rows.
+(``build_const``, ``build_constsqu``) come from that description. So does
+``constsqu_stencil``, which keeps ConstSqu as groups: per orientation group
+its three points and relation, per disc group its vertex, edge and side.
+One numpy evaluator computes every group's values over its offset table,
+in floats for the solver (with an analytic gradient) and in integers for
+the exact gate and the radius fit, so realization never materialises
+ConstSqu as rows or term arrays. Row systems are evaluated through flat
+term arrays (``term_system``), and exactly in Fraction by ``evaluate``,
+the reference for any row system.
 
 Systems are deterministic, exactly evaluable over Fraction, and exportable
 to JSON (lossless) and SMT-LIB2 (QF_NRA) for external complete solvers.
@@ -159,16 +165,23 @@ def _orientation(verts: tuple[int, int, int], offs: np.ndarray) -> tuple[list, n
     return _layout(terms, len(offs))
 
 
-def _orientation_groups(G: PlaneTriangulation, prefix: str, offs: np.ndarray,
-                        suffixes: Sequence[tuple]):
-    """Turns along the outer cycle; every other vertex inside each outer edge."""
+def _orientation_specs(G: PlaneTriangulation):
+    """Each orientation group as (tag kind, tag vertices, points in form order, relation).
+
+    Turns along the outer cycle; every other vertex inside each outer edge.
+    """
     for i, j, k in _outer_triples(G.outer_face):
-        yield _Group((prefix + "_TURN", i, j, k), ">", *_orientation((i, j, k), offs), suffixes)
+        yield "_TURN", (i, j, k), (i, j, k), ">"
     for i, j in _outer_pairs(G.outer_face):
         for k in range(1, G.n + 1):
             if k not in (i, j):
-                yield _Group((prefix + "_INTERIOR", i, j, k), "<",
-                             *_orientation((i, k, j), offs), suffixes)
+                yield "_INTERIOR", (i, j, k), (i, k, j), "<"
+
+
+def _orientation_groups(G: PlaneTriangulation, prefix: str, offs: np.ndarray,
+                        suffixes: Sequence[tuple]):
+    for kind, tag, verts, relation in _orientation_specs(G):
+        yield _Group((prefix + kind, *tag), relation, *_orientation(verts, offs), suffixes)
 
 
 def _power_diff(u: int, w: int, edge: tuple[int, int]) -> tuple[list, np.ndarray]:
@@ -200,14 +213,24 @@ def _const_groups(G: PlaneTriangulation):
                 yield _Group(("DIS_EXCL", i, j, k), ">", *_power_diff(k, i, (i, j)), [()])
 
 
+def _disc_specs(G: PlaneTriangulation):
+    """Each ConstSqu disc group as (tag kind, edge, vertex, relation), in row order.
+
+    Both endpoints of an edge lie inside its witness disc, every other vertex
+    strictly outside.
+    """
+    for i, j in G.edge_pairs():
+        for v in [i, j] + [k for k in range(1, G.n + 1) if k not in (i, j)]:
+            if v in (i, j):
+                yield "DISSQU_IN", (i, j), v, "<="
+            else:
+                yield "DISSQU_OUT", (i, j), v, ">"
+
+
 def _constsqu_groups(G: PlaneTriangulation):
     yield from _orientation_groups(G, "CONSQU", _TRIPLE_OFFSETS, _TRIPLES)
-    for i, j in G.edge_pairs():
-        others = [k for k in range(1, G.n + 1) if k not in (i, j)]
-        for v in [i, j] + others:
-            inside = v in (i, j)
-            yield _Group(("DISSQU_IN" if inside else "DISSQU_OUT", i, j, v),
-                         "<=" if inside else ">", *_disc(v, (i, j)), _SINGLES)
+    for kind, edge, v, relation in _disc_specs(G):
+        yield _Group((kind, *edge, v), relation, *_disc(v, edge), _SINGLES)
 
 
 def _rows(groups) -> tuple[Constraint, ...]:
@@ -232,7 +255,7 @@ def build_constsqu(G: PlaneTriangulation) -> ConstraintSystem:
     Stencil offsets are substituted symbolically, so no point variables are
     added: only (cx, cy, r) per edge beyond the base coordinates. The rows
     serve export and reference checks; realization evaluates the same groups
-    through ``constsqu_terms``.
+    through ``constsqu_stencil``.
     """
     return ConstraintSystem(_variables(G, True), _rows(_constsqu_groups(G)), "CONSTSQU",
                             graph_digest(G))
@@ -257,10 +280,8 @@ class TermSystem:
     rel: np.ndarray
 
 
-def term_system(system: ConstraintSystem | TermSystem) -> TermSystem:
-    """The term arrays of a system; a ConstraintSystem's rows are compiled in order."""
-    if isinstance(system, TermSystem):
-        return system
+def term_system(system: ConstraintSystem) -> TermSystem:
+    """The term arrays of a system's rows, in order."""
     index = {v: k for k, v in enumerate(system.variables)}
     slot = len(system.variables)
     rows, ia, ib, coefs = [], [], [], []
@@ -275,28 +296,103 @@ def term_system(system: ConstraintSystem | TermSystem) -> TermSystem:
                       *(np.asarray(x, dtype=np.int64) for x in (rows, ia, ib, coefs, rel)))
 
 
-def constsqu_terms(G: PlaneTriangulation) -> TermSystem:
-    """ConstSqu(G) as term arrays, equal to ``term_system(build_constsqu(G))``.
+# per point of an orientation row, its x and y offsets over the 729 offset choices
+_TRIPLE_X = np.ascontiguousarray(_TRIPLE_OFFSETS[:, :, 0].T)    # (3, 729)
+_TRIPLE_Y = np.ascontiguousarray(_TRIPLE_OFFSETS[:, :, 1].T)
 
-    Each group contributes its layout once per offset; zero coefficients are
-    dropped afterwards, as the rows drop them.
+
+@dataclass(frozen=True, eq=False)
+class StencilSystem:
+    """ConstSqu(G) as index arrays over its stencil groups, for evaluation.
+
+    Orientation group g is the orientation form of the points
+    (x[orient[g, p, 0]] + a_p, x[orient[g, p, 1]] + b_p), p = 0, 1, 2, over
+    the 729 stencil offset choices; disc group d is |Z - C|^2 - R^2 at the
+    9 stencil points Z = (x[disc[d, 0]] + a, x[disc[d, 1]] + b), with
+    C = (x[disc[d, 2]], x[disc[d, 3]]) and R = x[disc[d, 4]]. ``values``
+    lists the rows in ``build_constsqu`` order. Indices point into the
+    variable vector x; ``orient_rel``/``disc_rel`` hold each group's index
+    into RELATIONS.
     """
+    variables: tuple[VarId, ...]
+    flavor: str
+    orient: np.ndarray       # (groups, 3, 2)
+    orient_rel: np.ndarray   # (groups,)
+    disc: np.ndarray         # (pairs, 5)
+    disc_rel: np.ndarray     # (pairs,)
+
+    @property
+    def rel(self) -> np.ndarray:
+        """Each row's index into RELATIONS."""
+        return np.concatenate((np.repeat(self.orient_rel, len(_TRIPLES)),
+                               np.repeat(self.disc_rel, len(STENCIL))))
+
+    # The evaluators run on float, int64 or Python-int object vectors alike;
+    # offsets are multiplied by ``unit``, so an assignment scaled by D is
+    # evaluated exactly with unit D (row values then come out times D^2).
+
+    def _orient_points(self, x: np.ndarray, unit) -> tuple[np.ndarray, np.ndarray]:
+        """The stencil points of every orientation row, x and y, each (groups, 3, 729)."""
+        return (x[self.orient[:, :, 0]][:, :, None] + _TRIPLE_X.astype(x.dtype) * unit,
+                x[self.orient[:, :, 1]][:, :, None] + _TRIPLE_Y.astype(x.dtype) * unit)
+
+    def _disc_deltas(self, x: np.ndarray, unit) -> tuple[np.ndarray, np.ndarray]:
+        """Z - C per disc row, x and y, each (pairs, 9)."""
+        d = self.disc
+        return ((x[d[:, 0]] - x[d[:, 2]])[:, None] + _STENCIL[:, 0].astype(x.dtype) * unit,
+                (x[d[:, 1]] - x[d[:, 3]])[:, None] + _STENCIL[:, 1].astype(x.dtype) * unit)
+
+    def sq_distances(self, x: np.ndarray, unit) -> np.ndarray:
+        """|Z - C|^2 per disc row, (pairs, 9)."""
+        dx, dy = self._disc_deltas(x, unit)
+        return dx * dx + dy * dy
+
+    def values(self, x: np.ndarray, unit) -> np.ndarray:
+        ox, oy = self._orient_points(x, unit)
+        orient = sum(s * ox[:, p] * oy[:, q] for p, q, s in _CON_PAIRS)
+        r = x[self.disc[:, 4]]
+        disc = self.sq_distances(x, unit) - (r * r)[:, None]
+        return np.concatenate((orient.ravel(), disc.ravel()))
+
+    def vjp(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Gradient of sum(w * values(x)) with respect to the float vector x."""
+        split = len(self.orient) * len(_TRIPLES)
+        wo = w[:split].reshape(len(self.orient), -1)
+        wd = w[split:].reshape(len(self.disc), -1)
+        ox, oy = self._orient_points(x, 1.0)
+        gx = np.zeros((len(self.orient), 3))
+        gy = np.zeros((len(self.orient), 3))
+        for p, q, s in _CON_PAIRS:
+            gx[:, p] += s * np.einsum("gk,gk->g", wo, oy[:, q])
+            gy[:, q] += s * np.einsum("gk,gk->g", wo, ox[:, p])
+        dx, dy = self._disc_deltas(x, 1.0)
+        gdx = 2.0 * np.einsum("dk,dk->d", wd, dx)
+        gdy = 2.0 * np.einsum("dk,dk->d", wd, dy)
+        gr = -2.0 * x[self.disc[:, 4]] * wd.sum(axis=1)
+        index = np.concatenate((self.orient[:, :, 0].ravel(), self.orient[:, :, 1].ravel(),
+                                *self.disc.T))
+        weights = np.concatenate((gx.ravel(), gy.ravel(), gdx, gdy, -gdx, -gdy, gr))
+        return np.bincount(index, weights=weights, minlength=len(x))
+
+
+def constsqu_stencil(G: PlaneTriangulation) -> StencilSystem:
+    """ConstSqu(G) as stencil groups, evaluating to the rows of ``build_constsqu(G)``."""
     variables = _variables(G, True)
     index = {v: k for k, v in enumerate(variables)}
-    slot = len(variables)
-    parts = []
-    first = 0
-    for g in _constsqu_groups(G):
-        n = len(g.coefs)
-        ia = np.array([index[m[0]] if m else slot for m in g.monos], dtype=np.int64)
-        ib = np.array([index[m[1]] if len(m) == 2 else slot for m in g.monos], dtype=np.int64)
-        parts.append((np.repeat(np.arange(first, first + n), len(ia)), np.tile(ia, n),
-                      np.tile(ib, n), g.coefs.ravel(),
-                      np.full(n, RELATIONS.index(g.relation))))
-        first += n
-    rows, ia, ib, coefs, rel = (np.concatenate(p) for p in zip(*parts))
-    keep = coefs != 0
-    return TermSystem(variables, "CONSTSQU", rows[keep], ia[keep], ib[keep], coefs[keep], rel)
+    orient = list(_orientation_specs(G))
+    disc = list(_disc_specs(G))
+
+    def codes(specs):
+        return np.array([RELATIONS.index(relation) for *_, relation in specs], dtype=np.int64)
+
+    return StencilSystem(
+        variables, "CONSTSQU",
+        np.array([[(index["px", v], index["py", v]) for v in verts]
+                  for _, _, verts, _ in orient], dtype=np.int64),
+        codes(orient),
+        np.array([[index["px", v], index["py", v], index[("cx", *e)], index[("cy", *e)],
+                   index[("r", *e)]] for _, e, v, _ in disc], dtype=np.int64),
+        codes(disc))
 
 
 # --- evaluation ---------------------------------------------------------
@@ -359,39 +455,33 @@ def evaluate(system: ConstraintSystem, values: Mapping[VarId, Fraction]) -> Eval
     return EvaluationReport(all(r.satisfied for r in results), tuple(results), min_margin)
 
 
-def exact_rows(system: ConstraintSystem | TermSystem, values: Mapping[VarId, Fraction],
-               mask: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Row values times D^2 as Python ints, D the LCM of the denominators.
+def scale_assignment(system: StencilSystem,
+                     values: Mapping[VarId, Fraction]) -> tuple[np.ndarray, int]:
+    """The variable vector times D, D the LCM of the denominators, as integers.
 
-    Clearing all values to integers scaled by D turns each degree-<=2
-    polynomial into an integer combination: the constant slot holds D, so
-    degree-1 terms pick up a factor D and constants D^2. A boolean row
-    ``mask`` limits the work to the rows it selects; the others read 0.
+    With M = max |scaled value| + D, no stencil value or intermediate
+    exceeds 8 M^2 in magnitude (orientation rows 6 M^2), so the vector is
+    int64 when 8 M^2 < 2^63 and a Python-int object array otherwise.
     """
-    t = term_system(system)
-    missing = [v for v in t.variables if v not in values]
+    missing = [v for v in system.variables if v not in values]
     if missing:
         raise MissingVariable(missing[0])
-    D = math.lcm(*(values[v].denominator for v in t.variables))
-    iv = np.array([int(values[v] * D) for v in t.variables] + [D], dtype=object)
-    keep = slice(None) if mask is None else mask[t.rows]
-    totals = np.zeros(len(t.rel), dtype=object)
-    np.add.at(totals, t.rows[keep],
-              t.coefs[keep].astype(object) * iv[t.ia[keep]] * iv[t.ib[keep]])
-    return totals, D
+    D = math.lcm(*(values[v].denominator for v in system.variables))
+    ints = [values[v].numerator * (D // values[v].denominator) for v in system.variables]
+    bound = max(map(abs, ints)) + D
+    return np.array(ints, dtype=np.int64 if 8 * bound * bound < 2**63 else object), D
 
 
 # whether a row value of sign -, 0, + satisfies each relation, in RELATIONS order
 _HOLDS = np.array([(0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0)], dtype=bool)
 
 
-def satisfied_exact(system: ConstraintSystem | TermSystem,
-                    values: Mapping[VarId, Fraction]) -> bool:
-    """Exact yes/no from Python-int row values over a common denominator."""
-    t = term_system(system)
-    totals, _ = exact_rows(t, values)
-    sign = (totals > 0).astype(np.int64) - (totals < 0)
-    return bool(np.all(_HOLDS[t.rel, sign + 1]))
+def satisfied_exact(system: StencilSystem, values: Mapping[VarId, Fraction]) -> bool:
+    """Exact yes/no from the integer row values of the assignment scaled by D."""
+    x, D = scale_assignment(system, values)
+    vals = system.values(x, D)
+    sign = (vals > 0).astype(np.int64) - (vals < 0)
+    return bool(np.all(_HOLDS[system.rel, sign + 1]))
 
 
 # --- export -------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import oracle
 from .constraints import build_const, evaluate
-from .geometry import RatPoint, con_poly, convex_hull, dist_sq, pt
+from .geometry import RatPoint, con_poly, convex_hull, dist_sq
 from .plane_graph import PlaneTriangulation, build_triangulation
 
 
@@ -61,14 +61,16 @@ def random_instance(n: int, seed: int, bound: int = 1000,
     for _ in range(max_attempts):
         raw = rng.integers(0, bound + 1, size=(n, 2))
         points = [(int(x), int(y)) for x, y in raw]
-        pts = [pt(x, y) for x, y in points]
-        if not oracle.general_position_check(pts).ok:
+        # the oracle's predicates only multiply and compare: exact on ints
+        pts = [RatPoint(x, y) for x, y in points]
+        try:
+            dt = oracle.delaunay(pts)
+        except oracle.NotGeneralPosition:
             continue
         # collinear hull triples leave the middle point off the hull cycle
         # but on the outer boundary of the triangulation; reject those too
         if convex_hull(pts).collinear_dropped:
             continue
-        dt = oracle.delaunay(pts)
         G = oracle.as_plane_triangulation(dt, pts)
         return points, G
     raise BoundTooSmall(f"no general-position sample of {n} points in [0,{bound}]^2 "

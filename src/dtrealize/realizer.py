@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from .constraints import (RELATIONS, ConstraintSystem, TermSystem, VarId, build_const,
-                          constsqu_terms, exact_rows, satisfied_exact, term_system)
+from .constraints import (RELATIONS, StencilSystem, VarId, build_const, constsqu_stencil,
+                          satisfied_exact, scale_assignment)
 from .constraints import build_constsqu  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .formats import RealizationCertificate
 from .geometry import RatPoint, circumcenter, dist_sq, pt
@@ -174,33 +174,31 @@ def certify(G: PlaneTriangulation, f_star: Sequence[int],
     return CertifyResult(True, tuple(transcript), witness_centers=tuple(centers))
 
 
-def repair_radii(system: ConstraintSystem | TermSystem,
+def repair_radii(system: StencilSystem,
                  values: dict[VarId, Fraction]) -> dict[VarId, Fraction]:
     """Re-pick each witness radius to fit its rounded points and center.
 
-    With the radius set to 0, a disc row's value is the squared distance
-    from the center to one stencil point, so any rational r with
-    max(inside rows) <= r^2 < min(outside rows) restores the disc
-    constraints; points and centers are left untouched. The exact
-    evaluator remains the sole acceptance gate.
+    Any rational r with max(inside stencil distance^2) <= r^2 <
+    min(outside stencil distance^2) restores the disc constraints; points
+    and centers are left untouched. The exact evaluator remains the sole
+    acceptance gate.
     """
-    t = term_system(system)
-    radii = [k for k, v in enumerate(t.variables) if v[0] == "r"]
-    square = (t.ia == t.ib) & np.isin(t.ia, radii)     # each disc row's -r^2 term
-    rows, radius = t.rows[square], t.ia[square]
-    inside = t.rel[rows] == RELATIONS.index("<=")
-    disc = np.zeros(len(t.rel), dtype=bool)
-    disc[rows] = True
-    totals, D = exact_rows(t, {**values, **{t.variables[k]: Fraction(0) for k in radii}}, disc)
-    d2 = totals[rows]                   # squared stencil distances times D^2
+    radius = system.disc[:, 4]
+    radii = dict.fromkeys(radius.tolist())     # each edge's radius index, in order
+    inside = system.disc_rel == RELATIONS.index("<=")
+    # radii are zeroed only to keep them out of the common denominator
+    x, D = scale_assignment(system, {**values, **{system.variables[k]: Fraction(0)
+                                                  for k in radii}})
+    d2 = system.sq_distances(x, D)          # squared stencil distances times D^2
+    far, near = d2.max(axis=1), d2.min(axis=1)
 
     out = dict(values)
     for k in radii:
         own = radius == k
         if not np.any(own & ~inside):
             continue
-        max_in = Fraction(max(d2[own & inside]), D * D)
-        min_out = Fraction(min(d2[own & ~inside]), D * D)
+        max_in = Fraction(int(far[own & inside].max()), D * D)
+        min_out = Fraction(int(near[own & ~inside].min()), D * D)
         if max_in >= min_out:
             continue  # not repairable; exact evaluation will reject
         target = (max_in + min_out) / 2
@@ -208,7 +206,7 @@ def repair_radii(system: ConstraintSystem | TermSystem,
         for denom in (10**3, 10**6, 10**9, 10**12, 10**15):
             r = Fraction(round(approx * denom), denom)
             if max_in <= r * r < min_out:
-                out[t.variables[k]] = r
+                out[system.variables[k]] = r
                 break
     return out
 
@@ -326,7 +324,7 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             warm = _rescale_warm(H, [(float(x), float(y)) for x, y in warm_points])
         else:
             warm = _warm_start(H, solver_cfg, deadline=now + share / 2)
-        system = constsqu_terms(H)
+        system = constsqu_stencil(H)
         outcome = solve(system, solver_cfg, G=H, initial_points=warm, deadline=now + share)
         attempt = {"outer_face": list(H.outer_face), "solver_status": outcome.status,
                    "min_margin": outcome.min_margin}

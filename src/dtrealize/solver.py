@@ -7,7 +7,8 @@ exact arithmetic. Nothing here is trusted for correctness.
 Loss: sum of squared equality residuals plus squared hinges on strict
 inequalities (hinge target = margin; non-strict relations use margin 0).
 All polynomials have degree <= 2, so the analytic gradient is evaluated
-directly from the compiled term arrays.
+directly from the compiled term arrays of a row system, or from the stencil
+groups of ConstSqu (``constraints.StencilSystem``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .constraints import (RELATIONS, ConstraintSystem, MissingVariable, TermSystem, VarId,
+from .constraints import (RELATIONS, ConstraintSystem, MissingVariable, StencilSystem, VarId,
                           term_system)
 from .geometry import rationalize
 from .plane_graph import PlaneTriangulation, tutte_embedding
@@ -62,26 +63,22 @@ class SolveOutcome:
 _EQ, _GT, _LT, _LE = map(RELATIONS.index, ("=", ">", "<", "<="))
 
 
-class CompiledSystem:
-    """Vectorized float evaluation of a system's term arrays."""
+class _Penalty:
+    """Hinge penalty over rows with relation codes ``rel`` (indices into RELATIONS).
 
-    def __init__(self, system: ConstraintSystem | TermSystem):
-        t = term_system(system)
-        self.nv = len(t.variables)
-        self.rows, self.ia, self.ib = t.rows, t.ia, t.ib
-        self.coefs = t.coefs.astype(np.float64)
-        self.m = len(t.rel)
-        self.rel = t.rel
+    Subclasses supply ``values(v)``, the row values at the float vector v, and
+    ``_pullback(v, w)``, the gradient of ``sum(w * values(v))``.
+    """
+
+    def __init__(self, nv: int, rel: np.ndarray):
+        self.nv = nv
+        self.m = len(rel)
+        self.rel = rel
         self.is_eq = self.rel == _EQ
         self.n_eq = int(np.count_nonzero(self.is_eq))
         self.strict = (self.rel == _GT) | (self.rel == _LT)
         # orientation: signed slack = sign * value, positive means satisfied
         self.sign = np.where((self.rel == _LT) | (self.rel == _LE), -1.0, 1.0)
-
-    def values(self, v: np.ndarray) -> np.ndarray:
-        va = np.append(v, 1.0)
-        tv = self.coefs * va[self.ia] * va[self.ib]
-        return np.bincount(self.rows, weights=tv, minlength=self.m)
 
     def _loss_parts(self, v: np.ndarray, margin: float):
         vals = self.values(v)
@@ -96,14 +93,10 @@ class CompiledSystem:
         return self._loss_parts(v, margin)[0]
 
     def loss_grad(self, v: np.ndarray, margin: float) -> tuple[float, np.ndarray]:
-        va = np.append(v, 1.0)
         loss, resid, hinge = self._loss_parts(v, margin)
         # d loss / d value per constraint
         dval = 2.0 * resid - 2.0 * hinge * self.sign
-        w = dval[self.rows] * self.coefs
-        grad_aug = np.bincount(self.ia, weights=w * va[self.ib], minlength=self.nv + 1)
-        grad_aug += np.bincount(self.ib, weights=w * va[self.ia], minlength=self.nv + 1)
-        return loss, grad_aug[: self.nv]
+        return loss, self._pullback(v, dval)
 
     def loss_implies_satisfied(self, v: np.ndarray, loss: float) -> bool:
         """Cheap filter for when a full satisfied() check could succeed.
@@ -131,7 +124,43 @@ class CompiledSystem:
         return ok, strict_margin
 
 
-def default_margin(system: ConstraintSystem | TermSystem,
+class CompiledSystem(_Penalty):
+    """Vectorized float evaluation of a row system's term arrays."""
+
+    def __init__(self, system: ConstraintSystem):
+        t = term_system(system)
+        super().__init__(len(t.variables), t.rel)
+        self.rows, self.ia, self.ib = t.rows, t.ia, t.ib
+        self.coefs = t.coefs.astype(np.float64)
+
+    def values(self, v: np.ndarray) -> np.ndarray:
+        va = np.append(v, 1.0)
+        tv = self.coefs * va[self.ia] * va[self.ib]
+        return np.bincount(self.rows, weights=tv, minlength=self.m)
+
+    def _pullback(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        va = np.append(v, 1.0)
+        tw = w[self.rows] * self.coefs
+        grad_aug = np.bincount(self.ia, weights=tw * va[self.ib], minlength=self.nv + 1)
+        grad_aug += np.bincount(self.ib, weights=tw * va[self.ia], minlength=self.nv + 1)
+        return grad_aug[: self.nv]
+
+
+class CompiledStencil(_Penalty):
+    """Float evaluation of ConstSqu straight from its stencil groups."""
+
+    def __init__(self, system: StencilSystem):
+        super().__init__(len(system.variables), system.rel)
+        self.system = system
+
+    def values(self, v: np.ndarray) -> np.ndarray:
+        return self.system.values(v, 1.0)
+
+    def _pullback(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return self.system.vjp(v, w)
+
+
+def default_margin(system: ConstraintSystem | StencilSystem,
                    points: Sequence[tuple[float, float]]) -> float:
     if system.flavor == "CONSTSQU":
         return 1.0
@@ -166,7 +195,7 @@ def _float_circumcenter(a, b, c) -> tuple[float, float] | None:
     return ux, uy
 
 
-def initialize(G: PlaneTriangulation, system: ConstraintSystem | TermSystem,
+def initialize(G: PlaneTriangulation, system: ConstraintSystem | StencilSystem,
                config: SolverConfig,
                points: Sequence[tuple[float, float]] | None = None) -> dict[VarId, float]:
     """Starting assignment: scaled Tutte points plus circumcenter witnesses.
@@ -243,7 +272,7 @@ def penalty(system: ConstraintSystem, assignment: dict[VarId, float],
     return loss, {v: float(grad[i]) for i, v in enumerate(system.variables)}
 
 
-def solve(system: ConstraintSystem | TermSystem, config: SolverConfig,
+def solve(system: ConstraintSystem | StencilSystem, config: SolverConfig,
           G: PlaneTriangulation | None = None,
           initial_points: Sequence[tuple[float, float]] | None = None,
           deadline: float = math.inf) -> SolveOutcome:
@@ -253,7 +282,8 @@ def solve(system: ConstraintSystem | TermSystem, config: SolverConfig,
     seeded random. ``deadline`` is a ``time.monotonic()`` instant after which
     no further descent step or restart begins.
     """
-    comp = CompiledSystem(system)
+    comp = (CompiledStencil(system) if isinstance(system, StencilSystem)
+            else CompiledSystem(system))
     margin = config.margin
     start = None
     if G is not None:

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
 from dtrealize.constraints import (STENCIL, MissingVariable, build_const,
-                                   build_constsqu, constsqu_terms, evaluate,
-                                   exact_rows, export_system, satisfied_exact,
+                                   build_constsqu, constsqu_stencil, evaluate,
+                                   export_system, satisfied_exact, scale_assignment,
                                    system_from_json, system_to_json,
                                    system_to_smtlib2)
-from dtrealize.instances import fan_triangulation, sqrt_lower, sqrt_upper
+from dtrealize.instances import fan_triangulation, random_instance, sqrt_lower, sqrt_upper
 from dtrealize.plane_graph import build_triangulation, reembed_with_outer_face
 from dtrealize.realizer import realize
 
@@ -118,7 +120,6 @@ def test_evaluate_known_k4_realization():
     report = evaluate(system, values)
     assert report.satisfied
     assert report.min_strict_margin > 0
-    assert satisfied_exact(system, values)
 
 
 def test_evaluate_detects_violation():
@@ -130,7 +131,6 @@ def test_evaluate_detects_violation():
     report = evaluate(system, values)
     assert not report.satisfied
     assert report.failures()
-    assert not satisfied_exact(system, values)
 
 
 def test_evaluate_missing_variable():
@@ -138,7 +138,7 @@ def test_evaluate_missing_variable():
     with pytest.raises(MissingVariable):
         evaluate(system, {})
     with pytest.raises(MissingVariable):
-        satisfied_exact(system, {})
+        satisfied_exact(constsqu_stencil(k4()), {})
 
 
 def _stencil_dist_sq(values, v, edge):
@@ -170,27 +170,33 @@ def _near_boundary(G, rng):
 
 
 def test_satisfied_exact_agrees_with_evaluate():
-    G = k4()
-    system = build_const(G)
+    """The stencil groups against the Fraction rows, near the boundary: same
+    verdict, and every row value identical once denominators are cleared, on
+    the int64 path and on the Python-int path alike."""
     rng = random.Random(0)
-    for _ in range(20):
-        values = {v: Fraction(rng.randrange(-20, 21), rng.randrange(1, 8))
-                  for v in system.variables}
-        assert satisfied_exact(system, values) == evaluate(system, values).satisfied
-
-    # the ConstSqu term arrays against the Fraction rows, near the boundary:
-    # same verdict, and every row value identical once denominators are cleared
-    verdicts = set()
-    for G in (k4(), fan_triangulation(5)):
+    verdicts, dtypes = set(), set()
+    # the Fraction reference takes about a second per assignment on the
+    # larger systems, so they check every other near-boundary change
+    for G, step in ((k4(), 1), (fan_triangulation(6), 2), (random_instance(9, 1005)[1], 2)):
         H, assignments = _near_boundary(G, rng)
-        rows, terms = build_constsqu(H), constsqu_terms(H)
+        assignments = assignments[::step]
+        rows, stencil = build_constsqu(H), constsqu_stencil(H)
+        # a denominator this large leaves no int64 bound, forcing Python ints
+        var = ("px", 1)
+        assignments.append({**assignments[0],
+                            var: assignments[0][var] + Fraction(1, 2**61 - 1)})
         for values in assignments:
             report = evaluate(rows, values)
-            assert satisfied_exact(terms, values) == report.satisfied
-            totals, D = exact_rows(terms, values)
-            assert [Fraction(t, D * D) for t in totals] == [r.residual for r in report.results]
+            assert satisfied_exact(stencil, values) == report.satisfied
+            x, D = scale_assignment(stencil, values)
+            scaled = stencil.values(x, D)
+            assert [Fraction(int(t), D * D) for t in scaled] == \
+                [r.residual for r in report.results]
             verdicts.add(report.satisfied)
+            dtypes.add(x.dtype)
+        assert x.dtype == object
     assert verdicts == {True, False}
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 
 def test_json_roundtrip():

@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dtrealize import oracle
-from dtrealize.geometry import pt
+from dtrealize.geometry import convex_hull, pt
 from dtrealize.instances import (BoundTooSmall, UnsatisfiedInput, fan_triangulation,
                                  perturb_within_halfbox, perturb_within_radius,
                                  radius_bounds, random_instance, sqrt_lower,
@@ -56,6 +57,35 @@ def test_random_instance_round_trip():
 
 def test_random_instance_deterministic():
     assert random_instance(6, seed=4)[0] == random_instance(6, seed=4)[0]
+
+
+def _random_instance_on_fractions(n, seed, bound):
+    """random_instance's sampling with every predicate run on Fraction points;
+    also counts the samples rejected for general position and for collinear
+    hull triples."""
+    rng = np.random.default_rng(seed)
+    rejected = [0, 0]
+    while True:
+        points = [(int(x), int(y)) for x, y in rng.integers(0, bound + 1, size=(n, 2))]
+        pts = [pt(x, y) for x, y in points]
+        if not oracle.general_position_check(pts).ok:
+            rejected[0] += 1
+        elif convex_hull(pts).collinear_dropped:
+            rejected[1] += 1
+        else:
+            return points, oracle.as_plane_triangulation(oracle.delaunay(pts), pts), rejected
+
+
+def test_random_instance_same_as_on_fractions():
+    rejected = [0, 0]
+    for n, seed, bound in ((6, 1002, 1000), (9, 1005, 1000), (12, 1008, 1000),
+                           (7, 2, 6)):
+        points, G = random_instance(n, seed, bound)
+        ref_points, ref, ref_rejected = _random_instance_on_fractions(n, seed, bound)
+        assert points == ref_points
+        assert G.rotation == ref.rotation and G.outer_face == ref.outer_face
+        rejected = [a + b for a, b in zip(rejected, ref_rejected)]
+    assert all(rejected), rejected    # both rejection paths were taken
 
 
 def test_random_instance_bound_too_small():

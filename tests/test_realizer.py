@@ -4,8 +4,9 @@ import math
 import time
 from fractions import Fraction
 
-from dtrealize import constraints, oracle, realizer
-from dtrealize.constraints import STENCIL, build_constsqu, constsqu_terms, satisfied_exact
+from dtrealize import constraints, oracle, realizer, solver
+from dtrealize.constraints import (STENCIL, build_constsqu, constsqu_stencil, evaluate,
+                                   satisfied_exact)
 from dtrealize.geometry import dist_sq, pt
 from dtrealize.instances import fan_triangulation, random_instance
 from dtrealize.plane_graph import build_triangulation, candidate_outer_faces
@@ -113,16 +114,26 @@ def test_realize_exact_assignment_satisfies_system():
     G = fan_triangulation(5)
     res = realize(G)
     assert res.status == "REALIZED"
-    system = build_constsqu(G)
-    assert satisfied_exact(system, res.exact_assignment)
+    assert evaluate(build_constsqu(G), res.exact_assignment).satisfied
 
 
 def test_realize_builds_no_constsqu_rows(monkeypatch):
+    """ConstSqu is evaluated from its stencil groups: realize() neither builds
+    its rows nor compiles it into term arrays."""
     def refuse(G):
         raise AssertionError("realize() must not build ConstSqu rows")
 
+    def base_only(fn):
+        def checked(system, *args, **kwargs):
+            assert system.flavor != "CONSTSQU", f"{fn.__name__} saw a ConstSqu system"
+            return fn(system, *args, **kwargs)
+        return checked
+
     monkeypatch.setattr(constraints, "build_constsqu", refuse)
     monkeypatch.setattr(realizer, "build_constsqu", refuse)
+    for module, name in ((constraints, "term_system"), (solver, "term_system"),
+                         (solver, "CompiledSystem")):
+        monkeypatch.setattr(module, name, base_only(getattr(module, name)))
     G = fan_triangulation(6)
     res = realize(G)
     assert res.status == "REALIZED"
@@ -183,10 +194,11 @@ def test_repair_radii_restores_disc_constraints():
         for v in system.variables:
             if v[0] == "r":
                 values[v] = Fraction(1, 7)
-        assert not satisfied_exact(system, values)
-        repaired = repair_radii(system, values)
-        assert satisfied_exact(system, repaired)
-        assert repair_radii(constsqu_terms(G), values) == repaired == _stencil_repair(G, values)
+        assert not evaluate(system, values).satisfied
+        repaired = repair_radii(constsqu_stencil(G), values)
+        assert evaluate(system, repaired).satisfied
+        assert satisfied_exact(constsqu_stencil(G), repaired)
+        assert repaired == _stencil_repair(G, values)
 
 
 def test_realize_deterministic():
@@ -240,6 +252,14 @@ def test_time_budget_is_one_deadline():
     assert res.status == "UNKNOWN"
     assert elapsed < 3.5
     assert len(res.diagnostics) == len(candidate_outer_faces(G)) == 18
+
+
+def test_tight_budget_on_a_large_input():
+    """A 0.5 s budget at n = 25 ends within the documented slack."""
+    G = random_instance(25, 1000)[1]
+    res, elapsed = _timed_realize(G, 0.5)
+    assert res.status in ("REALIZED", "UNKNOWN")
+    assert elapsed < 0.5 + 1.0
 
 
 def test_faces_after_the_deadline_are_listed_not_searched():

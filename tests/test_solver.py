@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from dtrealize.constraints import Constraint, ConstraintSystem, MissingVariable, \
-    build_const, build_constsqu, constsqu_terms, term_system
+    StencilSystem, build_const, build_constsqu, constsqu_stencil
 from dtrealize.instances import fan_triangulation, random_instance
 from dtrealize.plane_graph import build_triangulation
-from dtrealize.solver import (DEFAULT_DENOMINATORS, CompiledSystem, SolverConfig,
+from dtrealize.solver import (DEFAULT_DENOMINATORS, CompiledStencil, CompiledSystem, SolverConfig,
                               default_margin, initialize, penalty,
                               round_candidates, solve)
 
@@ -84,10 +84,11 @@ def _central_difference(comp, vec, margin, h=1e-6):
     return out
 
 
-@pytest.mark.parametrize("build", [build_const, build_constsqu])
+@pytest.mark.parametrize("build", [build_const, build_constsqu, constsqu_stencil])
 def test_gradient_matches_finite_differences(build):
     system = build(k4())
-    comp = CompiledSystem(system)
+    comp = (CompiledStencil(system) if isinstance(system, StencilSystem)
+            else CompiledSystem(system))
     rng = np.random.default_rng(42)
     for _ in range(10):
         vec = rng.uniform(-8, 8, comp.nv)
@@ -97,24 +98,44 @@ def test_gradient_matches_finite_differences(build):
         assert float(np.max(np.abs(grad - fd) / denom)) < 1e-5
 
 
+def _close(a, b, rel=1e-9):
+    return float(np.max(np.abs(a - b))) <= rel * max(1.0, float(np.max(np.abs(b))))
+
+
 @pytest.mark.parametrize("G", [k4(), fan_triangulation(6), random_instance(9, 1005)[1]],
                          ids=["k4", "fan6", "random9"])
-def test_constsqu_terms_match_compiled_rows(G):
-    """The stencil description yields the rows' term arrays, so the solver's
-    values and gradients are bit-identical on either."""
-    terms, rows = constsqu_terms(G), build_constsqu(G)
-    compiled = term_system(rows)
-    assert terms.variables == rows.variables
-    for name in ("rows", "ia", "ib", "coefs", "rel"):
-        assert np.array_equal(getattr(terms, name), getattr(compiled, name)), name
-    a, b = CompiledSystem(terms), CompiledSystem(rows)
+def test_stencil_matches_compiled_rows(G):
+    """The stencil groups evaluate to the rows of build_constsqu, with the same
+    loss, gradient and satisfaction semantics, up to float rounding."""
+    system = constsqu_stencil(G)
+    assert system.variables == build_constsqu(G).variables
+    stencil, rows = CompiledStencil(system), CompiledSystem(build_constsqu(G))
+    assert np.array_equal(stencil.rel, rows.rel)
     rng = np.random.default_rng(7)
-    for _ in range(5):
-        vec = rng.uniform(-30, 30, a.nv)
-        assert np.array_equal(a.values(vec), b.values(vec))
-        la, ga = a.loss_grad(vec, 1.0)
-        lb, gb = b.loss_grad(vec, 1.0)
-        assert la == lb and np.array_equal(ga, gb)
+    for scale in (30, 300, 3000):
+        vec = rng.uniform(-scale, scale, rows.nv)
+        assert _close(stencil.values(vec), rows.values(vec))
+        for margin in (1.0, 50.0):
+            la, ga = stencil.loss_grad(vec, margin)
+            lb, gb = rows.loss_grad(vec, margin)
+            assert la == pytest.approx(lb, rel=1e-9)
+            assert _close(ga, gb)
+            assert stencil.loss(vec, margin) == la
+            ok_a, mm_a = stencil.satisfied(vec, margin)
+            ok_b, mm_b = rows.satisfied(vec, margin)
+            assert ok_a == ok_b and mm_a == pytest.approx(mm_b, rel=1e-9, abs=1e-9)
+            assert stencil.loss_implies_satisfied(vec, la) == rows.loss_implies_satisfied(vec, lb)
+
+
+def test_solve_descends_on_the_stencil():
+    """From the cold Tutte start ConstSqu needs descent steps; the stencil
+    path reaches an assignment that the compiled rows accept too."""
+    G = k4()
+    out = solve(constsqu_stencil(G), SolverConfig(seed=3), G=G)
+    assert out.status == "SATISFIED_FLOAT" and out.iterations > 0
+    rows = build_constsqu(G)
+    vec = np.asarray([out.assignment[v] for v in rows.variables])
+    assert CompiledSystem(rows).satisfied(vec, 1.0)[0]
 
 
 def test_loss_zero_iff_satisfied():
