@@ -57,11 +57,11 @@ def _solver_config(args) -> SolverConfig:
     kwargs = {}
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if getattr(args, "margin", None) is not None:
+    if args.margin is not None:
         kwargs["margin"] = args.margin
-    if getattr(args, "max_iterations", None) is not None:
+    if args.max_iterations is not None:
         kwargs["max_iterations"] = args.max_iterations
-    if getattr(args, "restarts", None) is not None:
+    if args.restarts is not None:
         kwargs["restarts"] = args.restarts
     return SolverConfig(**kwargs)
 

@@ -18,10 +18,10 @@ group's coefficients over all its offsets at once. The exported rows
 its three points and relation, per disc group its vertex, edge and side.
 One numpy evaluator computes every group's values over its offset table,
 in floats for the solver (with an analytic gradient) and in integers for
-the exact gate and the radius fit, so realization never materialises
-ConstSqu as rows or term arrays. Row systems are evaluated through flat
-term arrays (``term_system``), and exactly in Fraction by ``evaluate``,
-the reference for any row system.
+the exact gate and the radius fit (``satisfied_exact``, ``repair_radii``),
+so realization never materialises ConstSqu as rows or term arrays. Row
+systems are evaluated exactly in Fraction by ``evaluate``, the reference for
+any row system, and in floats by ``solver.CompiledSystem``.
 
 Systems are deterministic, exactly evaluable over Fraction, and exportable
 to JSON (lossless) and SMT-LIB2 (QF_NRA) for external complete solvers.
@@ -261,40 +261,7 @@ def build_constsqu(G: PlaneTriangulation) -> ConstraintSystem:
                             graph_digest(G))
 
 
-# --- term arrays --------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class TermSystem:
-    """A constraint system as flat term arrays, rows in order.
-
-    Term t adds ``coefs[t] * v[ia[t]] * v[ib[t]]`` to row ``rows[t]``, where v
-    is the variable vector followed by a constant slot at index
-    ``len(variables)``; ``rel`` holds each row's index into RELATIONS.
-    """
-    variables: tuple[VarId, ...]
-    flavor: str
-    rows: np.ndarray
-    ia: np.ndarray
-    ib: np.ndarray
-    coefs: np.ndarray
-    rel: np.ndarray
-
-
-def term_system(system: ConstraintSystem) -> TermSystem:
-    """The term arrays of a system's rows, in order."""
-    index = {v: k for k, v in enumerate(system.variables)}
-    slot = len(system.variables)
-    rows, ia, ib, coefs = [], [], [], []
-    for r, c in enumerate(system.constraints):
-        for mono, coeff in c.poly:
-            rows.append(r)
-            ia.append(index[mono[0]] if mono else slot)
-            ib.append(index[mono[1]] if len(mono) == 2 else slot)
-            coefs.append(coeff)
-    rel = [RELATIONS.index(c.relation) for c in system.constraints]
-    return TermSystem(system.variables, system.flavor,
-                      *(np.asarray(x, dtype=np.int64) for x in (rows, ia, ib, coefs, rel)))
-
+# --- stencil groups as index arrays -------------------------------------
 
 # per point of an orientation row, its x and y offsets over the 729 offset choices
 _TRIPLE_X = np.ascontiguousarray(_TRIPLE_OFFSETS[:, :, 0].T)    # (3, 729)
@@ -482,6 +449,43 @@ def satisfied_exact(system: StencilSystem, values: Mapping[VarId, Fraction]) -> 
     vals = system.values(x, D)
     sign = (vals > 0).astype(np.int64) - (vals < 0)
     return bool(np.all(_HOLDS[system.rel, sign + 1]))
+
+
+def repair_radii(system: StencilSystem,
+                 values: dict[VarId, Fraction]) -> dict[VarId, Fraction]:
+    """Re-pick each witness radius to fit its rounded points and center.
+
+    Any rational r with max(inside stencil distance^2) <= r^2 <
+    min(outside stencil distance^2) restores the disc constraints; points
+    and centers are left untouched. The exact evaluator remains the sole
+    acceptance gate.
+    """
+    radius = system.disc[:, 4]
+    radii = dict.fromkeys(radius.tolist())     # each edge's radius index, in order
+    inside = system.disc_rel == RELATIONS.index("<=")
+    # radii are zeroed only to keep them out of the common denominator
+    x, D = scale_assignment(system, {**values, **{system.variables[k]: Fraction(0)
+                                                  for k in radii}})
+    d2 = system.sq_distances(x, D)          # squared stencil distances times D^2
+    far, near = d2.max(axis=1), d2.min(axis=1)
+
+    out = dict(values)
+    for k in radii:
+        own = radius == k
+        if not np.any(own & ~inside):
+            continue
+        max_in = Fraction(int(far[own & inside].max()), D * D)
+        min_out = Fraction(int(near[own & ~inside].min()), D * D)
+        if max_in >= min_out:
+            continue  # not repairable; exact evaluation will reject
+        target = (max_in + min_out) / 2
+        approx = math.sqrt(float(target))
+        for denom in (10**3, 10**6, 10**9, 10**12, 10**15):
+            r = Fraction(round(approx * denom), denom)
+            if max_in <= r * r < min_out:
+                out[system.variables[k]] = r
+                break
+    return out
 
 
 # --- export -------------------------------------------------------------

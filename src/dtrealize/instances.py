@@ -57,6 +57,8 @@ def random_instance(n: int, seed: int, bound: int = 1000,
     """
     if n < 4:
         raise ValueError("n must be at least 4")
+    if bound < 0:
+        raise BoundTooSmall(f"bound must not be negative, got {bound}")
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         raw = rng.integers(0, bound + 1, size=(n, 2))

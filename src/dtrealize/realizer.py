@@ -16,11 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import oracle
-from .constraints import (RELATIONS, StencilSystem, VarId, build_const, constsqu_stencil,
-                          satisfied_exact, scale_assignment)
+from .constraints import (VarId, build_const, constsqu_stencil, repair_radii,
+                          satisfied_exact)
 from .constraints import build_constsqu  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .formats import RealizationCertificate
 from .geometry import RatPoint, circumcenter, dist_sq, pt
@@ -174,43 +172,6 @@ def certify(G: PlaneTriangulation, f_star: Sequence[int],
     return CertifyResult(True, tuple(transcript), witness_centers=tuple(centers))
 
 
-def repair_radii(system: StencilSystem,
-                 values: dict[VarId, Fraction]) -> dict[VarId, Fraction]:
-    """Re-pick each witness radius to fit its rounded points and center.
-
-    Any rational r with max(inside stencil distance^2) <= r^2 <
-    min(outside stencil distance^2) restores the disc constraints; points
-    and centers are left untouched. The exact evaluator remains the sole
-    acceptance gate.
-    """
-    radius = system.disc[:, 4]
-    radii = dict.fromkeys(radius.tolist())     # each edge's radius index, in order
-    inside = system.disc_rel == RELATIONS.index("<=")
-    # radii are zeroed only to keep them out of the common denominator
-    x, D = scale_assignment(system, {**values, **{system.variables[k]: Fraction(0)
-                                                  for k in radii}})
-    d2 = system.sq_distances(x, D)          # squared stencil distances times D^2
-    far, near = d2.max(axis=1), d2.min(axis=1)
-
-    out = dict(values)
-    for k in radii:
-        own = radius == k
-        if not np.any(own & ~inside):
-            continue
-        max_in = Fraction(int(far[own & inside].max()), D * D)
-        min_out = Fraction(int(near[own & ~inside].min()), D * D)
-        if max_in >= min_out:
-            continue  # not repairable; exact evaluation will reject
-        target = (max_in + min_out) / 2
-        approx = math.sqrt(float(target))
-        for denom in (10**3, 10**6, 10**9, 10**12, 10**15):
-            r = Fraction(round(approx * denom), denom)
-            if max_in <= r * r < min_out:
-                out[system.variables[k]] = r
-                break
-    return out
-
-
 def _float_radius(G: PlaneTriangulation, pts: Sequence[tuple[float, float]]) -> float:
     """Floating analog of the certified perturbation radius of a placement.
 
@@ -331,7 +292,7 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
         if outcome.status != "SATISFIED_FLOAT":
             diagnostics.append(attempt)
             continue
-        for exact in round_candidates(outcome.assignment, solver_cfg):
+        for exact in round_candidates(outcome.assignment):
             if time.monotonic() > deadline:
                 break
             exact = repair_radii(system, exact)

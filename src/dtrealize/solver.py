@@ -7,8 +7,8 @@ exact arithmetic. Nothing here is trusted for correctness.
 Loss: sum of squared equality residuals plus squared hinges on strict
 inequalities (hinge target = margin; non-strict relations use margin 0).
 All polynomials have degree <= 2, so the analytic gradient is evaluated
-directly from the compiled term arrays of a row system, or from the stencil
-groups of ConstSqu (``constraints.StencilSystem``).
+directly from the flat term arrays of a row system (``CompiledSystem``), or
+from the stencil groups of ConstSqu (``constraints.StencilSystem``).
 """
 
 from __future__ import annotations
@@ -21,12 +21,18 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .constraints import (RELATIONS, ConstraintSystem, MissingVariable, StencilSystem, VarId,
-                          term_system)
+from .constraints import RELATIONS, ConstraintSystem, StencilSystem, VarId
 from .geometry import rationalize
 from .plane_graph import PlaneTriangulation, tutte_embedding
 
-DEFAULT_DENOMINATORS = (1, 4, 32, 256, 4096, 1 << 16, 1 << 24)
+# rounding denominator bounds, ascending
+DENOMINATORS = (1, 4, 32, 256, 4096, 1 << 16, 1 << 24)
+# trial step when the directional derivative is NaN
+INITIAL_STEP = 1e-3
+# stagnation: fewer than STAGNATION_REL relative loss progress over
+# STAGNATION_WINDOW accepted steps
+STAGNATION_WINDOW = 200
+STAGNATION_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,10 +41,6 @@ class SolverConfig:
     max_iterations: int = 4000
     restarts: int = 8
     seed: int = 0
-    initial_step: float = 1e-3
-    stagnation_window: int = 200
-    stagnation_rel: float = 1e-12
-    denominators: tuple[int, ...] = DEFAULT_DENOMINATORS
 
     def __post_init__(self):
         if self.margin is not None and not self.margin > 0:
@@ -47,8 +49,6 @@ class SolverConfig:
             raise ValueError("max_iterations must not be negative")
         if self.restarts < 0:
             raise ValueError("restarts must not be negative")
-        if list(self.denominators) != sorted(self.denominators):
-            raise ValueError("denominators must ascend")
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,27 @@ class _Penalty:
 
 
 class CompiledSystem(_Penalty):
-    """Vectorized float evaluation of a row system's term arrays."""
+    """Vectorized float evaluation of a row system as flat term arrays.
+
+    Term t adds ``coefs[t] * v[ia[t]] * v[ib[t]]`` to row ``rows[t]``, where v
+    is the variable vector followed by a constant slot at index ``nv``; terms
+    are listed row by row, in each row's monomial order.
+    """
 
     def __init__(self, system: ConstraintSystem):
-        t = term_system(system)
-        super().__init__(len(t.variables), t.rel)
-        self.rows, self.ia, self.ib = t.rows, t.ia, t.ib
-        self.coefs = t.coefs.astype(np.float64)
+        index = {v: k for k, v in enumerate(system.variables)}
+        slot = len(system.variables)
+        rows, ia, ib, coefs = [], [], [], []
+        for r, c in enumerate(system.constraints):
+            for mono, coeff in c.poly:
+                rows.append(r)
+                ia.append(index[mono[0]] if mono else slot)
+                ib.append(index[mono[1]] if len(mono) == 2 else slot)
+                coefs.append(coeff)
+        rel = [RELATIONS.index(c.relation) for c in system.constraints]
+        super().__init__(slot, np.asarray(rel, dtype=np.int64))
+        self.rows, self.ia, self.ib = (np.asarray(x, dtype=np.int64) for x in (rows, ia, ib))
+        self.coefs = np.asarray(coefs, dtype=np.float64)
 
     def values(self, v: np.ndarray) -> np.ndarray:
         va = np.append(v, 1.0)
@@ -196,7 +210,6 @@ def _float_circumcenter(a, b, c) -> tuple[float, float] | None:
 
 
 def initialize(G: PlaneTriangulation, system: ConstraintSystem | StencilSystem,
-               config: SolverConfig,
                points: Sequence[tuple[float, float]] | None = None) -> dict[VarId, float]:
     """Starting assignment: scaled Tutte points plus circumcenter witnesses.
 
@@ -260,51 +273,33 @@ def initialize(G: PlaneTriangulation, system: ConstraintSystem | StencilSystem,
     return values
 
 
-def penalty(system: ConstraintSystem, assignment: dict[VarId, float],
-            margin: float) -> tuple[float, dict[VarId, float]]:
-    """Loss and analytic gradient of the penalty at a floating assignment."""
-    for v in system.variables:
-        if v not in assignment:
-            raise MissingVariable(v)
-    comp = CompiledSystem(system)
-    vec = np.asarray([assignment[v] for v in system.variables], dtype=np.float64)
-    loss, grad = comp.loss_grad(vec, margin)
-    return loss, {v: float(grad[i]) for i, v in enumerate(system.variables)}
-
-
 def solve(system: ConstraintSystem | StencilSystem, config: SolverConfig,
-          G: PlaneTriangulation | None = None,
+          G: PlaneTriangulation,
           initial_points: Sequence[tuple[float, float]] | None = None,
           deadline: float = math.inf) -> SolveOutcome:
-    """Deterministic penalty descent with seeded restarts.
+    """Deterministic penalty descent from ``initialize``, with seeded restarts.
 
-    ``G`` enables the structured initialization; without it the start is
-    seeded random. ``deadline`` is a ``time.monotonic()`` instant after which
-    no further descent step or restart begins.
+    ``initial_points`` overrides the Tutte placement of the start.
+    ``deadline`` is a ``time.monotonic()`` instant after which no further
+    descent step or restart begins.
     """
     comp = (CompiledStencil(system) if isinstance(system, StencilSystem)
             else CompiledSystem(system))
+    values = initialize(G, system, points=initial_points)
+    start = np.asarray([values[v] for v in system.variables], dtype=np.float64)
+    point_mask = np.asarray([v[0] in ("px", "py") for v in system.variables])
     margin = config.margin
-    start = None
-    if G is not None:
-        values = initialize(G, system, config, points=initial_points)
-        start = np.asarray([values[v] for v in system.variables], dtype=np.float64)
-        point_mask = np.asarray([v[0] in ("px", "py") for v in system.variables])
-        if margin is None:
-            margin = default_margin(system, [(values[("px", i)], values[("py", i)])
-                                             for i in range(1, G.n + 1)])
-        # kept alive through the descent, this dict's table pins heap pages
-        # the descent's large temporaries free, raising peak RSS
-        del values
-    elif margin is None:
-        margin = 1.0 if system.flavor == "CONSTSQU" else 1e-3
+    if margin is None:
+        margin = default_margin(system, [(values[("px", i)], values[("py", i)])
+                                         for i in range(1, G.n + 1)])
+    # kept alive through the descent, this dict's table pins heap pages
+    # the descent's large temporaries free, raising peak RSS
+    del values
 
     def start_vector(restart: int) -> np.ndarray:
-        rng = np.random.default_rng(config.seed + restart)
-        if start is None:
-            return 100.0 * rng.standard_normal(comp.nv)
         if restart == 0:
             return start
+        rng = np.random.default_rng(config.seed + restart)
         jitter = 10.0 ** ((restart % 4) - 1)
         vec = start + jitter * rng.standard_normal(len(start)) * point_mask
         return vec + 0.1 * jitter * rng.standard_normal(len(start)) * ~point_mask
@@ -344,7 +339,7 @@ def solve(system: ConstraintSystem | StencilSystem, config: SolverConfig,
                 gd = -float(grad @ grad)
                 if gd == 0:
                     break
-            alpha = -2.0 * loss / gd if gd < 0 else config.initial_step
+            alpha = -2.0 * loss / gd if gd < 0 else INITIAL_STEP
             accepted = False
             for _ in range(40):
                 cand = vec + alpha * direction
@@ -372,8 +367,8 @@ def solve(system: ConstraintSystem | StencilSystem, config: SolverConfig,
             # up, try growing the whole configuration (the systems tolerate
             # uniform upscaling far better than downscaling)
             since_improve += 1
-            if since_improve >= config.stagnation_window:
-                if window_start_loss - loss < config.stagnation_rel * max(1.0, window_start_loss):
+            if since_improve >= STAGNATION_WINDOW:
+                if window_start_loss - loss < STAGNATION_REL * max(1.0, window_start_loss):
                     kicked = False
                     for s in (1.5, 2.0, 4.0):
                         cand = vec * s
@@ -403,8 +398,7 @@ def solve(system: ConstraintSystem | StencilSystem, config: SolverConfig,
                         mm, total_iters, best_restart)
 
 
-def round_candidates(assignment: dict[VarId, float],
-                     config: SolverConfig) -> Iterator[dict[VarId, Fraction]]:
-    """Exact rational candidates, one per denominator bound, ascending."""
-    for d in config.denominators:
+def round_candidates(assignment: dict[VarId, float]) -> Iterator[dict[VarId, Fraction]]:
+    """Exact rational candidates, one per denominator bound in DENOMINATORS."""
+    for d in DENOMINATORS:
         yield {v: rationalize(x, d) for v, x in assignment.items()}

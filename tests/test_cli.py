@@ -37,6 +37,14 @@ def test_gen_rejects_small_n(tmp_path):
     assert main(["gen", "fan", "3", "--graph-out", str(tmp_path / "x")]) == EXIT_USAGE
 
 
+def test_gen_rejects_negative_bound(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    assert main(["gen", "random", "8", "--bound", "-1", "--graph-out", str(g)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not g.exists()
+
+
 def test_check_invalid_graph(tmp_path):
     rot = {1: [2, 4], 2: [3, 1], 3: [4, 2], 4: [1, 3]}
     G = build_triangulation(4, rot, (1, 2, 3, 4))
@@ -121,6 +129,19 @@ def test_seed_flag_deterministic(fan_file, tmp_path):
     assert main(["--seed", "9", "realize", str(fan_file), "-o", str(a)]) == EXIT_OK
     assert main(["--seed", "9", "realize", str(fan_file), "-o", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_realize_solver_flags_reach_the_search(tmp_path):
+    # fan 6 needs descent steps: with none allowed its only face is EXHAUSTED
+    graph = tmp_path / "fan6.json"
+    assert main(["gen", "fan", "6", "--graph-out", str(graph)]) == EXIT_OK
+    out = tmp_path / "res.json"
+    assert main(["realize", str(graph), "--max-iterations", "0", "--restarts", "0",
+                 "-o", str(out)]) == EXIT_VERIFY
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "UNKNOWN"
+    assert [d["solver_status"] for d in doc["diagnostics"]] == ["EXHAUSTED"]
+    assert main(["realize", str(graph), "-o", str(out)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("option", [

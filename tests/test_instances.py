@@ -91,6 +91,8 @@ def test_random_instance_same_as_on_fractions():
 def test_random_instance_bound_too_small():
     with pytest.raises(BoundTooSmall):
         random_instance(10, seed=0, bound=2, max_attempts=5)
+    with pytest.raises(BoundTooSmall):
+        random_instance(8, seed=0, bound=-1)
     with pytest.raises(ValueError):
         random_instance(3, seed=0)
 

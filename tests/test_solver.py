@@ -2,17 +2,17 @@
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dtrealize.constraints import Constraint, ConstraintSystem, MissingVariable, \
-    StencilSystem, build_const, build_constsqu, constsqu_stencil
+from dtrealize.constraints import Constraint, ConstraintSystem, StencilSystem, build_const, \
+    build_constsqu, constsqu_stencil
 from dtrealize.instances import fan_triangulation, random_instance
 from dtrealize.plane_graph import build_triangulation
-from dtrealize.solver import (DEFAULT_DENOMINATORS, CompiledStencil, CompiledSystem, SolverConfig,
-                              default_margin, initialize, penalty,
-                              round_candidates, solve)
+from dtrealize.solver import (DENOMINATORS, CompiledStencil, CompiledSystem, SolverConfig,
+                              default_margin, initialize, round_candidates, solve)
 
 K4_ROT = {1: [2, 4, 3], 2: [3, 4, 1], 3: [1, 4, 2], 4: [1, 2, 3]}
 
@@ -33,44 +33,32 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(margin=float("nan"))
     with pytest.raises(ValueError):
-        SolverConfig(denominators=(4, 1))
-    with pytest.raises(ValueError):
         SolverConfig(restarts=-1)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=-1)
 
 
+def _toy_penalty(relation: str, x: float, margin: float) -> tuple[float, float]:
+    """Loss and d loss/dx of the toy system at x."""
+    loss, grad = CompiledSystem(_toy_system(relation)).loss_grad(np.array([x]), margin)
+    return loss, float(grad[0])
+
+
 def test_penalty_hinge_example():
     # x > 0 at x = -1 with margin 1: hinge is 2, loss 4, d loss/dx = -4
-    system = _toy_system(">")
-    loss, grad = penalty(system, {("x",): -1.0}, margin=1.0)
-    assert loss == 4.0
-    assert grad[("x",)] == -4.0
+    assert _toy_penalty(">", -1.0, margin=1.0) == (4.0, -4.0)
 
 
 def test_penalty_zero_at_satisfied():
-    system = _toy_system(">")
-    loss, grad = penalty(system, {("x",): 2.0}, margin=1.0)
-    assert loss == 0.0
-    assert grad[("x",)] == 0.0
+    assert _toy_penalty(">", 2.0, margin=1.0) == (0.0, 0.0)
 
 
 def test_penalty_equality_residual():
-    system = _toy_system("=")
-    loss, grad = penalty(system, {("x",): 3.0}, margin=1.0)
-    assert loss == 9.0
-    assert grad[("x",)] == 6.0
+    assert _toy_penalty("=", 3.0, margin=1.0) == (9.0, 6.0)
 
 
 def test_penalty_nonstrict_uses_zero_margin():
-    system = _toy_system(">=")
-    loss, _ = penalty(system, {("x",): 0.0}, margin=5.0)
-    assert loss == 0.0
-
-
-def test_penalty_missing_variable():
-    with pytest.raises(MissingVariable):
-        penalty(_toy_system(">"), {}, margin=1.0)
+    assert _toy_penalty(">=", 0.0, margin=5.0)[0] == 0.0
 
 
 def _central_difference(comp, vec, margin, h=1e-6):
@@ -159,8 +147,8 @@ def test_default_margin_flavors():
 def test_initialize_deterministic_and_complete():
     G = fan_triangulation(6)
     system = build_constsqu(G)
-    a = initialize(G, system, SolverConfig())
-    b = initialize(G, system, SolverConfig())
+    a = initialize(G, system)
+    b = initialize(G, system)
     assert a == b
     assert set(a) == set(system.variables)
     # scaled so the minimum pairwise distance is at least 10 stencil units
@@ -173,7 +161,7 @@ def test_initialize_accepts_warm_points():
     G = k4()
     system = build_const(G)
     warm = [(0.0, 10.0), (-9.0, -5.0), (9.0, -5.0), (0.0, 0.0)]
-    a = initialize(G, system, SolverConfig(), points=warm)
+    a = initialize(G, system, points=warm)
     assert (a[("px", 1)], a[("py", 1)]) == (0.0, 10.0)
 
 
@@ -199,44 +187,52 @@ def test_solve_warm_start_zero_iterations():
     assert out.iterations == 0
 
 
+def _fan6_const():
+    """Fan 6 and its Const, whose Tutte start is unsatisfied: the Tutte
+    embedding puts the fan's six vertices on one circle."""
+    G = fan_triangulation(6)
+    system = build_const(G)
+    start = initialize(G, system)
+    vec = np.asarray([start[v] for v in system.variables])
+    pts = [(start[("px", i)], start[("py", i)]) for i in range(1, G.n + 1)]
+    assert not CompiledSystem(system).satisfied(vec, default_margin(system, pts))[0]
+    return G, system
+
+
 def test_solve_exhausted_with_zero_budget():
-    # equality at a random start is violated, and no iterations may run
-    system = _toy_system("=")
-    out = solve(system, SolverConfig(max_iterations=0, restarts=0))
+    # the start is unsatisfied, and no iterations may run
+    G, system = _fan6_const()
+    out = solve(system, SolverConfig(max_iterations=0, restarts=0), G=G)
     assert out.status == "EXHAUSTED"
+    assert out.iterations == 0 and out.restart_index == 0
 
 
 def test_solve_monotone_best_loss():
     # EXHAUSTED outcomes still report the best assignment found
-    system = _toy_system("=")
-    out = solve(system, SolverConfig(max_iterations=5, restarts=1))
+    G, system = _fan6_const()
+    out = solve(system, SolverConfig(max_iterations=5, restarts=1), G=G)
     assert out.status in ("SATISFIED_FLOAT", "EXHAUSTED")
-    assert out.assignment[("x",)] == out.assignment[("x",)]  # finite
+    assert set(out.assignment) == set(system.variables)
+    assert all(math.isfinite(x) for x in out.assignment.values())
 
 
 def test_round_candidates_stream():
-    cfg = SolverConfig(denominators=(10, 1000))
-    cands = list(round_candidates({("x",): 1 / 3}, cfg))
-    assert len(cands) == 2
-    from fractions import Fraction
-    assert cands[0][("x",)] == Fraction(1, 3)
-    assert cands[1][("x",)] == Fraction(1, 3)
+    # one candidate per denominator bound, drawn lazily in ascending order
+    cands = round_candidates({("x",): 1 / 3})
+    assert next(cands)[("x",)] == 0
+    assert next(cands)[("x",)] == Fraction(1, 3)
+    assert len(list(cands)) == len(DENOMINATORS) - 2
 
 
 def test_round_candidates_exact_reproduction():
-    cfg = SolverConfig()
-    assert DEFAULT_DENOMINATORS[0] == 1
-    cands = list(round_candidates({("x",): 3.0}, cfg))
+    assert DENOMINATORS[0] == 1
+    cands = list(round_candidates({("x",): 3.0}))
     assert cands[0][("x",)] == 3
-    assert len(cands) == len(DEFAULT_DENOMINATORS)
+    assert len(cands) == len(DENOMINATORS)
 
 
 def test_solve_stops_at_past_deadline():
-    system = build_const(k4())
-    cfg = SolverConfig(seed=3)
-    comp = CompiledSystem(system)
-    start = 100.0 * np.random.default_rng(cfg.seed).standard_normal(comp.nv)
-    assert not comp.satisfied(start, 1e-3)[0]
-    out = solve(system, cfg, deadline=time.monotonic() - 1)
+    G, system = _fan6_const()
+    out = solve(system, SolverConfig(seed=3), G=G, deadline=time.monotonic() - 1)
     assert out.status == "EXHAUSTED"
     assert out.iterations <= 1
