@@ -57,8 +57,6 @@ def _solver_config(args) -> SolverConfig:
     kwargs = {}
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if args.margin is not None:
-        kwargs["margin"] = args.margin
     if args.max_iterations is not None:
         kwargs["max_iterations"] = args.max_iterations
     if args.restarts is not None:
@@ -118,9 +116,7 @@ def cmd_emit(args) -> int:
 def cmd_realize(args) -> int:
     G = _load_graph(args.graph)
     try:
-        config = RealizeConfig(solver=_solver_config(args),
-                               allow_reflection=not args.strict_orientation,
-                               time_budget=args.time_budget)
+        config = RealizeConfig(solver=_solver_config(args), time_budget=args.time_budget)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -195,11 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "across candidate outer faces; UNKNOWN when it passes. "
                         "A stage already under way finishes first "
                         "(default: no limit)")
-    r.add_argument("--margin", type=float, default=None)
     r.add_argument("--max-iterations", type=int, default=None)
     r.add_argument("--restarts", type=int, default=None)
-    r.add_argument("--strict-orientation", action="store_true",
-                   help="reject mirrored realizations")
     r.add_argument("--plot", default=None, help="also write an SVG to this path")
     r.add_argument("-o", "--output", default=None)
     r.set_defaults(func=cmd_realize)

@@ -20,8 +20,9 @@ One numpy evaluator computes every group's values over its offset table,
 in floats for the solver (with an analytic gradient) and in integers for
 the exact gate and the radius fit (``satisfied_exact``, ``repair_radii``),
 so realization never materialises ConstSqu as rows or term arrays. Row
-systems are evaluated exactly in Fraction by ``evaluate``, the reference for
-any row system, and in floats by ``solver.CompiledSystem``.
+systems are evaluated exactly by ``evaluate``, the reference for any row
+system (row by row in Python ints, residuals as Fraction), and in floats by
+``solver.CompiledSystem``.
 
 Systems are deterministic, exactly evaluable over Fraction, and exportable
 to JSON (lossless) and SMT-LIB2 (QF_NRA) for external complete solvers.
@@ -382,7 +383,7 @@ class EvaluationReport:
         return [r for r in self.results if not r.satisfied]
 
 
-def _holds(value: Fraction, relation: str) -> bool:
+def _holds(value: int, relation: str) -> bool:
     if relation == "=":
         return value == 0
     if relation == ">":
@@ -394,32 +395,37 @@ def _holds(value: Fraction, relation: str) -> bool:
     return value <= 0
 
 
-def eval_poly(poly: tuple, values: Mapping[VarId, Fraction]) -> Fraction:
-    total = Fraction(0)
-    for mono, coeff in poly:
-        term = Fraction(coeff)
-        for var in mono:
-            term *= values[var]
-        total += term
-    return total
-
-
 def evaluate(system: ConstraintSystem, values: Mapping[VarId, Fraction]) -> EvaluationReport:
-    """Exact per-constraint residuals and satisfaction under each relation."""
+    """Exact per-constraint residuals and satisfaction under each relation.
+
+    Each row is evaluated in Python ints over the assignment times D, the
+    LCM of its denominators: a monomial of degree d then comes out times
+    D^d, so it is weighted by D^(2 - d) and the row's value is the sum over
+    D^2. Independent of the stencil evaluator, this is the reference for it.
+    """
     missing = [v for v in system.variables if v not in values]
     if missing:
         raise MissingVariable(missing[0])
+    D = math.lcm(*(values[v].denominator for v in system.variables))
+    scaled = {v: values[v].numerator * (D // values[v].denominator) for v in system.variables}
+    weight = (D * D, D, 1)        # by monomial degree
     results = []
-    min_margin: Fraction | None = None
+    min_margin: int | None = None     # times D^2, like each row total
     for c in system.constraints:
-        val = eval_poly(c.poly, values)
-        ok = _holds(val, c.relation)
-        results.append(ConstraintEval(c.tag, c.relation, val, ok))
+        total = 0
+        for mono, coeff in c.poly:
+            term = coeff * weight[len(mono)]
+            for var in mono:
+                term *= scaled[var]
+            total += term
+        ok = _holds(total, c.relation)
+        results.append(ConstraintEval(c.tag, c.relation, Fraction(total, D * D), ok))
         if c.relation in (">", "<"):
-            margin = val if c.relation == ">" else -val
+            margin = total if c.relation == ">" else -total
             if min_margin is None or margin < min_margin:
                 min_margin = margin
-    return EvaluationReport(all(r.satisfied for r in results), tuple(results), min_margin)
+    return EvaluationReport(all(r.satisfied for r in results), tuple(results),
+                            None if min_margin is None else Fraction(min_margin, D * D))
 
 
 def scale_assignment(system: StencilSystem,

@@ -228,14 +228,15 @@ def reembed_with_outer_face(G: PlaneTriangulation, face: Sequence[int]) -> Plane
     raise FaceNotFound(f"{list(face)} is not a face of the triangulation")
 
 
-def tutte_embedding(G: PlaneTriangulation, polygon_radius: float = 1.0,
-                    rng: np.random.Generator | None = None) -> list[tuple[float, float]]:
+def tutte_embedding(G: PlaneTriangulation,
+                    polygon_radius: float = 1.0) -> list[tuple[float, float]]:
     """Barycentric embedding used only as solver initialization.
 
     Outer vertices go on a regular polygon in clockwise order; interior
-    vertices solve the neighbor-average linear system. On a singular system
-    we fall back to random placement inside the polygon, since downstream
-    correctness never depends on this being planar.
+    vertices solve the neighbor-average linear system. Its matrix is the
+    graph Laplacian with the outer vertices removed, which is positive
+    definite when every interior vertex is connected to the outer face, as
+    in any connected graph.
     """
     outer = list(G.outer_face)
     k = len(outer)
@@ -264,18 +265,8 @@ def tutte_embedding(G: PlaneTriangulation, polygon_radius: float = 1.0,
             else:
                 bx[i] += pos[v][0]
                 by[i] += pos[v][1]
-    try:
-        xs = np.linalg.solve(A, bx)
-        ys = np.linalg.solve(A, by)
-        residual = max(np.max(np.abs(A @ xs - bx)), np.max(np.abs(A @ ys - by)))
-        if not np.isfinite(residual) or residual > 1e-10:
-            raise np.linalg.LinAlgError("residual too large")
-        for u in interior:
-            pos[u] = (float(xs[idx[u]]), float(ys[idx[u]]))
-    except np.linalg.LinAlgError:
-        rng = rng or np.random.default_rng(0)
-        for u in interior:
-            r = 0.5 * polygon_radius * math.sqrt(rng.uniform())
-            a = rng.uniform(0, 2 * math.pi)
-            pos[u] = (r * math.cos(a), r * math.sin(a))
+    xs = np.linalg.solve(A, bx)
+    ys = np.linalg.solve(A, by)
+    for u in interior:
+        pos[u] = (float(xs[idx[u]]), float(ys[idx[u]]))
     return [pos[u] for u in range(1, G.n + 1)]

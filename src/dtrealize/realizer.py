@@ -29,7 +29,8 @@ from .solver import SolverConfig, _float_circumcenter, round_candidates, solve
 
 @dataclass(frozen=True)
 class RealizeConfig:
-    """Options of one realize() call.
+    """Options of one realize() call: the search settings ``solver`` and
+    ``time_budget``.
 
     ``time_budget`` is the wall-clock limit, in seconds, of the whole call
     (None: no limit). realize() turns it into one deadline at entry. Each
@@ -48,7 +49,6 @@ class RealizeConfig:
       certify calls.
     """
     solver: SolverConfig = field(default_factory=SolverConfig)
-    allow_reflection: bool = True
     time_budget: float | None = None
 
     def __post_init__(self):
@@ -206,10 +206,9 @@ def _float_radius(G: PlaneTriangulation, pts: Sequence[tuple[float, float]]) -> 
     return min(d_n, d_c, d_a) / 3.0
 
 
-def _rescale_warm(H: PlaneTriangulation,
-                  pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Uniformly upscale a realizing placement past unit-stencil robustness."""
-    r = _float_radius(H, pts)
+def _rescale_warm(pts: list[tuple[float, float]], r: float) -> list[tuple[float, float]]:
+    """Uniformly upscale a placement of float radius ``r`` past unit-stencil
+    robustness; a placement with ``r <= 0`` realizes nothing and is kept as is."""
     if r <= 0:
         return pts
     s = max(1.0, 4.0 / r)
@@ -230,22 +229,20 @@ def _warm_start(H: PlaneTriangulation, solver_cfg: SolverConfig,
         return None
     pts = [(outcome.assignment[("px", i)], outcome.assignment[("py", i)])
            for i in range(1, H.n + 1)]
-    if _float_radius(H, pts) <= 0:
-        return None
-    return _rescale_warm(H, pts)
+    r = _float_radius(H, pts)
+    return _rescale_warm(pts, r) if r > 0 else None
 
 
 def _points_from_values(values: dict[VarId, Fraction], n: int) -> list[RatPoint]:
     return [RatPoint(values[("px", i)], values[("py", i)]) for i in range(1, n + 1)]
 
 
-def _realize_small(G: PlaneTriangulation, config: RealizeConfig) -> RealizationResult:
-    if G.n == 3 and len(G.edge_pairs()) == 3:
-        points = [(0, 0), (4, 0), (2, 3)]
-        cert = certify(G, G.outer_face, points, config.allow_reflection)
-        if not cert.ok:
-            points = [(0, 0), (2, 3), (4, 0)]
-            cert = certify(G, G.outer_face, points, config.allow_reflection)
+def _realize_small(G: PlaneTriangulation) -> RealizationResult:
+    if G.n == 3 and sorted(G.outer_face) == [1, 2, 3]:
+        # the corners of a clockwise triangle, in the order of the outer face
+        corners = dict(zip(G.outer_face, [(0, 0), (2, 3), (4, 0)]))
+        points = [corners[v] for v in range(1, 4)]
+        cert = certify(G, G.outer_face, points)
         if cert.ok:
             return RealizationResult(
                 "REALIZED",
@@ -259,12 +256,17 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             warm_points: Sequence[tuple[float, float]] | None = None) -> RealizationResult:
     """Full pipeline over all candidate outer faces.
 
-    ``warm_points`` seeds the solver with a known placement (testing aid)."""
+    A certificate keeps the clockwise orientation of its outer face (the
+    outer turn constraints fix it), so it passes strict orientation.
+    ``warm_points`` seeds the solver with a known placement (testing aid),
+    one point per vertex."""
+    if warm_points is not None and len(warm_points) != G.n:
+        raise ValueError(f"{len(warm_points)} warm points for {G.n} vertices")
     config = config or RealizeConfig()
     budget = math.inf if config.time_budget is None else config.time_budget
     deadline = time.monotonic() + budget
     if G.n < 4:
-        return _realize_small(G, config)
+        return _realize_small(G)
     report = validate_triangulation(G)
     if not report.ok:
         return RealizationResult(
@@ -282,7 +284,8 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             continue
         share = (deadline - now) / (len(candidates) - k)
         if warm_points is not None:
-            warm = _rescale_warm(H, [(float(x), float(y)) for x, y in warm_points])
+            pts = [(float(x), float(y)) for x, y in warm_points]
+            warm = _rescale_warm(pts, _float_radius(H, pts))
         else:
             warm = _warm_start(H, solver_cfg, deadline=now + share / 2)
         system = constsqu_stencil(H)
@@ -312,7 +315,7 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             ]
             for trial in trials:
                 int_points = scale_to_integers(trial)
-                cert = certify(H, H.outer_face, int_points, config.allow_reflection)
+                cert = certify(H, H.outer_face, int_points)
                 if cert.ok:
                     certificate = RealizationCertificate(
                         tuple(int_points), tuple(H.outer_face),

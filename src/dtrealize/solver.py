@@ -37,14 +37,11 @@ STAGNATION_REL = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    margin: float | None = None          # None: per-flavor default
     max_iterations: int = 4000
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if self.margin is not None and not self.margin > 0:
-            raise ValueError("margin must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must not be negative")
         if self.restarts < 0:
@@ -279,6 +276,8 @@ def solve(system: ConstraintSystem | StencilSystem, config: SolverConfig,
           deadline: float = math.inf) -> SolveOutcome:
     """Deterministic penalty descent from ``initialize``, with seeded restarts.
 
+    Strict rows are pushed past ``default_margin`` of the system at the
+    start points: 1 for ConstSqu, 1e-3 of the bounding-box area for Const.
     ``initial_points`` overrides the Tutte placement of the start.
     ``deadline`` is a ``time.monotonic()`` instant after which no further
     descent step or restart begins.
@@ -288,10 +287,8 @@ def solve(system: ConstraintSystem | StencilSystem, config: SolverConfig,
     values = initialize(G, system, points=initial_points)
     start = np.asarray([values[v] for v in system.variables], dtype=np.float64)
     point_mask = np.asarray([v[0] in ("px", "py") for v in system.variables])
-    margin = config.margin
-    if margin is None:
-        margin = default_margin(system, [(values[("px", i)], values[("py", i)])
-                                         for i in range(1, G.n + 1)])
+    margin = default_margin(system, [(values[("px", i)], values[("py", i)])
+                                     for i in range(1, G.n + 1)])
     # kept alive through the descent, this dict's table pins heap pages
     # the descent's large temporaries free, raising peak RSS
     del values

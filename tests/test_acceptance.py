@@ -109,24 +109,18 @@ def _edges_preserved(H, assignment, moved) -> bool:
 
 
 def _assignment_from_certificate(H, cert):
-    """Exact base-system assignment (points + witness centers), oriented."""
-    def build(points):
-        values = {}
-        for i, (x, y) in enumerate(points, start=1):
-            values[("px", i)] = Fraction(x)
-            values[("py", i)] = Fraction(y)
-        res = certify(H, H.outer_face, points, allow_reflection=False)
-        if not res.ok:
-            return None
-        for (i, j), (cx, cy) in zip(H.edge_pairs(), res.witness_centers):
-            values[("cx", i, j)] = cx
-            values[("cy", i, j)] = cy
-        return values
-
-    values = build(cert.points)
-    if values is None:
-        # certificate realizes the mirror image; flip it
-        values = build([(-x, y) for x, y in cert.points])
+    """Exact base-system assignment (points + witness centers), or None when
+    the certificate's points do not realize H in its orientation."""
+    res = certify(H, H.outer_face, cert.points, allow_reflection=False)
+    if not res.ok:
+        return None
+    values = {}
+    for i, (x, y) in enumerate(cert.points, start=1):
+        values[("px", i)] = Fraction(x)
+        values[("py", i)] = Fraction(y)
+    for (i, j), (cx, cy) in zip(H.edge_pairs(), res.witness_centers):
+        values[("cx", i, j)] = cx
+        values[("cy", i, j)] = cy
     return values
 
 
@@ -141,7 +135,7 @@ def test_c1_round_trip_realization(corpus):
         if status == "REALIZED":
             cert = case["result"].certificate
             H = reembed_with_outer_face(case["G"], cert.outer_face)
-            assert certify(H, cert.outer_face, cert.points).ok
+            assert certify(H, cert.outer_face, cert.points, allow_reflection=False).ok
     rate = len(_realized(corpus)) / len(corpus)
     assert rate >= 0.8, f"success rate {rate:.0%}"
 

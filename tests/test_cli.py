@@ -1,12 +1,15 @@
 """CLI subcommands and their exit-code contract."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from dtrealize.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from dtrealize.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from dtrealize.formats import certificate_from_json, graph_to_json
 from dtrealize.plane_graph import build_triangulation
+from dtrealize.realizer import RealizeConfig
+from dtrealize.solver import SolverConfig
 
 
 @pytest.fixture
@@ -101,6 +104,19 @@ def test_verify_rejects_wrong_points(fan_file, tmp_path):
     assert doc["failed_step"] == "NOT_GENERAL_POSITION"
 
 
+def test_verify_strict_orientation_rejects_mirrored_points(fan_file, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    assert main(["realize", str(fan_file), "-o", str(cert_path)]) == EXIT_OK
+    cert = certificate_from_json(cert_path.read_text())
+    pts_path = tmp_path / "mirrored.txt"
+    pts_path.write_text("".join(f"{-x} {y}\n" for x, y in cert.points))
+    assert main(["verify", str(fan_file), str(pts_path)]) == EXIT_OK
+    out = tmp_path / "verdict.json"
+    assert main(["verify", str(fan_file), str(pts_path), "--strict-orientation",
+                 "-o", str(out)]) == EXIT_VERIFY
+    assert json.loads(out.read_text())["failed_step"] == "HULL_MISMATCH"
+
+
 def test_verify_requires_integer_points(fan_file, tmp_path):
     pts_path = tmp_path / "pts.txt"
     pts_path.write_text("1/2 0\n1 0\n2 0\n0 1\n0 2\n")
@@ -147,7 +163,6 @@ def test_realize_solver_flags_reach_the_search(tmp_path):
 @pytest.mark.parametrize("option", [
     ["--time-budget", "nan"],
     ["--time-budget", "-1"],
-    ["--margin", "0"],
     ["--restarts", "-1"],
     ["--max-iterations", "-1"],
 ])
@@ -155,3 +170,17 @@ def test_realize_rejects_invalid_options(fan_file, option, capsys):
     assert main(["realize", str(fan_file), *option]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_realize_options_are_pinned(fan_file):
+    """The realize command's options and the config fields they set."""
+    parser = build_parser()
+    realize_parser = next(a for a in parser._actions if a.dest == "command").choices["realize"]
+    flags = {s for a in realize_parser._actions for s in a.option_strings}
+    assert flags == {"-h", "--help", "--time-budget", "--max-iterations", "--restarts",
+                     "--plot", "-o", "--output"}
+    assert {s for a in parser._actions for s in a.option_strings} == {"-h", "--help", "--seed"}
+    assert [f.name for f in fields(SolverConfig)] == ["max_iterations", "restarts", "seed"]
+    assert [f.name for f in fields(RealizeConfig)] == ["solver", "time_budget"]
+    for removed in (["--margin", "1"], ["--strict-orientation"]):
+        assert main(["realize", str(fan_file), *removed]) == EXIT_USAGE

@@ -175,8 +175,8 @@ def test_satisfied_exact_agrees_with_evaluate():
     the int64 path and on the Python-int path alike."""
     rng = random.Random(0)
     verdicts, dtypes = set(), set()
-    # the Fraction reference takes about a second per assignment on the
-    # larger systems, so they check every other near-boundary change
+    # the reference takes about 0.3 s per assignment on the larger systems
+    # (30k rows at n = 9), so they check every other near-boundary change
     for G, step in ((k4(), 1), (fan_triangulation(6), 2), (random_instance(9, 1005)[1], 2)):
         H, assignments = _near_boundary(G, rng)
         assignments = assignments[::step]

@@ -4,6 +4,8 @@ import math
 import time
 from fractions import Fraction
 
+import pytest
+
 from dtrealize import constraints, oracle, realizer, solver
 from dtrealize.constraints import (STENCIL, build_constsqu, constsqu_stencil, evaluate,
                                    repair_radii, satisfied_exact)
@@ -138,10 +140,13 @@ def test_realize_builds_no_constsqu_rows(monkeypatch):
 
 
 def test_realize_triangle_direct():
-    G = build_triangulation(3, {1: [2, 3], 2: [3, 1], 3: [1, 2]}, (1, 3, 2))
-    res = realize(G)
-    assert res.status == "REALIZED"
-    assert len(res.certificate.points) == 3
+    for outer in ((1, 3, 2), (1, 2, 3)):
+        G = build_triangulation(3, {1: [2, 3], 2: [3, 1], 3: [1, 2]}, outer)
+        res = realize(G)
+        assert res.status == "REALIZED"
+        assert len(res.certificate.points) == 3
+        assert res.certificate.transcript[2] == "hull_cycle"
+        assert certify(G, G.outer_face, res.certificate.points, allow_reflection=False).ok
 
 
 def test_realize_invalid_input():
@@ -157,6 +162,13 @@ def test_realize_warm_start():
     pts, G = random_instance(8, 5)
     res = realize(G, warm_points=pts)
     assert res.status == "REALIZED"
+
+
+def test_realize_rejects_a_wrong_number_of_warm_points():
+    pts, G = random_instance(8, 5)
+    for warm, count in ((pts[:-1], 7), (pts + [pt(0, 0)], 9)):
+        with pytest.raises(ValueError, match=f"{count} warm points for 8 vertices"):
+            realize(G, warm_points=warm)
 
 
 def _stencil_repair(G, values):
@@ -270,7 +282,7 @@ def test_faces_after_the_deadline_are_listed_not_searched():
 
 
 def test_certify_failure_is_not_reported_as_a_gate_failure(monkeypatch):
-    def reject(G, f_star, points, allow_reflection=True):
+    def reject(G, f_star, points):
         return realizer.CertifyResult(False, (), "EDGE_MISMATCH", "forced")
 
     monkeypatch.setattr(realizer, "certify", reject)

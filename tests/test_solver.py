@@ -29,10 +29,6 @@ def _toy_system(relation: str) -> ConstraintSystem:
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(margin=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(margin=float("nan"))
-    with pytest.raises(ValueError):
         SolverConfig(restarts=-1)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=-1)
