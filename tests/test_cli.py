@@ -165,6 +165,7 @@ def test_realize_solver_flags_reach_the_search(tmp_path):
     ["--time-budget", "-1"],
     ["--restarts", "-1"],
     ["--max-iterations", "-1"],
+    ["--time-budget=-inf"],
 ])
 def test_realize_rejects_invalid_options(fan_file, option, capsys):
     assert main(["realize", str(fan_file), *option]) == EXIT_USAGE
