@@ -3,9 +3,9 @@
 Every predicate is exact over int or ``fractions.Fraction`` coordinates
 (arbitrary precision), never float; callers bridge floats in via
 :func:`rationalize`. The predicates that only add, multiply and compare
-(``con_poly``, ``dist_sq``, ``in_circle_sign``, ``convex_hull``) run on
-Python ints as they are, which is far faster; :func:`circumcenter` divides,
-so it needs Fraction coordinates.
+(``con_poly``, ``dist_sq``, ``in_circle_sign``, ``convex_hull``,
+``circumcenter_homogeneous``) run on Python ints as they are, which is far
+faster; :func:`circumcenter` divides, so it needs Fraction coordinates.
 """
 
 from __future__ import annotations
@@ -88,17 +88,23 @@ def in_circle_sign(a: RatPoint, b: RatPoint, c: RatPoint, q: RatPoint) -> int:
     return 0
 
 
+def circumcenter_homogeneous(a: RatPoint, b: RatPoint, c: RatPoint) -> tuple[Rat, Rat, Rat]:
+    """The point equidistant from a, b and c as (x, y, d), the point being
+    (x/d, y/d). It only multiplies, so on ints it stays in ints; d is zero
+    for a collinear triple."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    return (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by),
+            a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax), d)
+
+
 def circumcenter(a: RatPoint, b: RatPoint, c: RatPoint) -> RatPoint:
     """Exact point equidistant from a, b and c."""
-    d = 2 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
+    ux, uy, d = circumcenter_homogeneous(a, b, c)
     if d == 0:
         raise CollinearTriple(f"collinear triple {a}, {b}, {c}")
-    a2 = a.x * a.x + a.y * a.y
-    b2 = b.x * b.x + b.y * b.y
-    c2 = c.x * c.x + c.y * c.y
-    ux = (a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y)) / d
-    uy = (a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x)) / d
-    return RatPoint(ux, uy)
+    return RatPoint(ux / d, uy / d)
 
 
 def rationalize(x: float, max_denominator: int) -> Rat:

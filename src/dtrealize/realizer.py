@@ -1,4 +1,4 @@
-"""End-to-end realization: solve, round, exactly verify, certify, scale.
+"""End-to-end realization: angle warm start, solve, round, exactly verify, certify, scale.
 
 A result is only ever REALIZED when the integer points pass the full exact
 certification chain against the independent Delaunay oracle; everything
@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from . import oracle
-from .constraints import (VarId, build_const, constsqu_stencil, repair_radii,
-                          satisfied_exact)
-from .constraints import build_constsqu  # noqa: F401  (perfbench/tracing.py wraps this name)
+from . import angles, oracle
+from .constraints import VarId, constsqu_stencil, repair_radii, satisfied_exact
+# perfbench/tracing.py wraps these names; realize() calls neither
+from .constraints import build_const, build_constsqu  # noqa: F401
 from .formats import RealizationCertificate
-from .geometry import RatPoint, circumcenter, dist_sq, pt
+from .geometry import RatPoint, circumcenter_homogeneous
 from .plane_graph import (PlaneTriangulation, _canon_cycle, candidate_outer_faces,
                           reembed_with_outer_face, validate_triangulation)
 from .solver import SolverConfig, _float_circumcenter, round_candidates, solve
@@ -35,16 +35,16 @@ class RealizeConfig:
     ``time_budget`` is the wall-clock limit, in seconds, of the whole call
     (None: no limit). realize() turns it into one deadline at entry. Each
     candidate outer face gets an equal share of the time still left, so time
-    one face leaves unused passes to the next; the warm-start solve stops
-    halfway through the share and the ConstSqu solve at its end. A face that
-    would start after the deadline is listed in the diagnostics with
-    ``solver_status`` ``"DEADLINE"`` and not searched, and no rounding
-    candidate starts after it. The deadline is checked between stages and at
-    every solver step, so a call can overrun it by at most one stage that is
-    not interrupted once started:
+    one face leaves unused passes to the next; the ConstSqu solve stops at the
+    end of the share. A face that would start after the deadline is listed in
+    the diagnostics with ``solver_status`` ``"DEADLINE"`` and not searched,
+    and no rounding candidate starts after it. The deadline is checked
+    between stages and at every solver step, so a call can overrun it by at
+    most one stage that is not interrupted once started:
 
-    - one face's system builds and solve start-up (compiling the system and
-      building its start assignment);
+    - one face's angle LP, Newton step and layout, then its system build and
+      solve start-up (compiling the system and building its start
+      assignment);
     - one rounding candidate's radius fit and exact gate, with its at most 4
       certify calls.
     """
@@ -134,39 +134,46 @@ def certify(G: PlaneTriangulation, f_star: Sequence[int],
     # A face circumcircle itself touches the third face vertex, so the
     # center is moved strictly into the feasible part of the bisector:
     # midpoint of the two incident circumcenters for interior edges, or
-    # pushed outward past the single circumcenter for hull edges.
+    # pushed outward past the single circumcenter for hull edges. Each center
+    # is kept as integer numerators over one denominator, and every squared
+    # distance from it is compared scaled by that denominator squared.
     faces_of_edge: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for f in dt.faces:
         for a in range(3):
             e = tuple(sorted((f[a], f[(a + 1) % 3])))
             faces_of_edge.setdefault(e, []).append(f)
-    pts = [pt(x, y) for x, y in points]
+    pts = [(operator.index(x), operator.index(y)) for x, y in points]
     centers: list[tuple[Fraction, Fraction]] = []
     for i, j in G.edge_pairs():
         e = (i - 1, j - 1)
         tris = sorted(faces_of_edge[e])
-        ccs = [circumcenter(pts[t[0]], pts[t[1]], pts[t[2]]) for t in tris]
+        ccs = [circumcenter_homogeneous(*(pts[v] for v in t)) for t in tris]
         if len(ccs) >= 2:
-            c = RatPoint((ccs[0].x + ccs[1].x) / 2, (ccs[0].y + ccs[1].y) / 2)
+            (x0, y0, d0), (x1, y1, d1) = ccs[:2]
+            cx, cy, d = x0 * d1 + x1 * d0, y0 * d1 + y1 * d0, 2 * d0 * d1
         else:
-            pi, pj = pts[e[0]], pts[e[1]]
-            a = next(v for v in tris[0] if v not in e)
-            mx, my = (pi.x + pj.x) / 2, (pi.y + pj.y) / 2
-            nx, ny = -(pj.y - pi.y), pj.x - pi.x
-            if nx * (pts[a].x - mx) + ny * (pts[a].y - my) > 0:
+            (x0, y0, d), = ccs
+            (ix, iy), (jx, jy) = pts[e[0]], pts[e[1]]
+            ax, ay = pts[next(v for v in tris[0] if v not in e)]
+            nx, ny = iy - jy, jx - ix
+            if nx * (2 * ax - ix - jx) + ny * (2 * ay - iy - jy) > 0:
                 nx, ny = -nx, -ny
-            c = RatPoint(ccs[0].x + nx, ccs[0].y + ny)
-        r2 = dist_sq(c, pts[e[0]])
-        if dist_sq(c, pts[e[1]]) != r2:
+            cx, cy = x0 + nx * d, y0 + ny * d
+
+        def dist2(k: int) -> int:
+            return (cx - d * pts[k][0]) ** 2 + (cy - d * pts[k][1]) ** 2
+
+        r2 = dist2(e[0])
+        if dist2(e[1]) != r2:
             return CertifyResult(False, tuple(transcript), "WITNESS_FAIL",
                                  f"edge ({i},{j}): endpoints not equidistant")
         for k in range(G.n):
             if k in e:
                 continue
-            if dist_sq(c, pts[k]) <= r2:
+            if dist2(k) <= r2:
                 return CertifyResult(False, tuple(transcript), "WITNESS_FAIL",
                                      f"edge ({i},{j}): point {k + 1} inside witness disc")
-        centers.append((c.x, c.y))
+        centers.append((Fraction(cx, d), Fraction(cy, d)))
     transcript.append("witness_discs")
 
     return CertifyResult(True, tuple(transcript), witness_centers=tuple(centers))
@@ -206,6 +213,10 @@ def _float_radius(G: PlaneTriangulation, pts: Sequence[tuple[float, float]]) -> 
     return min(d_n, d_c, d_a) / 3.0
 
 
+# a face whose angle LP optimum is not above this is not searched
+T_STAR_MIN = 1e-6
+
+
 def _rescale_warm(pts: list[tuple[float, float]], r: float) -> list[tuple[float, float]]:
     """Uniformly upscale a placement of float radius ``r`` past unit-stencil
     robustness; a placement with ``r <= 0`` realizes nothing and is kept as is."""
@@ -215,22 +226,26 @@ def _rescale_warm(pts: list[tuple[float, float]], r: float) -> list[tuple[float,
     return [(x * s, y * s) for x, y in pts]
 
 
-def _warm_start(H: PlaneTriangulation, solver_cfg: SolverConfig,
-                deadline: float) -> list[tuple[float, float]] | None:
-    """Stage-1 placement: solve the cheap base system, then upscale.
+def _angle_warm_start(H: PlaneTriangulation) -> tuple[list[tuple[float, float]] | None, dict]:
+    """Stage-1 placement from the angles: the angle LP, Rivin's volume
+    maximisation, the face-by-face layout, then the upscale.
 
-    A base-system solution realizes H in floats at some tiny robustness
-    radius; uniform scaling (which preserves base-system satisfaction)
-    stretches that radius past the unit stencil, so the robustified system
-    is typically satisfied immediately at the scaled points.
+    Returns the placement, or None with the diagnostics of the stage that
+    stopped: the LP optimum t* (units of pi) is not above ``T_STAR_MIN``,
+    Newton did not converge, or the layout does not realize H in floats.
     """
-    outcome = solve(build_const(H), solver_cfg, G=H, deadline=deadline)
-    if outcome.status != "SATISFIED_FLOAT":
-        return None
-    pts = [(outcome.assignment[("px", i)], outcome.assignment[("py", i)])
-           for i in range(1, H.n + 1)]
+    cs = angles.corners(H)
+    lp = angles.solve_angle_lp(H, cs)
+    if not (lp.converged and lp.t_star > T_STAR_MIN):
+        return None, {"solver_status": "ANGLE_LP", "t_star": lp.t_star}
+    x = angles.maximise_volume(cs, lp.angles)
+    if x is None:
+        return None, {"solver_status": "NEWTON"}
+    pts = angles.layout(H.n, cs, x)
     r = _float_radius(H, pts)
-    return _rescale_warm(pts, r) if r > 0 else None
+    if r <= 0:
+        return None, {"solver_status": "LAYOUT"}
+    return _rescale_warm(pts, r), {}
 
 
 def _points_from_values(values: dict[VarId, Fraction], n: int) -> list[RatPoint]:
@@ -287,7 +302,10 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             pts = [(float(x), float(y)) for x, y in warm_points]
             warm = _rescale_warm(pts, _float_radius(H, pts))
         else:
-            warm = _warm_start(H, solver_cfg, deadline=now + share / 2)
+            warm, stopped = _angle_warm_start(H)
+            if warm is None:
+                diagnostics.append({"outer_face": list(H.outer_face), **stopped})
+                continue
         system = constsqu_stencil(H)
         outcome = solve(system, solver_cfg, G=H, initial_points=warm, deadline=now + share)
         attempt = {"outer_face": list(H.outer_face), "solver_status": outcome.status,

@@ -243,7 +243,7 @@ def test_c6_oracle_identities():
     done = 0
     while done < 200:
         n = int(rng.integers(4, 13))
-        pts = [pt(int(x), int(y)) for x, y in rng.integers(0, 700, size=(n, 2))]
+        pts = [RatPoint(int(x), int(y)) for x, y in rng.integers(0, 700, size=(n, 2))]
         if not oracle.general_position_check(pts).ok:
             continue
         dt = oracle.delaunay(pts)

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from dtrealize import realizer
 from dtrealize.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from dtrealize.formats import certificate_from_json, graph_to_json
 from dtrealize.plane_graph import build_triangulation
@@ -147,16 +148,20 @@ def test_seed_flag_deterministic(fan_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_realize_solver_flags_reach_the_search(tmp_path):
-    # fan 6 needs descent steps: with none allowed its only face is EXHAUSTED
+def test_realize_solver_flags_reach_the_search(tmp_path, monkeypatch):
     graph = tmp_path / "fan6.json"
     assert main(["gen", "fan", "6", "--graph-out", str(graph)]) == EXIT_OK
     out = tmp_path / "res.json"
-    assert main(["realize", str(graph), "--max-iterations", "0", "--restarts", "0",
-                 "-o", str(out)]) == EXIT_VERIFY
-    doc = json.loads(out.read_text())
-    assert doc["status"] == "UNKNOWN"
-    assert [d["solver_status"] for d in doc["diagnostics"]] == ["EXHAUSTED"]
+    configs = []
+    solve = realizer.solve
+
+    def recording(system, config, **kwargs):
+        configs.append(config)
+        return solve(system, config, **kwargs)
+
+    monkeypatch.setattr(realizer, "solve", recording)
+    main(["realize", str(graph), "--max-iterations", "0", "--restarts", "0", "-o", str(out)])
+    assert configs and all(c == SolverConfig(max_iterations=0, restarts=0) for c in configs)
     assert main(["realize", str(graph), "-o", str(out)]) == EXIT_OK
 
 

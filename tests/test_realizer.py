@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from dtrealize import constraints, oracle, realizer, solver
+from dtrealize import angles, constraints, oracle, realizer, solver
 from dtrealize.constraints import (STENCIL, build_constsqu, constsqu_stencil, evaluate,
                                    repair_radii, satisfied_exact)
-from dtrealize.geometry import dist_sq, pt
+from dtrealize.geometry import circumcenter, dist_sq, pt
 from dtrealize.instances import fan_triangulation, random_instance
 from dtrealize.plane_graph import build_triangulation, candidate_outer_faces
 from dtrealize.realizer import RealizeConfig, certify, realize, scale_to_integers
@@ -271,7 +271,16 @@ def test_tight_budget_on_a_large_input():
     assert elapsed < 0.5 + 1.0
 
 
-def test_faces_after_the_deadline_are_listed_not_searched():
+def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
+    # every face of the Kleetope stops at its angle LP within milliseconds;
+    # at 10 ms per face, a 0.05 s budget runs out part way through the 18
+    solve_angle_lp = angles.solve_angle_lp
+
+    def slow(*args):
+        time.sleep(0.01)
+        return solve_angle_lp(*args)
+
+    monkeypatch.setattr(angles, "solve_angle_lp", slow)
     G = bipyramid_kleetope()
     res, elapsed = _timed_realize(G, 0.05)
     assert res.status == "UNKNOWN"
@@ -292,3 +301,81 @@ def test_certify_failure_is_not_reported_as_a_gate_failure(monkeypatch):
     for attempt in res.diagnostics:
         assert attempt["certify_fail"] == "EDGE_MISMATCH"
         assert "note" not in attempt
+
+
+@pytest.mark.parametrize("n, seed", [(7, 4007), (7, 4013), (8, 4021), (9, 4007), (9, 4021),
+                                     (10, 4007)])
+def test_single_face_graphs_once_lost_by_the_search_are_realized(n, seed):
+    """Realizable graphs with one candidate face that the earlier warm start,
+    a penalty solve of the base system, left UNKNOWN."""
+    G = random_instance(n, seed)[1]
+    res = realize(G, RealizeConfig(time_budget=3))
+    assert res.status == "REALIZED"
+    assert certify(G, res.certificate.outer_face, res.certificate.points).ok
+
+
+def test_kleetope_stops_at_the_angle_lp_on_every_face():
+    G = bipyramid_kleetope()
+    res, elapsed = _timed_realize(G, 2.0)
+    assert res.status == "UNKNOWN"
+    assert elapsed < 1.0
+    assert len(res.diagnostics) == 18
+    for d in res.diagnostics:
+        assert d["solver_status"] == "ANGLE_LP"
+        assert d["t_star"] < 0
+        assert d["t_star"] == pytest.approx(-1 / 12, abs=1e-6)
+
+
+def test_realize_runs_no_base_system(monkeypatch):
+    """The warm start comes from the angles: realize() neither builds the
+    base system nor compiles any row system."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("realize() must not build or compile a row system")
+
+    for module in (constraints, realizer):
+        monkeypatch.setattr(module, "build_const", refuse)
+    monkeypatch.setattr(solver, "CompiledSystem", refuse)
+    for G in (k4(), fan_triangulation(7), random_instance(9, 1005)[1]):
+        res = realize(G)
+        assert res.status == "REALIZED"
+
+
+def _fraction_witness_centers(G, points):
+    """Reference witness centers in Fraction arithmetic, in edge order."""
+    dt = oracle.delaunay([pt(x, y) for x, y in points])
+    pts = [pt(x, y) for x, y in points]
+    faces_of_edge = {}
+    for f in dt.faces:
+        for a in range(3):
+            faces_of_edge.setdefault(tuple(sorted((f[a], f[(a + 1) % 3]))), []).append(f)
+    centers = []
+    for i, j in G.edge_pairs():
+        e = (i - 1, j - 1)
+        tris = sorted(faces_of_edge[e])
+        ccs = [circumcenter(*(pts[v] for v in t)) for t in tris]
+        if len(ccs) >= 2:
+            c = ((ccs[0].x + ccs[1].x) / 2, (ccs[0].y + ccs[1].y) / 2)
+        else:
+            pi, pj = pts[e[0]], pts[e[1]]
+            a = pts[next(v for v in tris[0] if v not in e)]
+            nx, ny = -(pj.y - pi.y), pj.x - pi.x
+            if nx * (a.x - (pi.x + pj.x) / 2) + ny * (a.y - (pi.y + pj.y) / 2) > 0:
+                nx, ny = -nx, -ny
+            c = (ccs[0].x + nx, ccs[0].y + ny)
+        r2 = dist_sq(pt(*c), pts[e[0]])
+        assert dist_sq(pt(*c), pts[e[1]]) == r2
+        assert all(dist_sq(pt(*c), pts[k]) > r2 for k in range(G.n) if k not in e)
+        centers.append(c)
+    return tuple(centers)
+
+
+def test_certify_witness_centers_match_the_fraction_reference():
+    cases = [(k4(), K4_POINTS)]
+    cases += [random_instance(n, seed)[::-1] for n, seed in ((6, 11), (9, 12), (13, 14))]
+    for n in (5, 8):
+        G = fan_triangulation(n)
+        cases.append((G, realize(G).certificate.points))
+    for G, points in cases:
+        res = certify(G, G.outer_face, points)
+        assert res.ok
+        assert res.witness_centers == _fraction_witness_centers(G, points)
