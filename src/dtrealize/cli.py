@@ -95,6 +95,12 @@ def cmd_gen(args) -> int:
 
 def cmd_emit(args) -> int:
     G = _load_graph(args.graph)
+    # the same check as realize(), which places n < 4 directly
+    violations = validate_triangulation(G).violations if G.n >= 4 else ()
+    for v in violations:
+        print(f"error: {v.rule}: {v.message}", file=sys.stderr)
+    if violations:
+        return EXIT_INVALID
     if args.face_index:
         candidates = candidate_outer_faces(G)
         if not 0 <= args.face_index < len(candidates):

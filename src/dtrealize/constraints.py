@@ -22,7 +22,8 @@ the exact gate and the radius fit (``satisfied_exact``, ``repair_radii``),
 so realization never materialises ConstSqu as rows or term arrays. Row
 systems are evaluated exactly by ``evaluate``, the reference for any row
 system (row by row in Python ints, residuals as Fraction), and in floats by
-``solver.CompiledSystem``.
+``solver.CompiledSystem``, the row-system reference that the stencil
+evaluator is tested against.
 
 Systems are deterministic, exactly evaluable over Fraction, and exportable
 to JSON (lossless) and SMT-LIB2 (QF_NRA) for external complete solvers.

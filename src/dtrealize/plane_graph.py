@@ -7,11 +7,8 @@ Faces are always derived from the rotation system, never trusted from input.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 
 class PlaneGraphError(ValueError):
@@ -226,47 +223,3 @@ def reembed_with_outer_face(G: PlaneTriangulation, face: Sequence[int]) -> Plane
                 return G
             return PlaneTriangulation(G.n, G.rotation, tuple(f))
     raise FaceNotFound(f"{list(face)} is not a face of the triangulation")
-
-
-def tutte_embedding(G: PlaneTriangulation,
-                    polygon_radius: float = 1.0) -> list[tuple[float, float]]:
-    """Barycentric embedding used only as solver initialization.
-
-    Outer vertices go on a regular polygon in clockwise order; interior
-    vertices solve the neighbor-average linear system. Its matrix is the
-    graph Laplacian with the outer vertices removed, which is positive
-    definite when every interior vertex is connected to the outer face, as
-    in any connected graph.
-    """
-    outer = list(G.outer_face)
-    k = len(outer)
-    pos: dict[int, tuple[float, float]] = {}
-    for t, u in enumerate(outer):
-        # decreasing angle = clockwise in standard orientation
-        ang = math.pi / 2 - 2 * math.pi * t / k
-        pos[u] = (polygon_radius * math.cos(ang), polygon_radius * math.sin(ang))
-
-    interior = [u for u in sorted(G.rotation) if u not in pos]
-    if not interior:
-        return [pos[u] for u in range(1, G.n + 1)]
-
-    idx = {u: i for i, u in enumerate(interior)}
-    m = len(interior)
-    A = np.zeros((m, m))
-    bx = np.zeros(m)
-    by = np.zeros(m)
-    for u in interior:
-        i = idx[u]
-        nbrs = G.rotation[u]
-        A[i, i] = len(nbrs)
-        for v in nbrs:
-            if v in idx:
-                A[i, idx[v]] -= 1.0
-            else:
-                bx[i] += pos[v][0]
-                by[i] += pos[v][1]
-    xs = np.linalg.solve(A, bx)
-    ys = np.linalg.solve(A, by)
-    for u in interior:
-        pos[u] = (float(xs[idx[u]]), float(ys[idx[u]]))
-    return [pos[u] for u in range(1, G.n + 1)]

@@ -24,7 +24,7 @@ from .formats import RealizationCertificate
 from .geometry import RatPoint, circumcenter_homogeneous
 from .plane_graph import (PlaneTriangulation, _canon_cycle, candidate_outer_faces,
                           reembed_with_outer_face, validate_triangulation)
-from .solver import SolverConfig, _float_circumcenter, round_candidates, solve
+from .solver import SolverConfig, round_candidates, solve
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,10 @@ def _float_radius(G: PlaneTriangulation, pts: Sequence[tuple[float, float]]) -> 
     d_n = min(math.dist(pts[a], pts[b]) for a in range(n) for b in range(a + 1, n))
     d_c = math.inf
     for f in G.inner_faces():
-        cc = _float_circumcenter(*(pts[v - 1] for v in f))
-        if cc is None:
+        x, y, d = circumcenter_homogeneous(*(pts[v - 1] for v in f))
+        if d == 0:
             return 0.0
+        cc = (x / d, y / d)
         rad = math.dist(cc, pts[f[0] - 1])
         for k in range(1, n + 1):
             if k not in f:

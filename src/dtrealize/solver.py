@@ -1,4 +1,4 @@
-"""Penalty-method search for floating assignments to a constraint system.
+"""Penalty-method search for floating assignments to ConstSqu.
 
 The search is a heuristic front end only: it proposes candidates with
 positive margin which the caller rounds to rationals and re-checks with
@@ -7,8 +7,10 @@ exact arithmetic. Nothing here is trusted for correctness.
 Loss: sum of squared equality residuals plus squared hinges on strict
 inequalities (hinge target = margin; non-strict relations use margin 0).
 All polynomials have degree <= 2, so the analytic gradient is evaluated
-directly from the flat term arrays of a row system (``CompiledSystem``), or
-from the stencil groups of ConstSqu (``constraints.StencilSystem``).
+directly from the stencil groups of ConstSqu (``CompiledStencil``), the
+only system ``solve`` searches. ``CompiledSystem`` evaluates a row system
+from flat term arrays; it is the row-system reference the stencil evaluator
+is tested against.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .constraints import RELATIONS, ConstraintSystem, StencilSystem, VarId
-from .geometry import rationalize
-from .plane_graph import PlaneTriangulation, tutte_embedding
+from .geometry import circumcenter_homogeneous, rationalize
+from .plane_graph import PlaneTriangulation
 
 # rounding denominator bounds, ascending
 DENOMINATORS = (1, 4, 32, 256, 4096, 1 << 16, 1 << 24)
@@ -33,6 +35,8 @@ INITIAL_STEP = 1e-3
 # STAGNATION_WINDOW accepted steps
 STAGNATION_WINDOW = 200
 STAGNATION_REL = 1e-12
+# hinge target of strict rows: the unit stencil's scale
+MARGIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,6 @@ class _Penalty:
         self.m = len(rel)
         self.rel = rel
         self.is_eq = self.rel == _EQ
-        self.n_eq = int(np.count_nonzero(self.is_eq))
         self.strict = (self.rel == _GT) | (self.rel == _LT)
         # orientation: signed slack = sign * value, positive means satisfied
         self.sign = np.where((self.rel == _LT) | (self.rel == _LE), -1.0, 1.0)
@@ -94,20 +97,6 @@ class _Penalty:
         # d loss / d value per constraint
         dval = 2.0 * resid - 2.0 * hinge * self.sign
         return loss, self._pullback(v, dval)
-
-    def loss_implies_satisfied(self, v: np.ndarray, loss: float) -> bool:
-        """Cheap filter for when a full satisfied() check could succeed.
-
-        Zero loss means every hinge and equality residual vanished, which is
-        satisfaction outright; with equalities present the tolerance of
-        satisfied() admits tiny positive losses too.
-        """
-        if loss == 0.0:
-            return True
-        if not self.n_eq:
-            return False
-        scale = max(1.0, float(np.max(np.abs(v))) ** 2) if v.size else 1.0
-        return loss <= self.n_eq * (1e-9 * scale) ** 2
 
     def satisfied(self, v: np.ndarray, margin: float) -> tuple[bool, float]:
         vals = self.values(v)
@@ -171,16 +160,6 @@ class CompiledStencil(_Penalty):
         return self.system.vjp(v, w)
 
 
-def default_margin(system: ConstraintSystem | StencilSystem,
-                   points: Sequence[tuple[float, float]]) -> float:
-    if system.flavor == "CONSTSQU":
-        return 1.0
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    area = max(1e-12, (max(xs) - min(xs)) * (max(ys) - min(ys)))
-    return 1e-3 * area
-
-
 def _incident_inner_faces(G: PlaneTriangulation) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
     """Per edge, its incident inner faces (sorted, deterministic)."""
     chosen: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
@@ -194,34 +173,18 @@ def _incident_inner_faces(G: PlaneTriangulation) -> dict[tuple[int, int], list[t
     return chosen
 
 
-def _float_circumcenter(a, b, c) -> tuple[float, float] | None:
-    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if d == 0:
-        return None
-    a2 = a[0] * a[0] + a[1] * a[1]
-    b2 = b[0] * b[0] + b[1] * b[1]
-    c2 = c[0] * c[0] + c[1] * c[1]
-    ux = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
-    uy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
-    return ux, uy
-
-
-def initialize(G: PlaneTriangulation, system: ConstraintSystem | StencilSystem,
-               points: Sequence[tuple[float, float]] | None = None) -> dict[VarId, float]:
-    """Starting assignment: scaled Tutte points plus circumcenter witnesses.
-
-    ``points`` overrides the Tutte placement (warm starts)."""
-    if points is None:
-        points = tutte_embedding(G, polygon_radius=1.0)
+def initialize(G: PlaneTriangulation,
+               points: Sequence[tuple[float, float]]) -> dict[VarId, float]:
+    """Starting ConstSqu assignment: ``points``, scaled up until no two are
+    closer than 10 stencil units, plus circumcenter witnesses and radii."""
     pts = [(float(x), float(y)) for x, y in points]
 
     mind = min(math.dist(pts[i], pts[j])
                for i in range(len(pts)) for j in range(i + 1, len(pts)))
     if mind <= 0:
         mind = 1e-9
-    target = 10.0 if system.flavor == "CONSTSQU" else 1.0
-    if mind < target:
-        s = target / mind
+    if mind < 10.0:
+        s = 10.0 / mind
         pts = [(x * s, y * s) for x, y in pts]
 
     values: dict[VarId, float] = {}
@@ -240,9 +203,9 @@ def initialize(G: PlaneTriangulation, system: ConstraintSystem | StencilSystem,
         incident = faces.get((i, j), [])
         centers = []
         for tri in incident:
-            cc = _float_circumcenter(*(pts[v - 1] for v in tri))
-            if cc is not None:
-                centers.append(cc)
+            x, y, d = circumcenter_homogeneous(*(pts[v - 1] for v in tri))
+            if d != 0:
+                centers.append((x / d, y / d))
         if len(centers) >= 2:
             cx = (centers[0][0] + centers[1][0]) / 2
             cy = (centers[0][1] + centers[1][1]) / 2
@@ -265,30 +228,24 @@ def initialize(G: PlaneTriangulation, system: ConstraintSystem | StencilSystem,
             cx, cy = mx, my
         values[("cx", i, j)] = cx
         values[("cy", i, j)] = cy
-        if ("r", i, j) in system.variables:
-            values[("r", i, j)] = math.dist((cx, cy), pi) + 2.0
+        values[("r", i, j)] = math.dist((cx, cy), pi) + 2.0
     return values
 
 
-def solve(system: ConstraintSystem | StencilSystem, config: SolverConfig,
-          G: PlaneTriangulation,
-          initial_points: Sequence[tuple[float, float]] | None = None,
+def solve(system: StencilSystem, config: SolverConfig, G: PlaneTriangulation,
+          initial_points: Sequence[tuple[float, float]],
           deadline: float = math.inf) -> SolveOutcome:
-    """Deterministic penalty descent from ``initialize``, with seeded restarts.
+    """Deterministic penalty descent on ConstSqu from ``initialize(G,
+    initial_points)``, with seeded restarts.
 
-    Strict rows are pushed past ``default_margin`` of the system at the
-    start points: 1 for ConstSqu, 1e-3 of the bounding-box area for Const.
-    ``initial_points`` overrides the Tutte placement of the start.
-    ``deadline`` is a ``time.monotonic()`` instant after which no further
-    descent step or restart begins.
+    Strict rows are pushed past ``MARGIN``. ``deadline`` is a
+    ``time.monotonic()`` instant after which no further descent step or
+    restart begins.
     """
-    comp = (CompiledStencil(system) if isinstance(system, StencilSystem)
-            else CompiledSystem(system))
-    values = initialize(G, system, points=initial_points)
+    comp = CompiledStencil(system)
+    values = initialize(G, initial_points)
     start = np.asarray([values[v] for v in system.variables], dtype=np.float64)
     point_mask = np.asarray([v[0] in ("px", "py") for v in system.variables])
-    margin = default_margin(system, [(values[("px", i)], values[("py", i)])
-                                     for i in range(1, G.n + 1)])
     # kept alive through the descent, this dict's table pins heap pages
     # the descent's large temporaries free, raising peak RSS
     del values
@@ -306,18 +263,17 @@ def solve(system: ConstraintSystem | StencilSystem, config: SolverConfig,
     best_restart = 0
     total_iters = 0
 
-    def finish(vec: np.ndarray, restart: int) -> SolveOutcome:
-        mm = comp.satisfied(vec, margin)[1]
+    def finish(vec: np.ndarray, restart: int, min_margin: float) -> SolveOutcome:
         return SolveOutcome("SATISFIED_FLOAT",
                             dict(zip(system.variables, map(float, vec))),
-                            mm, total_iters, restart)
+                            min_margin, total_iters, restart)
 
     for restart in range(config.restarts + 1):
         vec = start_vector(restart)
-        loss = comp.loss(vec, margin)
-        if comp.loss_implies_satisfied(vec, loss) and comp.satisfied(vec, margin)[0]:
-            return finish(vec, restart)
-        grad = comp.loss_grad(vec, margin)[1]
+        ok, min_margin = comp.satisfied(vec, MARGIN)
+        if ok:
+            return finish(vec, restart, min_margin)
+        loss, grad = comp.loss_grad(vec, MARGIN)
         # conjugate descent direction (Polak-Ribiere, reset on non-descent);
         # the initial trial step targets loss 0 along the direction and
         # backtracking keeps accepted losses strictly decreasing
@@ -340,7 +296,7 @@ def solve(system: ConstraintSystem | StencilSystem, config: SolverConfig,
             accepted = False
             for _ in range(40):
                 cand = vec + alpha * direction
-                closs = comp.loss(cand, margin)
+                closs = comp.loss(cand, MARGIN)
                 if closs < loss:
                     accepted = True
                     break
@@ -352,9 +308,13 @@ def solve(system: ConstraintSystem | StencilSystem, config: SolverConfig,
                 steepest = True
                 continue
             vec, loss = cand, closs
-            if comp.loss_implies_satisfied(vec, loss) and comp.satisfied(vec, margin)[0]:
-                return finish(vec, restart)
-            new_grad = comp.loss_grad(vec, margin)[1]
+            # ConstSqu has no equality rows, so it is satisfied only at zero
+            # loss; the check is still needed, as a tiny hinge squares to 0
+            if loss == 0.0:
+                ok, min_margin = comp.satisfied(vec, MARGIN)
+                if ok:
+                    return finish(vec, restart, min_margin)
+            new_grad = comp.loss_grad(vec, MARGIN)[1]
             g2 = float(grad @ grad)
             beta = max(0.0, float(new_grad @ (new_grad - grad)) / g2) if g2 > 0 else 0.0
             direction = -new_grad + beta * direction
@@ -369,10 +329,10 @@ def solve(system: ConstraintSystem | StencilSystem, config: SolverConfig,
                     kicked = False
                     for s in (1.5, 2.0, 4.0):
                         cand = vec * s
-                        closs = comp.loss(cand, margin)
+                        closs = comp.loss(cand, MARGIN)
                         if closs < loss:
                             vec, loss = cand, closs
-                            grad = comp.loss_grad(vec, margin)[1]
+                            grad = comp.loss_grad(vec, MARGIN)[1]
                             direction = -grad
                             steepest = True
                             kicked = True
@@ -389,7 +349,7 @@ def solve(system: ConstraintSystem | StencilSystem, config: SolverConfig,
             break
 
     assert best_vec is not None
-    mm = comp.satisfied(best_vec, margin)[1]
+    mm = comp.satisfied(best_vec, MARGIN)[1]
     return SolveOutcome("EXHAUSTED",
                         dict(zip(system.variables, map(float, best_vec))),
                         mm, total_iters, best_restart)

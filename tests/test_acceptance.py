@@ -95,17 +95,23 @@ def _edges_preserved(H, assignment, moved) -> bool:
     excludes everyone else, which forces the edge into every Delaunay
     triangulation of the moved points. The hull matching the outer face
     fixes the total edge count at 3n-3-h, so forced edges are all of them.
+    Both checks are scale invariant, so they run on integers: the moved
+    points, centers and radii times one common denominator.
     """
     n = H.n
+    beta = 1
+    for q in [*assignment.values(), *(c for p in moved for c in p)]:
+        beta = math.lcm(beta, q.denominator)
+    pts = [RatPoint(int(p.x * beta), int(p.y * beta)) for p in moved]
     for i, j in H.edge_pairs():
-        c = RatPoint(assignment[("cx", i, j)], assignment[("cy", i, j)])
-        r2 = assignment[("r", i, j)] ** 2
-        if dist_sq(c, moved[i - 1]) > r2 or dist_sq(c, moved[j - 1]) > r2:
+        c = RatPoint(int(assignment[("cx", i, j)] * beta), int(assignment[("cy", i, j)] * beta))
+        r2 = int(assignment[("r", i, j)] * beta) ** 2
+        if dist_sq(c, pts[i - 1]) > r2 or dist_sq(c, pts[j - 1]) > r2:
             return False
         for k in range(1, n + 1):
-            if k not in (i, j) and dist_sq(c, moved[k - 1]) <= r2:
+            if k not in (i, j) and dist_sq(c, pts[k - 1]) <= r2:
                 return False
-    return _hull_is_outer(H, moved)
+    return _hull_is_outer(H, pts)
 
 
 def _assignment_from_certificate(H, cert):

@@ -140,6 +140,20 @@ def test_realize_invalid_graph_exit(tmp_path):
     assert json.loads(out.read_text())["status"] == "INVALID_INPUT"
 
 
+@pytest.mark.parametrize("flavor", ["const", "constsqu"])
+def test_emit_invalid_graph_exit(tmp_path, capsys, flavor):
+    """emit refuses what realize refuses: the inner face 1-2-3-4 is no triangle."""
+    rot = {1: [2, 4], 2: [3, 1], 3: [4, 2], 4: [1, 3]}
+    path = tmp_path / "bad.json"
+    path.write_text(graph_to_json(build_triangulation(4, rot, (1, 2, 3, 4))))
+    out = tmp_path / "sys.json"
+    assert main(["emit", str(path), "--flavor", flavor, "-o", str(out)]) == EXIT_INVALID
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("error: ") for line in err)
+    assert any("NONTRIANGULAR_INNER_FACE" in line for line in err)
+
+
 def test_seed_flag_deterministic(fan_file, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

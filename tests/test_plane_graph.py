@@ -1,15 +1,12 @@
-"""Rotation systems, face traversal, validation, Tutte embedding."""
-
-import math
+"""Rotation systems, face traversal, validation, re-embedding."""
 
 import pytest
 
-from dtrealize.geometry import con_poly, pt
 from dtrealize.plane_graph import (AsymmetricEdge, FaceNotFound, NotConnected,
                                    PlaneGraphError, PlaneTriangulation, _same_cycle,
                                    build_triangulation, candidate_outer_faces,
                                    faces_from_rotation, reembed_with_outer_face,
-                                   tutte_embedding, validate_triangulation)
+                                   validate_triangulation)
 
 # K4 with vertex 4 in the middle of triangle 1-2-3; outer face (1,3,2) clockwise.
 K4_ROT = {1: [2, 4, 3], 2: [3, 4, 1], 3: [1, 4, 2], 4: [1, 2, 3]}
@@ -134,32 +131,3 @@ def test_reembed_with_outer_face():
     assert validate_triangulation(H).ok
     with pytest.raises(FaceNotFound):
         reembed_with_outer_face(G, [1, 2, 4, 3])
-
-
-def test_tutte_outer_polygon_clockwise():
-    G = fan5()
-    pos = tutte_embedding(G, polygon_radius=2.0)
-    outer = list(G.outer_face)
-    for u in outer:
-        x, y = pos[u - 1]
-        assert math.isclose(math.hypot(x, y), 2.0, rel_tol=1e-9)
-    k = len(outer)
-    for t in range(k):
-        a, b, c = (pt(*map(lambda z: round(z, 9), pos[outer[(t + d) % k] - 1]))
-                   for d in range(3))
-        assert con_poly(a, b, c) > 0    # clockwise means right turns
-
-
-def test_tutte_interior_barycentric():
-    G = k4()
-    pos = tutte_embedding(G)
-    x4, y4 = pos[3]
-    nx = sum(pos[v - 1][0] for v in G.rotation[4]) / 3
-    ny = sum(pos[v - 1][1] for v in G.rotation[4]) / 3
-    assert math.isclose(x4, nx, abs_tol=1e-9)
-    assert math.isclose(y4, ny, abs_tol=1e-9)
-
-
-def test_tutte_deterministic():
-    G = fan5()
-    assert tutte_embedding(G) == tutte_embedding(G)

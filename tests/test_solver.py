@@ -11,10 +11,15 @@ from dtrealize.constraints import Constraint, ConstraintSystem, StencilSystem, b
     build_constsqu, constsqu_stencil
 from dtrealize.instances import fan_triangulation, random_instance
 from dtrealize.plane_graph import build_triangulation
-from dtrealize.solver import (DENOMINATORS, CompiledStencil, CompiledSystem, SolverConfig,
-                              default_margin, initialize, round_candidates, solve)
+from dtrealize.realizer import _angle_warm_start
+from dtrealize.solver import (DENOMINATORS, MARGIN, CompiledStencil, CompiledSystem,
+                              SolverConfig, initialize, round_candidates, solve)
 
 K4_ROT = {1: [2, 4, 3], 2: [3, 4, 1], 3: [1, 4, 2], 4: [1, 2, 3]}
+# K4's outer triangle on the unit circle, vertex 4 at its center
+K4_TRIANGLE = [(0.0, 1.0), (-math.sqrt(3) / 2, -0.5), (math.sqrt(3) / 2, -0.5), (0.0, 0.0)]
+# fan 6's six vertices on the unit circle, clockwise from the top
+HEXAGON = [(math.sin(k * math.pi / 3), math.cos(k * math.pi / 3)) for k in range(6)]
 
 
 def k4():
@@ -108,14 +113,13 @@ def test_stencil_matches_compiled_rows(G):
             ok_a, mm_a = stencil.satisfied(vec, margin)
             ok_b, mm_b = rows.satisfied(vec, margin)
             assert ok_a == ok_b and mm_a == pytest.approx(mm_b, rel=1e-9, abs=1e-9)
-            assert stencil.loss_implies_satisfied(vec, la) == rows.loss_implies_satisfied(vec, lb)
 
 
 def test_solve_descends_on_the_stencil():
-    """From the cold Tutte start ConstSqu needs descent steps; the stencil
-    path reaches an assignment that the compiled rows accept too."""
+    """From K4's triangle around its center ConstSqu needs descent steps; the
+    stencil path reaches an assignment that the compiled rows accept too."""
     G = k4()
-    out = solve(constsqu_stencil(G), SolverConfig(seed=3), G=G)
+    out = solve(constsqu_stencil(G), SolverConfig(seed=3), G=G, initial_points=K4_TRIANGLE)
     assert out.status == "SATISFIED_FLOAT" and out.iterations > 0
     rows = build_constsqu(G)
     vec = np.asarray([out.assignment[v] for v in rows.variables])
@@ -133,18 +137,11 @@ def test_loss_zero_iff_satisfied():
         assert (loss == 0.0) == ok
 
 
-def test_default_margin_flavors():
-    G = k4()
-    pts = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (3.0, 3.0)]
-    assert default_margin(build_constsqu(G), pts) == 1.0
-    assert default_margin(build_const(G), pts) == pytest.approx(1e-3 * 100)
-
-
 def test_initialize_deterministic_and_complete():
     G = fan_triangulation(6)
-    system = build_constsqu(G)
-    a = initialize(G, system)
-    b = initialize(G, system)
+    system = constsqu_stencil(G)
+    a = initialize(G, HEXAGON)
+    b = initialize(G, HEXAGON)
     assert a == b
     assert set(a) == set(system.variables)
     # scaled so the minimum pairwise distance is at least 10 stencil units
@@ -154,19 +151,19 @@ def test_initialize_deterministic_and_complete():
 
 
 def test_initialize_accepts_warm_points():
+    # no two points closer than 10: the start keeps them as they are
     G = k4()
-    system = build_const(G)
     warm = [(0.0, 10.0), (-9.0, -5.0), (9.0, -5.0), (0.0, 0.0)]
-    a = initialize(G, system, points=warm)
+    a = initialize(G, warm)
     assert (a[("px", 1)], a[("py", 1)]) == (0.0, 10.0)
 
 
 def test_solve_deterministic():
     G = k4()
-    system = build_constsqu(G)
+    system = constsqu_stencil(G)
     cfg = SolverConfig(seed=3)
-    out1 = solve(system, cfg, G=G)
-    out2 = solve(system, cfg, G=G)
+    out1 = solve(system, cfg, G=G, initial_points=K4_TRIANGLE)
+    out2 = solve(system, cfg, G=G, initial_points=K4_TRIANGLE)
     assert out1.status == out2.status == "SATISFIED_FLOAT"
     assert out1.assignment == out2.assignment
     assert out1.iterations == out2.iterations
@@ -175,7 +172,7 @@ def test_solve_deterministic():
 
 def test_solve_warm_start_zero_iterations():
     G = k4()
-    system = build_const(G)
+    system = constsqu_stencil(G)
     # an exact realization: satisfied immediately, no descent needed
     warm = [(0.0, 10.0), (-9.0, -5.0), (9.0, -5.0), (0.0, 0.0)]
     out = solve(system, SolverConfig(), G=G, initial_points=warm)
@@ -183,30 +180,54 @@ def test_solve_warm_start_zero_iterations():
     assert out.iterations == 0
 
 
-def _fan6_const():
-    """Fan 6 and its Const, whose Tutte start is unsatisfied: the Tutte
-    embedding puts the fan's six vertices on one circle."""
+def test_solve_checks_a_satisfied_start_once(monkeypatch):
+    """A start that already satisfies ConstSqu costs one evaluation of the
+    stencil groups: the check that accepts it also gives its min_margin."""
     G = fan_triangulation(6)
-    system = build_const(G)
-    start = initialize(G, system)
+    warm, _ = _angle_warm_start(G)
+    system = constsqu_stencil(G)
+    start = initialize(G, warm)
     vec = np.asarray([start[v] for v in system.variables])
-    pts = [(start[("px", i)], start[("py", i)]) for i in range(1, G.n + 1)]
-    assert not CompiledSystem(system).satisfied(vec, default_margin(system, pts))[0]
+    expected = CompiledStencil(system).satisfied(vec, MARGIN)[1]
+    calls = []
+    values = StencilSystem.values
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return values(self, *args, **kwargs)
+
+    monkeypatch.setattr(StencilSystem, "values", counted)
+    out = solve(system, SolverConfig(), G=G, initial_points=warm)
+    assert len(calls) == 1
+    assert out.status == "SATISFIED_FLOAT" and out.iterations == 0
+    assert out.min_margin == expected
+
+
+def _fan6_hexagon():
+    """Fan 6 and its ConstSqu stencil, whose start from the regular hexagon
+    is unsatisfied: the hexagon puts the fan's six vertices on one circle."""
+    G = fan_triangulation(6)
+    system = constsqu_stencil(G)
+    start = initialize(G, HEXAGON)
+    vec = np.asarray([start[v] for v in system.variables])
+    assert not CompiledStencil(system).satisfied(vec, MARGIN)[0]
     return G, system
 
 
 def test_solve_exhausted_with_zero_budget():
     # the start is unsatisfied, and no iterations may run
-    G, system = _fan6_const()
-    out = solve(system, SolverConfig(max_iterations=0, restarts=0), G=G)
+    G, system = _fan6_hexagon()
+    out = solve(system, SolverConfig(max_iterations=0, restarts=0), G=G,
+                initial_points=HEXAGON)
     assert out.status == "EXHAUSTED"
     assert out.iterations == 0 and out.restart_index == 0
 
 
 def test_solve_monotone_best_loss():
     # EXHAUSTED outcomes still report the best assignment found
-    G, system = _fan6_const()
-    out = solve(system, SolverConfig(max_iterations=5, restarts=1), G=G)
+    G, system = _fan6_hexagon()
+    out = solve(system, SolverConfig(max_iterations=5, restarts=1), G=G,
+                initial_points=HEXAGON)
     assert out.status in ("SATISFIED_FLOAT", "EXHAUSTED")
     assert set(out.assignment) == set(system.variables)
     assert all(math.isfinite(x) for x in out.assignment.values())
@@ -228,7 +249,8 @@ def test_round_candidates_exact_reproduction():
 
 
 def test_solve_stops_at_past_deadline():
-    G, system = _fan6_const()
-    out = solve(system, SolverConfig(seed=3), G=G, deadline=time.monotonic() - 1)
+    G, system = _fan6_hexagon()
+    out = solve(system, SolverConfig(seed=3), G=G, initial_points=HEXAGON,
+                deadline=time.monotonic() - 1)
     assert out.status == "EXHAUSTED"
     assert out.iterations <= 1
