@@ -4,8 +4,11 @@ Every predicate is exact over int or ``fractions.Fraction`` coordinates
 (arbitrary precision), never float; callers bridge floats in via
 :func:`rationalize`. The predicates that only add, multiply and compare
 (``con_poly``, ``dist_sq``, ``in_circle_sign``, ``convex_hull``,
-``circumcenter_homogeneous``) run on Python ints as they are, which is far
-faster; :func:`circumcenter` divides, so it needs Fraction coordinates.
+``circumcenter_homogeneous``, ``witness_centers``) run on Python ints as they
+are, which is far faster; :func:`circumcenter` divides, so it needs Fraction
+coordinates. The untrusted search also runs the multiply-only helpers on
+floats (``circumcenter_homogeneous`` and ``witness_centers``, for its start
+and its float radius); nothing float is trusted.
 """
 
 from __future__ import annotations
@@ -99,6 +102,43 @@ def circumcenter_homogeneous(a: RatPoint, b: RatPoint, c: RatPoint) -> tuple[Rat
             a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax), d)
 
 
+def witness_centers(points: Sequence[tuple], faces: Iterable[tuple[int, int, int]]
+                    ) -> dict[tuple[int, int], tuple[Rat, Rat, Rat]]:
+    """Center of a witness disc for every edge of the triangles ``faces``
+    (0-based indices into ``points``), as (x, y, d) keyed by the sorted index
+    pair, the center being (x/d, y/d).
+
+    A face circumcircle touches the face's third vertex, so the center is
+    moved into the open part of the edge's bisector: the midpoint of the two
+    incident circumcenters for an edge of two faces, or, for an edge of one
+    face, its circumcenter pushed away from the third vertex by the edge's
+    length. Like :func:`circumcenter_homogeneous` it only multiplies and
+    adds; d is zero when an incident face is collinear.
+    """
+    faces_of_edge: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for f in faces:
+        for a in range(3):
+            e = tuple(sorted((f[a], f[(a + 1) % 3])))
+            faces_of_edge.setdefault(e, []).append(f)
+    centers = {}
+    for e, tris in faces_of_edge.items():
+        ccs = [circumcenter_homogeneous(*(points[v] for v in t)) for t in tris]
+        if len(ccs) >= 2:
+            (x0, y0, d0), (x1, y1, d1) = ccs[:2]
+            centers[e] = (x0 * d1 + x1 * d0, y0 * d1 + y1 * d0, 2 * d0 * d1)
+            continue
+        (x0, y0, d), = ccs
+        (ix, iy), (jx, jy) = points[e[0]], points[e[1]]
+        ax, ay = points[next(v for v in tris[0] if v not in e)]
+        # the edge turned by a right angle, as long as the edge, pointing
+        # away from the third vertex
+        nx, ny = iy - jy, jx - ix
+        if nx * (2 * ax - ix - jx) + ny * (2 * ay - iy - jy) > 0:
+            nx, ny = -nx, -ny
+        centers[e] = (x0 + nx * d, y0 + ny * d, d)
+    return centers
+
+
 def circumcenter(a: RatPoint, b: RatPoint, c: RatPoint) -> RatPoint:
     """Exact point equidistant from a, b and c."""
     ux, uy, d = circumcenter_homogeneous(a, b, c)
@@ -111,6 +151,11 @@ def rationalize(x: float, max_denominator: int) -> Rat:
     """Best rational approximation to x with denominator <= max_denominator."""
     if isinstance(x, float) and not math.isfinite(x):
         raise NonFinite(f"cannot rationalize {x!r}")
+    if max_denominator == 1:
+        # the nearest integer, ties rounded down, as limit_denominator(1)
+        # gives; x - n is exact
+        n = math.floor(x)
+        return Fraction(n + (x - n > 0.5))
     return Fraction(x).limit_denominator(max_denominator)
 
 

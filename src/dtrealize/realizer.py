@@ -21,7 +21,7 @@ from .constraints import VarId, constsqu_stencil, repair_radii, satisfied_exact
 # perfbench/tracing.py wraps these names; realize() calls neither
 from .constraints import build_const, build_constsqu  # noqa: F401
 from .formats import RealizationCertificate
-from .geometry import RatPoint, circumcenter_homogeneous
+from .geometry import RatPoint, circumcenter_homogeneous, witness_centers
 from .plane_graph import (PlaneTriangulation, _canon_cycle, candidate_outer_faces,
                           reembed_with_outer_face, validate_triangulation)
 from .solver import SolverConfig, round_candidates, solve
@@ -94,16 +94,17 @@ def certify(G: PlaneTriangulation, f_star: Sequence[int],
     """Exact verification that DT(points) is G with outer face f_star.
 
     ``points`` are integer pairs. Steps run in order; the first failure aborts with its step name.
-    Witness discs are circumcircles of an incident Delaunay face per edge,
-    re-derived here rather than taken from any solver output.
+    Witness discs come from the Delaunay faces by ``geometry.witness_centers``,
+    re-derived here rather than taken from any solver output, and each is
+    checked exactly before it is accepted.
     """
     transcript: list[str] = []
     if len(points) != G.n:
         return CertifyResult(False, tuple(transcript), "POINT_COUNT",
                              f"{len(points)} points for {G.n} vertices")
 
-    # the oracle's predicates only multiply and compare, so they run on the
-    # integers directly; the witness step divides and so needs Fraction
+    # the oracle's predicates and the witness discs only multiply and compare,
+    # so they run on the integers directly
     try:
         dt = oracle.delaunay([RatPoint(operator.index(x), operator.index(y))
                               for x, y in points])
@@ -130,35 +131,15 @@ def certify(G: PlaneTriangulation, f_star: Sequence[int],
         return CertifyResult(False, tuple(transcript), "HULL_MISMATCH",
                              f"hull={hull} outer={target}")
 
-    # Witness discs per edge, derived from incident DT face circumcenters.
-    # A face circumcircle itself touches the third face vertex, so the
-    # center is moved strictly into the feasible part of the bisector:
-    # midpoint of the two incident circumcenters for interior edges, or
-    # pushed outward past the single circumcenter for hull edges. Each center
-    # is kept as integer numerators over one denominator, and every squared
-    # distance from it is compared scaled by that denominator squared.
-    faces_of_edge: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for f in dt.faces:
-        for a in range(3):
-            e = tuple(sorted((f[a], f[(a + 1) % 3])))
-            faces_of_edge.setdefault(e, []).append(f)
+    # Witness discs per edge, from the incident DT face circumcenters. Each
+    # center is kept as integer numerators over one denominator, and every
+    # squared distance from it is compared scaled by that denominator squared.
     pts = [(operator.index(x), operator.index(y)) for x, y in points]
+    witnesses = witness_centers(pts, dt.faces)
     centers: list[tuple[Fraction, Fraction]] = []
     for i, j in G.edge_pairs():
         e = (i - 1, j - 1)
-        tris = sorted(faces_of_edge[e])
-        ccs = [circumcenter_homogeneous(*(pts[v] for v in t)) for t in tris]
-        if len(ccs) >= 2:
-            (x0, y0, d0), (x1, y1, d1) = ccs[:2]
-            cx, cy, d = x0 * d1 + x1 * d0, y0 * d1 + y1 * d0, 2 * d0 * d1
-        else:
-            (x0, y0, d), = ccs
-            (ix, iy), (jx, jy) = pts[e[0]], pts[e[1]]
-            ax, ay = pts[next(v for v in tris[0] if v not in e)]
-            nx, ny = iy - jy, jx - ix
-            if nx * (2 * ax - ix - jx) + ny * (2 * ay - iy - jy) > 0:
-                nx, ny = -nx, -ny
-            cx, cy = x0 + nx * d, y0 + ny * d
+        cx, cy, d = witnesses[e]
 
         def dist2(k: int) -> int:
             return (cx - d * pts[k][0]) ** 2 + (cy - d * pts[k][1]) ** 2
@@ -324,15 +305,14 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             # the exact solution tolerates any half-box perturbation, so a
             # failed certification (typically an incidental collinearity or
             # cocircularity the system does not forbid) is retried under
-            # small seeded rational jitters
+            # small seeded rational jitters, each drawn only once the trial
+            # before it has failed
             rng = random.Random(solver_cfg.seed)
-            trials = [rat_points] + [
-                [RatPoint(p.x + Fraction(rng.randrange(-499, 500), 1999),
-                          p.y + Fraction(rng.randrange(-499, 500), 1999))
-                 for p in rat_points]
-                for _ in range(3)
-            ]
-            for trial in trials:
+            for k in range(4):
+                trial = rat_points if k == 0 else [
+                    RatPoint(p.x + Fraction(rng.randrange(-499, 500), 1999),
+                             p.y + Fraction(rng.randrange(-499, 500), 1999))
+                    for p in rat_points]
                 int_points = scale_to_integers(trial)
                 cert = certify(H, H.outer_face, int_points)
                 if cert.ok:

@@ -11,6 +11,21 @@ directly from the stencil groups of ConstSqu (``CompiledStencil``), the
 only system ``solve`` searches. ``CompiledSystem`` evaluates a row system
 from flat term arrays; it is the row-system reference the stencil evaluator
 is tested against.
+
+``solve`` tries the start from ``initialize`` and then up to
+``SolverConfig.restarts`` seeded jitters of it. Each start is a conjugate
+gradient descent with a backtracking line search, and it ends on the first
+of:
+
+- ``satisfied()`` true, checked on the start and after any step that
+  reaches zero loss, which returns SATISFIED_FLOAT;
+- a line search along the steepest direction that finds no lower loss;
+- a zero gradient;
+- ``SolverConfig.max_iterations`` steps;
+- the deadline, which also ends the restarts.
+
+When no start is satisfied, the one with the lowest loss is returned as
+EXHAUSTED.
 """
 
 from __future__ import annotations
@@ -24,17 +39,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .constraints import RELATIONS, ConstraintSystem, StencilSystem, VarId
-from .geometry import circumcenter_homogeneous, rationalize
+from .geometry import rationalize, witness_centers
 from .plane_graph import PlaneTriangulation
 
 # rounding denominator bounds, ascending
 DENOMINATORS = (1, 4, 32, 256, 4096, 1 << 16, 1 << 24)
 # trial step when the directional derivative is NaN
 INITIAL_STEP = 1e-3
-# stagnation: fewer than STAGNATION_REL relative loss progress over
-# STAGNATION_WINDOW accepted steps
-STAGNATION_WINDOW = 200
-STAGNATION_REL = 1e-12
 # hinge target of strict rows: the unit stencil's scale
 MARGIN = 1.0
 
@@ -160,24 +171,16 @@ class CompiledStencil(_Penalty):
         return self.system.vjp(v, w)
 
 
-def _incident_inner_faces(G: PlaneTriangulation) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
-    """Per edge, its incident inner faces (sorted, deterministic)."""
-    chosen: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for f in G.inner_faces():
-        tri = tuple(sorted(f))
-        for a in range(3):
-            e = tuple(sorted((f[a], f[(a + 1) % 3])))
-            chosen.setdefault(e, []).append(tri)
-    for faces in chosen.values():
-        faces.sort()
-    return chosen
-
-
 def initialize(G: PlaneTriangulation,
                points: Sequence[tuple[float, float]]) -> dict[VarId, float]:
     """Starting ConstSqu assignment: ``points``, scaled up until no two are
-    closer than 10 stencil units, plus circumcenter witnesses and radii."""
+    closer than 10 stencil units, plus witness centers and radii.
+
+    Raises ValueError when a coordinate is not finite.
+    """
     pts = [(float(x), float(y)) for x, y in points]
+    if not all(math.isfinite(c) for p in pts for c in p):
+        raise ValueError("start points must have finite coordinates")
 
     mind = min(math.dist(pts[i], pts[j])
                for i in range(len(pts)) for j in range(i + 1, len(pts)))
@@ -192,40 +195,15 @@ def initialize(G: PlaneTriangulation,
         values[("px", i)] = x
         values[("py", i)] = y
 
-    # Witness centers start strictly inside the feasible wedge for each edge:
-    # a face circumcenter lies ON the opposite vertex's exclusion boundary,
-    # so interior edges use the midpoint of the two incident circumcenters
-    # and outer-cycle edges push outward along the perpendicular bisector.
-    faces = _incident_inner_faces(G)
+    # the witness discs certify() builds, here in floats: a face circumcenter
+    # lies ON the third vertex's exclusion boundary, while these centers start
+    # strictly inside each edge's feasible part of the bisector
+    centers = witness_centers(pts, [(a - 1, b - 1, c - 1) for a, b, c in G.inner_faces()])
     for i, j in G.edge_pairs():
+        x, y, d = centers[i - 1, j - 1]
         pi, pj = pts[i - 1], pts[j - 1]
-        mx, my = (pi[0] + pj[0]) / 2, (pi[1] + pj[1]) / 2
-        incident = faces.get((i, j), [])
-        centers = []
-        for tri in incident:
-            x, y, d = circumcenter_homogeneous(*(pts[v - 1] for v in tri))
-            if d != 0:
-                centers.append((x / d, y / d))
-        if len(centers) >= 2:
-            cx = (centers[0][0] + centers[1][0]) / 2
-            cy = (centers[0][1] + centers[1][1]) / 2
-        elif len(centers) == 1:
-            # push outward from the incident face's circumcenter: along that
-            # ray every other point's exclusion gap grows linearly, so any
-            # positive push is feasible for an exactly realizing placement
-            tri = incident[0]
-            a = next(v for v in tri if v not in (i, j))
-            pa = pts[a - 1]
-            ex, ey = pj[0] - pi[0], pj[1] - pi[1]
-            nx, ny = -ey, ex
-            norm = math.hypot(nx, ny) or 1.0
-            nx, ny = nx / norm, ny / norm
-            if nx * (pa[0] - mx) + ny * (pa[1] - my) > 0:
-                nx, ny = -nx, -ny
-            push = math.hypot(ex, ey)
-            cx, cy = centers[0][0] + push * nx, centers[0][1] + push * ny
-        else:
-            cx, cy = mx, my
+        # a collinear float face: the edge midpoint
+        cx, cy = (x / d, y / d) if d != 0 else ((pi[0] + pj[0]) / 2, (pi[1] + pj[1]) / 2)
         values[("cx", i, j)] = cx
         values[("cy", i, j)] = cy
         values[("r", i, j)] = math.dist((cx, cy), pi) + 2.0
@@ -279,9 +257,7 @@ def solve(system: StencilSystem, config: SolverConfig, G: PlaneTriangulation,
         # backtracking keeps accepted losses strictly decreasing
         direction = -grad
         steepest = True
-        window_start_loss = loss
-        since_improve = 0
-        for it in range(config.max_iterations):
+        for _ in range(config.max_iterations):
             total_iters += 1
             if time.monotonic() > deadline:
                 break
@@ -320,27 +296,6 @@ def solve(system: StencilSystem, config: SolverConfig, G: PlaneTriangulation,
             direction = -new_grad + beta * direction
             steepest = False
             grad = new_grad
-            # stagnation: tiny relative progress over a window; before giving
-            # up, try growing the whole configuration (the systems tolerate
-            # uniform upscaling far better than downscaling)
-            since_improve += 1
-            if since_improve >= STAGNATION_WINDOW:
-                if window_start_loss - loss < STAGNATION_REL * max(1.0, window_start_loss):
-                    kicked = False
-                    for s in (1.5, 2.0, 4.0):
-                        cand = vec * s
-                        closs = comp.loss(cand, MARGIN)
-                        if closs < loss:
-                            vec, loss = cand, closs
-                            grad = comp.loss_grad(vec, MARGIN)[1]
-                            direction = -grad
-                            steepest = True
-                            kicked = True
-                            break
-                    if not kicked:
-                        break
-                window_start_loss = loss
-                since_improve = 0
         if loss < best_loss:
             best_loss = loss
             best_vec = vec.copy()

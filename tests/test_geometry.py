@@ -1,5 +1,6 @@
 """Exact predicate tests: everything else in the package trusts these."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from dtrealize.geometry import (AllCollinear, CollinearTriple, NonFinite, RatPoint,
                                 circumcenter, con_poly, convex_hull, dist_sq,
-                                in_circle_sign, pt, rationalize)
+                                in_circle_sign, pt, rationalize, witness_centers)
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(pt, coords, coords)
@@ -93,6 +94,38 @@ def test_rationalize():
         rationalize(float("nan"), 10)
     with pytest.raises(NonFinite):
         rationalize(float("inf"), 10)
+
+
+def test_rationalize_to_integers_matches_limit_denominator():
+    """Denominator 1 rounds to the nearest integer, ties down, without
+    limit_denominator, and gives the same Fractions."""
+    assert rationalize(2.5, 1) == 2 and rationalize(-2.5, 1) == -3
+    rng = random.Random(7)
+    xs = [k + 0.5 for k in range(-6, 6)] + [float(2**52 + 1), -float(2**52 + 1)]
+    xs += [rng.uniform(-1e6, 1e6) for _ in range(500)] + [rng.uniform(-3, 3) for _ in range(500)]
+    for x in xs:
+        got = rationalize(x, 1)
+        assert type(got) is Fraction
+        assert got == Fraction(x).limit_denominator(1), x
+    with pytest.raises(NonFinite):
+        rationalize(float("-inf"), 1)
+
+
+def test_witness_centers_in_ints_and_floats():
+    # a square split by its diagonal 0-2: the diagonal's center is the
+    # midpoint of the two (coinciding) circumcenters, each hull edge's center
+    # is pushed one edge length outward from the square's center
+    square = [(0, 0), (0, 2), (2, 2), (2, 0)]
+    faces = [(0, 1, 2), (0, 2, 3)]
+    expected = {(0, 2): (1, 1), (0, 1): (-1, 1), (1, 2): (1, 3), (2, 3): (3, 1),
+                (0, 3): (1, -1)}
+    exact = witness_centers(square, faces)
+    assert {e: (Fraction(x, d), Fraction(y, d)) for e, (x, y, d) in exact.items()} == expected
+    assert all(isinstance(c, int) for center in exact.values() for c in center)
+    floats = witness_centers([(float(x), float(y)) for x, y in square], faces)
+    assert {e: (x / d, y / d) for e, (x, y, d) in floats.items()} == expected
+    # a collinear face has d = 0
+    assert witness_centers([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], [(0, 1, 2)])[0, 1][2] == 0
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))

@@ -171,6 +171,85 @@ def test_realize_rejects_a_wrong_number_of_warm_points():
             realize(G, warm_points=warm)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_realize_rejects_non_finite_warm_points(bad):
+    pts, G = random_instance(6, 3)
+    warm = [(float(x), float(y)) for x, y in pts]
+    warm[2] = (warm[2][0], bad)
+    with pytest.raises(ValueError, match="finite"):
+        realize(G, warm_points=warm)
+
+
+class _CountingRandom(realizer.random.Random):
+    draws = 0
+
+    def randrange(self, *args):
+        _CountingRandom.draws += 1
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize("n, draws", [(6, 0), (7, 14)])
+def test_jitter_trials_are_drawn_only_after_a_failure(monkeypatch, n, draws):
+    """Fan 6 certifies on its first trial and draws no jitter; fan 7's first
+    trial is cocircular, so one jittered copy of its 7 points is drawn."""
+    monkeypatch.setattr(realizer.random, "Random", _CountingRandom)
+    monkeypatch.setattr(_CountingRandom, "draws", 0)
+    res = realize(fan_triangulation(n))
+    assert res.status == "REALIZED"
+    assert _CountingRandom.draws == draws
+
+
+def _record_search(monkeypatch):
+    """Record realize()'s solve outcomes and, per rounding candidate, its
+    denominator bound and whether it passed the exact gate."""
+    outcomes, gates = [], []
+    real_solve, real_round, real_gate = (realizer.solve, realizer.round_candidates,
+                                         realizer.satisfied_exact)
+
+    def recorded_solve(*args, **kwargs):
+        outcomes.append(real_solve(*args, **kwargs))
+        return outcomes[-1]
+
+    def recorded_round(assignment):
+        for bound, exact in zip(solver.DENOMINATORS, real_round(assignment)):
+            gates.append([bound, None])
+            yield exact
+
+    def recorded_gate(system, values):
+        ok = real_gate(system, values)
+        gates[-1][1] = ok
+        return ok
+
+    monkeypatch.setattr(realizer, "solve", recorded_solve)
+    monkeypatch.setattr(realizer, "round_candidates", recorded_round)
+    monkeypatch.setattr(realizer, "satisfied_exact", recorded_gate)
+    return outcomes, gates
+
+
+@pytest.mark.parametrize("n, seed", [(6, 4005), (6, 4010)])
+def test_warm_points_needing_a_restart(monkeypatch, n, seed):
+    """Why solve() keeps its restarts: these warm starts are only satisfied
+    from a jittered restart."""
+    outcomes, _ = _record_search(monkeypatch)
+    pts, G = random_instance(n, seed)
+    res = realize(G, warm_points=pts)
+    assert res.status == "REALIZED"
+    assert outcomes[-1].status == "SATISFIED_FLOAT"
+    assert outcomes[-1].restart_index >= 1
+
+
+@pytest.mark.parametrize("n, seed", [(5, 1049), (6, 4020)])
+def test_warm_points_needing_a_finer_rounding(monkeypatch, n, seed):
+    """Why round_candidates keeps denominators above 1: these solves first
+    pass the exact gate at bound 32."""
+    _, gates = _record_search(monkeypatch)
+    pts, G = random_instance(n, seed)
+    res = realize(G, warm_points=pts)
+    assert res.status == "REALIZED"
+    passed = [bound for bound, ok in gates if ok]
+    assert passed and passed[0] == 32
+
+
 def _stencil_repair(G, values):
     """Reference radius fit: exact stencil distances in Fraction, edge by edge."""
     out = dict(values)

@@ -11,7 +11,7 @@ from dtrealize.constraints import Constraint, ConstraintSystem, StencilSystem, b
     build_constsqu, constsqu_stencil
 from dtrealize.instances import fan_triangulation, random_instance
 from dtrealize.plane_graph import build_triangulation
-from dtrealize.realizer import _angle_warm_start
+from dtrealize.realizer import _angle_warm_start, certify
 from dtrealize.solver import (DENOMINATORS, MARGIN, CompiledStencil, CompiledSystem,
                               SolverConfig, initialize, round_candidates, solve)
 
@@ -156,6 +156,28 @@ def test_initialize_accepts_warm_points():
     warm = [(0.0, 10.0), (-9.0, -5.0), (9.0, -5.0), (0.0, 0.0)]
     a = initialize(G, warm)
     assert (a[("px", 1)], a[("py", 1)]) == (0.0, 10.0)
+
+
+def test_initialize_starts_from_the_certified_witness_discs():
+    """The start's witness centers follow certify()'s rule, here on K4's
+    integer realization, whose closest pair is already 10 apart."""
+    G = k4()
+    points = [(0, 10), (-9, -5), (9, -5), (0, 0)]
+    start = initialize(G, points)
+    cert = certify(G, G.outer_face, points)
+    assert cert.ok
+    for (i, j), (cx, cy) in zip(G.edge_pairs(), cert.witness_centers):
+        assert start[("cx", i, j)] == pytest.approx(float(cx), rel=1e-12)
+        assert start[("cy", i, j)] == pytest.approx(float(cy), rel=1e-12)
+        assert start[("r", i, j)] == pytest.approx(math.dist((cx, cy), points[i - 1]) + 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_initialize_rejects_non_finite_points(bad):
+    G = k4()
+    warm = [(0.0, 10.0), (-9.0, -5.0), (9.0, bad), (0.0, 0.0)]
+    with pytest.raises(ValueError, match="finite"):
+        initialize(G, warm)
 
 
 def test_solve_deterministic():
