@@ -17,11 +17,17 @@ group's coefficients over all its offsets at once. The exported rows
 ``constsqu_stencil``, which keeps ConstSqu as groups: per orientation group
 its three points and relation, per disc group its vertex, edge and side.
 One numpy evaluator computes every group's values over its offset table,
-in floats for the solver (with an analytic gradient) and in integers for
-the exact gate and the radius fit (``satisfied_exact``, ``repair_radii``),
-so realization never materialises ConstSqu as rows or term arrays. Row
-systems are evaluated exactly by ``evaluate``, the reference for any row
-system (row by row in Python ints, residuals as Fraction), and in floats by
+in floats for the solver's loss (with an analytic gradient). The checks
+need only each group's worst case, which ``StencilSystem.worst_slacks``
+takes at the offsets where it can occur: an orientation form is affine in
+each of its six offset coordinates, so its extremes lie on the 64 corners
+of the offset cube, and a disc value separates into an x part and a y part,
+so its extremes are per-axis extremes over three offsets each. It runs in
+floats for the solver's check and in integers for the exact gate and the
+radius fit (``satisfied_exact``, ``repair_radii``), so realization never
+materialises ConstSqu as rows or term arrays. Row systems are evaluated
+exactly by ``evaluate``, the reference for any row system (row by row in
+Python ints, residuals as Fraction), and in floats by
 ``solver.CompiledSystem``, the row-system reference that the stencil
 evaluator is tested against.
 
@@ -35,6 +41,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -268,6 +275,22 @@ def build_constsqu(G: PlaneTriangulation) -> ConstraintSystem:
 # per point of an orientation row, its x and y offsets over the 729 offset choices
 _TRIPLE_X = np.ascontiguousarray(_TRIPLE_OFFSETS[:, :, 0].T)    # (3, 729)
 _TRIPLE_Y = np.ascontiguousarray(_TRIPLE_OFFSETS[:, :, 1].T)
+# the same over the 64 choices that put all three points on stencil corners
+_CORNER_OFFSETS = _STENCIL[np.array(list(product(range(1, 5), repeat=3)))]   # (64, 3, 2)
+_CORNER_X = np.ascontiguousarray(_CORNER_OFFSETS[:, :, 0].T)    # (3, 64)
+_CORNER_Y = np.ascontiguousarray(_CORNER_OFFSETS[:, :, 1].T)
+# the stencil's offsets along one axis
+_AXIS = np.array((-1, 0, 1), dtype=np.int64)
+
+# relations whose rows hold when minus the value is positive (non-negative),
+# and the strict relations
+_NEGATED = tuple(map(RELATIONS.index, ("<", "<=")))
+_STRICT = tuple(map(RELATIONS.index, (">", "<")))
+
+
+def _orient_form(ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
+    """The orientation form over stencil points shaped (groups, 3, offset choices)."""
+    return sum(s * ox[:, p] * oy[:, q] for p, q, s in _CON_PAIRS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,10 +301,11 @@ class StencilSystem:
     (x[orient[g, p, 0]] + a_p, x[orient[g, p, 1]] + b_p), p = 0, 1, 2, over
     the 729 stencil offset choices; disc group d is |Z - C|^2 - R^2 at the
     9 stencil points Z = (x[disc[d, 0]] + a, x[disc[d, 1]] + b), with
-    C = (x[disc[d, 2]], x[disc[d, 3]]) and R = x[disc[d, 4]]. ``values``
-    lists the rows in ``build_constsqu`` order. Indices point into the
-    variable vector x; ``orient_rel``/``disc_rel`` hold each group's index
-    into RELATIONS.
+    C = (x[disc[d, 2]], x[disc[d, 3]]) and R = x[disc[d, 4]]. Disc groups
+    are edge-major: per edge its two endpoints (IN), then the n - 2 other
+    vertices (OUT). ``values`` lists the rows in ``build_constsqu`` order.
+    Indices point into the variable vector x; ``orient_rel``/``disc_rel``
+    hold each group's index into RELATIONS.
     """
     variables: tuple[VarId, ...]
     flavor: str
@@ -296,32 +320,70 @@ class StencilSystem:
         return np.concatenate((np.repeat(self.orient_rel, len(_TRIPLES)),
                                np.repeat(self.disc_rel, len(STENCIL))))
 
+    @cached_property
+    def strict(self) -> np.ndarray:
+        """Whether each group's relation is strict, in ``worst_slacks`` order."""
+        return np.isin(np.concatenate((self.orient_rel, self.disc_rel)), _STRICT)
+
+    @cached_property
+    def _negated(self) -> np.ndarray:
+        return np.isin(np.concatenate((self.orient_rel, self.disc_rel)), _NEGATED)
+
     # The evaluators run on float, int64 or Python-int object vectors alike;
     # offsets are multiplied by ``unit``, so an assignment scaled by D is
     # evaluated exactly with unit D (row values then come out times D^2).
 
-    def _orient_points(self, x: np.ndarray, unit) -> tuple[np.ndarray, np.ndarray]:
-        """The stencil points of every orientation row, x and y, each (groups, 3, 729)."""
-        return (x[self.orient[:, :, 0]][:, :, None] + _TRIPLE_X.astype(x.dtype) * unit,
-                x[self.orient[:, :, 1]][:, :, None] + _TRIPLE_Y.astype(x.dtype) * unit)
+    def _orient_points(self, x: np.ndarray, unit, offs_x=_TRIPLE_X,
+                       offs_y=_TRIPLE_Y) -> tuple[np.ndarray, np.ndarray]:
+        """The stencil points of every orientation row, x and y, each
+        (groups, 3, offset choices)."""
+        return (x[self.orient[:, :, 0]][:, :, None] + offs_x.astype(x.dtype) * unit,
+                x[self.orient[:, :, 1]][:, :, None] + offs_y.astype(x.dtype) * unit)
 
-    def _disc_deltas(self, x: np.ndarray, unit) -> tuple[np.ndarray, np.ndarray]:
-        """Z - C per disc row, x and y, each (pairs, 9)."""
+    def _disc_deltas(self, x: np.ndarray, unit, offs_x=_STENCIL[:, 0],
+                     offs_y=_STENCIL[:, 1]) -> tuple[np.ndarray, np.ndarray]:
+        """Z - C per disc row, x and y, each (pairs, offsets)."""
         d = self.disc
-        return ((x[d[:, 0]] - x[d[:, 2]])[:, None] + _STENCIL[:, 0].astype(x.dtype) * unit,
-                (x[d[:, 1]] - x[d[:, 3]])[:, None] + _STENCIL[:, 1].astype(x.dtype) * unit)
-
-    def sq_distances(self, x: np.ndarray, unit) -> np.ndarray:
-        """|Z - C|^2 per disc row, (pairs, 9)."""
-        dx, dy = self._disc_deltas(x, unit)
-        return dx * dx + dy * dy
+        return ((x[d[:, 0]] - x[d[:, 2]])[:, None] + offs_x.astype(x.dtype) * unit,
+                (x[d[:, 1]] - x[d[:, 3]])[:, None] + offs_y.astype(x.dtype) * unit)
 
     def values(self, x: np.ndarray, unit) -> np.ndarray:
         ox, oy = self._orient_points(x, unit)
-        orient = sum(s * ox[:, p] * oy[:, q] for p, q, s in _CON_PAIRS)
+        orient = _orient_form(ox, oy)
+        dx, dy = self._disc_deltas(x, unit)
         r = x[self.disc[:, 4]]
-        disc = self.sq_distances(x, unit) - (r * r)[:, None]
+        disc = dx * dx + dy * dy - (r * r)[:, None]
         return np.concatenate((orient.ravel(), disc.ravel()))
+
+    def disc_extremes(self, x: np.ndarray, unit) -> tuple[np.ndarray, np.ndarray]:
+        """Least and greatest |Z - C|^2 over each disc group's 9 stencil points.
+
+        |Z - C|^2 = (dx + a)^2 + (dy + b)^2 separates by axis, so each
+        extreme is the sum of the extremes over a, then over b, in {-1, 0, 1}.
+        """
+        dx, dy = self._disc_deltas(x, unit, _AXIS, _AXIS)
+        sx, sy = dx * dx, dy * dy
+        return sx.min(axis=1) + sy.min(axis=1), sx.max(axis=1) + sy.max(axis=1)
+
+    def worst_slacks(self, x: np.ndarray, unit) -> np.ndarray:
+        """Each group's least signed slack over its offsets, orientation groups first.
+
+        A row's signed slack is its value, negated under < and <=; a group
+        holds when its worst slack is positive, or non-negative where the
+        relation is not strict (ConstSqu has no equalities). On integer
+        vectors this is exactly the per-group minimum of the signed
+        ``values``. Each monomial of the orientation form pairs the x of one
+        point with the y of another, so the form is affine in each of the
+        six offset coordinates and takes its extremes on the 64 corners of
+        the offset cube; disc extremes come from ``disc_extremes``.
+        """
+        ox, oy = self._orient_points(x, unit, _CORNER_X, _CORNER_Y)
+        orient = _orient_form(ox, oy)
+        near, far = self.disc_extremes(x, unit)
+        r = x[self.disc[:, 4]]
+        lo = np.concatenate((orient.min(axis=1), near - r * r))
+        hi = np.concatenate((orient.max(axis=1), far - r * r))
+        return np.where(self._negated, -hi, lo)
 
     def vjp(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Gradient of sum(w * values(x)) with respect to the float vector x."""
@@ -433,9 +495,14 @@ def scale_assignment(system: StencilSystem,
                      values: Mapping[VarId, Fraction]) -> tuple[np.ndarray, int]:
     """The variable vector times D, D the LCM of the denominators, as integers.
 
-    With M = max |scaled value| + D, no stencil value or intermediate
-    exceeds 8 M^2 in magnitude (orientation rows 6 M^2), so the vector is
-    int64 when 8 M^2 < 2^63 and a Python-int object array otherwise.
+    With M = max |scaled value| + D, no intermediate of ``values``,
+    ``disc_extremes`` or ``worst_slacks`` exceeds 8 M^2 in magnitude: a
+    shifted coordinate is at most M, a difference Z - C below 2M, so a
+    squared distance (each per-axis extreme and their sums included) is
+    below 8 M^2, R^2 is below M^2, an orientation value and its partial sums
+    are at most 6 M^2, and negating a slack keeps its magnitude. So the
+    vector is int64 when 8 M^2 < 2^63 and a Python-int object array
+    otherwise.
     """
     missing = [v for v in system.variables if v not in values]
     if missing:
@@ -446,16 +513,11 @@ def scale_assignment(system: StencilSystem,
     return np.array(ints, dtype=np.int64 if 8 * bound * bound < 2**63 else object), D
 
 
-# whether a row value of sign -, 0, + satisfies each relation, in RELATIONS order
-_HOLDS = np.array([(0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0)], dtype=bool)
-
-
 def satisfied_exact(system: StencilSystem, values: Mapping[VarId, Fraction]) -> bool:
-    """Exact yes/no from the integer row values of the assignment scaled by D."""
+    """Exact yes/no from each group's worst slack, on the assignment scaled by D."""
     x, D = scale_assignment(system, values)
-    vals = system.values(x, D)
-    sign = (vals > 0).astype(np.int64) - (vals < 0)
-    return bool(np.all(_HOLDS[system.rel, sign + 1]))
+    worst = system.worst_slacks(x, D)
+    return bool(np.all(np.where(system.strict, worst > 0, worst >= 0)))
 
 
 def repair_radii(system: StencilSystem,
@@ -467,22 +529,19 @@ def repair_radii(system: StencilSystem,
     and centers are left untouched. The exact evaluator remains the sole
     acceptance gate.
     """
-    radius = system.disc[:, 4]
-    radii = dict.fromkeys(radius.tolist())     # each edge's radius index, in order
-    inside = system.disc_rel == RELATIONS.index("<=")
+    radii = dict.fromkeys(system.disc[:, 4].tolist())     # each edge's radius index, in order
     # radii are zeroed only to keep them out of the common denominator
     x, D = scale_assignment(system, {**values, **{system.variables[k]: Fraction(0)
                                                   for k in radii}})
-    d2 = system.sq_distances(x, D)          # squared stencil distances times D^2
-    far, near = d2.max(axis=1), d2.min(axis=1)
+    # squared stencil distances times D^2, one row per edge: its two
+    # endpoints (IN) first, then the other vertices (OUT)
+    near, far = (d.reshape(len(radii), -1) for d in system.disc_extremes(x, D))
 
     out = dict(values)
-    for k in radii:
-        own = radius == k
-        if not np.any(own & ~inside):
-            continue
-        max_in = Fraction(int(far[own & inside].max()), D * D)
-        min_out = Fraction(int(near[own & ~inside].min()), D * D)
+    for k, far_in, near_out in zip(radii, far[:, :2].max(axis=1).tolist(),
+                                   near[:, 2:].min(axis=1).tolist()):
+        max_in = Fraction(far_in, D * D)
+        min_out = Fraction(near_out, D * D)
         if max_in >= min_out:
             continue  # not repairable; exact evaluation will reject
         target = (max_in + min_out) / 2

@@ -8,6 +8,7 @@ Faces are always derived from the rotation system, never trusted from input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 
@@ -107,18 +108,30 @@ class PlaneTriangulation:
     rotation: dict[int, list[int]]
     outer_face: tuple[int, ...]
 
+    # Faces and edge pairs are derived once per instance and handed out as
+    # fresh lists. A malformed rotation raises on every access, since
+    # cached_property caches no exception.
+
     @property
     def edges(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset((u, v)) for u in self.rotation for v in self.rotation[u])
 
+    @cached_property
+    def _edge_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(tuple(sorted(e)) for e in self.edges))
+
     def edge_pairs(self) -> list[tuple[int, int]]:
         """Undirected edges as sorted (i, j) pairs, ordered."""
-        return sorted(tuple(sorted(e)) for e in self.edges)
+        return list(self._edge_pairs)
+
+    @cached_property
+    def _faces(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, faces_from_rotation(self.rotation)))
 
     @property
     def faces(self) -> list[list[int]]:
         """All face cycles including the outer one."""
-        return faces_from_rotation(self.rotation)
+        return [list(f) for f in self._faces]
 
     def inner_faces(self) -> list[list[int]]:
         return [f for f in self.faces if not _same_cycle(f, self.outer_face)]

@@ -18,7 +18,10 @@ gradient descent with a backtracking line search, and it ends on the first
 of:
 
 - ``satisfied()`` true, checked on the start and after any step that
-  reaches zero loss, which returns SATISFIED_FLOAT;
+  reaches zero loss, which returns SATISFIED_FLOAT. It reads each stencil
+  group's worst slack (``StencilSystem.worst_slacks``), not every row, so a
+  start that is accepted at once never evaluates the loss or its per-row
+  arrays;
 - a line search along the steepest direction that finds no lower loss;
 - a zero gradient;
 - ``SolverConfig.max_iterations`` steps;
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -43,7 +47,7 @@ from .geometry import rationalize, witness_centers
 from .plane_graph import PlaneTriangulation
 
 # rounding denominator bounds, ascending
-DENOMINATORS = (1, 4, 32, 256, 4096, 1 << 16, 1 << 24)
+DENOMINATORS = (1, 4, 32)
 # trial step when the directional derivative is NaN
 INITIAL_STEP = 1e-3
 # hinge target of strict rows: the unit stencil's scale
@@ -78,18 +82,23 @@ _EQ, _GT, _LT, _LE = map(RELATIONS.index, ("=", ">", "<", "<="))
 class _Penalty:
     """Hinge penalty over rows with relation codes ``rel`` (indices into RELATIONS).
 
-    Subclasses supply ``values(v)``, the row values at the float vector v, and
-    ``_pullback(v, w)``, the gradient of ``sum(w * values(v))``.
+    Subclasses supply ``nv``, ``rel``, ``values(v)``, the row values at the
+    float vector v, and ``_pullback(v, w)``, the gradient of
+    ``sum(w * values(v))``. The per-row masks are built when first needed.
     """
 
-    def __init__(self, nv: int, rel: np.ndarray):
-        self.nv = nv
-        self.m = len(rel)
-        self.rel = rel
-        self.is_eq = self.rel == _EQ
-        self.strict = (self.rel == _GT) | (self.rel == _LT)
-        # orientation: signed slack = sign * value, positive means satisfied
-        self.sign = np.where((self.rel == _LT) | (self.rel == _LE), -1.0, 1.0)
+    @cached_property
+    def is_eq(self) -> np.ndarray:
+        return self.rel == _EQ
+
+    @cached_property
+    def strict(self) -> np.ndarray:
+        return (self.rel == _GT) | (self.rel == _LT)
+
+    @cached_property
+    def sign(self) -> np.ndarray:
+        """Per row, the sign that makes sign * value a slack, positive when satisfied."""
+        return np.where((self.rel == _LT) | (self.rel == _LE), -1.0, 1.0)
 
     def _loss_parts(self, v: np.ndarray, margin: float):
         vals = self.values(v)
@@ -108,17 +117,6 @@ class _Penalty:
         # d loss / d value per constraint
         dval = 2.0 * resid - 2.0 * hinge * self.sign
         return loss, self._pullback(v, dval)
-
-    def satisfied(self, v: np.ndarray, margin: float) -> tuple[bool, float]:
-        vals = self.values(v)
-        scale = max(1.0, float(np.max(np.abs(v))) ** 2) if v.size else 1.0
-        eq_ok = np.all(np.abs(vals[self.is_eq]) <= 1e-9 * scale)
-        slack = self.sign * vals
-        target = np.where(self.strict, margin, 0.0)
-        ineq = ~self.is_eq
-        ok = bool(eq_ok and np.all(slack[ineq] >= target[ineq]))
-        strict_margin = float(np.min(slack[self.strict])) if np.any(self.strict) else math.inf
-        return ok, strict_margin
 
 
 class CompiledSystem(_Penalty):
@@ -139,15 +137,16 @@ class CompiledSystem(_Penalty):
                 ia.append(index[mono[0]] if mono else slot)
                 ib.append(index[mono[1]] if len(mono) == 2 else slot)
                 coefs.append(coeff)
-        rel = [RELATIONS.index(c.relation) for c in system.constraints]
-        super().__init__(slot, np.asarray(rel, dtype=np.int64))
+        self.nv = slot
+        self.rel = np.asarray([RELATIONS.index(c.relation) for c in system.constraints],
+                              dtype=np.int64)
         self.rows, self.ia, self.ib = (np.asarray(x, dtype=np.int64) for x in (rows, ia, ib))
         self.coefs = np.asarray(coefs, dtype=np.float64)
 
     def values(self, v: np.ndarray) -> np.ndarray:
         va = np.append(v, 1.0)
         tv = self.coefs * va[self.ia] * va[self.ib]
-        return np.bincount(self.rows, weights=tv, minlength=self.m)
+        return np.bincount(self.rows, weights=tv, minlength=len(self.rel))
 
     def _pullback(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         va = np.append(v, 1.0)
@@ -156,19 +155,48 @@ class CompiledSystem(_Penalty):
         grad_aug += np.bincount(self.ib, weights=tw * va[self.ia], minlength=self.nv + 1)
         return grad_aug[: self.nv]
 
+    def satisfied(self, v: np.ndarray, margin: float) -> tuple[bool, float]:
+        """Whether every row holds, strict rows by ``margin``, equalities to
+        a relative 1e-9, and the least slack of a strict row."""
+        vals = self.values(v)
+        scale = max(1.0, float(np.max(np.abs(v))) ** 2) if v.size else 1.0
+        eq_ok = np.all(np.abs(vals[self.is_eq]) <= 1e-9 * scale)
+        slack = self.sign * vals
+        target = np.where(self.strict, margin, 0.0)
+        ineq = ~self.is_eq
+        ok = bool(eq_ok and np.all(slack[ineq] >= target[ineq]))
+        strict_margin = float(np.min(slack[self.strict])) if np.any(self.strict) else math.inf
+        return ok, strict_margin
+
 
 class CompiledStencil(_Penalty):
-    """Float evaluation of ConstSqu straight from its stencil groups."""
+    """Float evaluation of ConstSqu straight from its stencil groups.
+
+    The loss and its gradient run over every row; ``satisfied`` reads only
+    each group's worst slack (``StencilSystem.worst_slacks``).
+    """
 
     def __init__(self, system: StencilSystem):
-        super().__init__(len(system.variables), system.rel)
+        self.nv = len(system.variables)
         self.system = system
+
+    @cached_property
+    def rel(self) -> np.ndarray:
+        return self.system.rel
 
     def values(self, v: np.ndarray) -> np.ndarray:
         return self.system.values(v, 1.0)
 
     def _pullback(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         return self.system.vjp(v, w)
+
+    def satisfied(self, v: np.ndarray, margin: float) -> tuple[bool, float]:
+        """Whether every group holds, strict ones by ``margin``, and the least
+        slack of a strict group."""
+        worst = self.system.worst_slacks(v, 1.0)
+        strict = self.system.strict
+        ok = bool(np.all(worst[strict] >= margin) and np.all(worst[~strict] >= 0))
+        return ok, float(np.min(worst[strict])) if np.any(strict) else math.inf
 
 
 def initialize(G: PlaneTriangulation,

@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from dtrealize.constraints import (STENCIL, MissingVariable, build_const,
+from dtrealize.constraints import (RELATIONS, STENCIL, MissingVariable, build_const,
                                    build_constsqu, constsqu_stencil, evaluate,
                                    export_system, satisfied_exact, scale_assignment,
                                    system_from_json, system_to_json,
@@ -197,6 +197,54 @@ def test_satisfied_exact_agrees_with_evaluate():
         assert x.dtype == object
     assert verdicts == {True, False}
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def _worst_from_rows(system, x, unit):
+    """Each group's least signed slack, read off the full offset table."""
+    negated = np.isin(system.rel, [RELATIONS.index("<"), RELATIONS.index("<=")])
+    vals = system.values(x, unit)
+    slack = np.where(negated, -vals, vals)
+    split = len(system.orient) * len(STENCIL) ** 3
+    return np.concatenate((slack[:split].reshape(len(system.orient), -1).min(axis=1),
+                           slack[split:].reshape(len(system.disc), -1).min(axis=1)))
+
+
+@pytest.mark.parametrize("G", [k4(), fan_triangulation(6), random_instance(9, 1005)[1]],
+                         ids=["k4", "fan6", "random9"])
+def test_worst_slacks_match_the_offset_table(G):
+    """The corner and per-axis extremes give each group's minimum over all its
+    offsets: exactly on int64 and Python-int vectors, to rounding on floats."""
+    system = constsqu_stencil(G)
+    rng = np.random.default_rng(11)
+    nv = len(system.variables)
+    for scale in (30, 3000):
+        x = rng.uniform(-scale, scale, nv)
+        assert np.allclose(system.worst_slacks(x, 1.0), _worst_from_rows(system, x, 1.0),
+                           rtol=1e-12, atol=1e-9)
+        xi = rng.integers(-scale, scale, nv)
+        assert np.array_equal(system.worst_slacks(xi, 7), _worst_from_rows(system, xi, 7))
+        xo = np.array([int(v) * 2**70 + 1 for v in xi], dtype=object)
+        big = system.worst_slacks(xo, 3 * 2**69)
+        assert big.dtype == object
+        assert big.tolist() == _worst_from_rows(system, xo, 3 * 2**69).tolist()
+
+
+def test_disc_minimum_off_the_corners():
+    """An OUT disc whose vertex sits right on the witness center is nearest
+    at the stencil's center offset: a corners-only rule would miss it."""
+    system = constsqu_stencil(k4())
+    d = int(np.flatnonzero(system.disc_rel == RELATIONS.index(">"))[0])
+    v, w, cx, cy, r = system.disc[d]
+    x = np.arange(1, len(system.variables) + 1, dtype=np.int64) * 10
+    x[v], x[w], x[r] = x[cx], x[cy], 1
+    group = len(system.orient) + d
+    disc_rows = system.values(x, 1)[len(system.orient) * len(STENCIL) ** 3:]
+    own = disc_rows[d * len(STENCIL):(d + 1) * len(STENCIL)]
+    corners = [own[k] for k, (a, b) in enumerate(STENCIL) if a and b]
+    assert own.min() == own[STENCIL.index((0, 0))] == -1 < min(corners)
+    assert system.worst_slacks(x, 1)[group] == -1
+    assert not satisfied_exact(system, {var: Fraction(int(t))
+                                        for var, t in zip(system.variables, x)})
 
 
 def test_json_roundtrip():

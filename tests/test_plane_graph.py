@@ -2,6 +2,7 @@
 
 import pytest
 
+from dtrealize import plane_graph
 from dtrealize.plane_graph import (AsymmetricEdge, FaceNotFound, NotConnected,
                                    PlaneGraphError, PlaneTriangulation, _same_cycle,
                                    build_triangulation, candidate_outer_faces,
@@ -51,6 +52,32 @@ def test_asymmetric_edge_raises():
 def test_disconnected_raises():
     with pytest.raises(NotConnected):
         faces_from_rotation({1: [2], 2: [1], 3: [4], 4: [3]})
+
+
+def test_faces_and_edge_pairs_are_derived_once(monkeypatch):
+    """Faces are walked once per triangulation; callers get fresh lists, so
+    changing one leaves the next access as it was."""
+    G = k4()
+    walks = []
+    real = plane_graph.faces_from_rotation
+
+    def counted(rotation):
+        walks.append(1)
+        return real(rotation)
+
+    monkeypatch.setattr(plane_graph, "faces_from_rotation", counted)
+    G.faces[0].append(99)
+    G.edge_pairs().clear()
+    assert G.faces == real(G.rotation) and len(G.inner_faces()) == 3
+    assert G.edge_pairs() == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    assert len(walks) == 1
+
+
+def test_malformed_rotation_raises_on_every_access():
+    G = PlaneTriangulation(2, {1: [2], 2: []}, (1, 2))
+    for _ in range(2):
+        with pytest.raises(AsymmetricEdge):
+            G.faces
 
 
 def test_build_normalizes_reflection():

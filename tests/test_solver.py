@@ -203,24 +203,29 @@ def test_solve_warm_start_zero_iterations():
 
 
 def test_solve_checks_a_satisfied_start_once(monkeypatch):
-    """A start that already satisfies ConstSqu costs one evaluation of the
-    stencil groups: the check that accepts it also gives its min_margin."""
+    """A start that already satisfies ConstSqu costs one worst-slack pass over
+    the stencil groups and no row evaluation: the check that accepts it also
+    gives its min_margin."""
     G = fan_triangulation(6)
     warm, _ = _angle_warm_start(G)
     system = constsqu_stencil(G)
     start = initialize(G, warm)
     vec = np.asarray([start[v] for v in system.variables])
     expected = CompiledStencil(system).satisfied(vec, MARGIN)[1]
-    calls = []
-    values = StencilSystem.values
+    calls = {"values": 0, "worst_slacks": 0}
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return values(self, *args, **kwargs)
+    def counted(name):
+        real = getattr(StencilSystem, name)
 
-    monkeypatch.setattr(StencilSystem, "values", counted)
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return real(self, *args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(StencilSystem, name, counted(name))
     out = solve(system, SolverConfig(), G=G, initial_points=warm)
-    assert len(calls) == 1
+    assert calls == {"values": 0, "worst_slacks": 1}
     assert out.status == "SATISFIED_FLOAT" and out.iterations == 0
     assert out.min_margin == expected
 
