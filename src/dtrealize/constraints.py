@@ -48,6 +48,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .geometry import con_poly
 from .plane_graph import PlaneTriangulation
 
 # A variable is a tuple: ("px", i) ("py", i) ("cx", i, j) ("cy", i, j)
@@ -288,11 +289,6 @@ _NEGATED = tuple(map(RELATIONS.index, ("<", "<=")))
 _STRICT = tuple(map(RELATIONS.index, (">", "<")))
 
 
-def _orient_form(ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
-    """The orientation form over stencil points shaped (groups, 3, offset choices)."""
-    return sum(s * ox[:, p] * oy[:, q] for p, q, s in _CON_PAIRS)
-
-
 @dataclass(frozen=True, eq=False)
 class StencilSystem:
     """ConstSqu(G) as index arrays over its stencil groups, for evaluation.
@@ -334,11 +330,12 @@ class StencilSystem:
     # evaluated exactly with unit D (row values then come out times D^2).
 
     def _orient_points(self, x: np.ndarray, unit, offs_x=_TRIPLE_X,
-                       offs_y=_TRIPLE_Y) -> tuple[np.ndarray, np.ndarray]:
-        """The stencil points of every orientation row, x and y, each
-        (groups, 3, offset choices)."""
-        return (x[self.orient[:, :, 0]][:, :, None] + offs_x.astype(x.dtype) * unit,
-                x[self.orient[:, :, 1]][:, :, None] + offs_y.astype(x.dtype) * unit)
+                       offs_y=_TRIPLE_Y) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The stencil points of every orientation row: per point of the form
+        its x and y, each (groups, offset choices)."""
+        return [(x[self.orient[:, p, 0]][:, None] + offs_x[p].astype(x.dtype) * unit,
+                 x[self.orient[:, p, 1]][:, None] + offs_y[p].astype(x.dtype) * unit)
+                for p in range(3)]
 
     def _disc_deltas(self, x: np.ndarray, unit, offs_x=_STENCIL[:, 0],
                      offs_y=_STENCIL[:, 1]) -> tuple[np.ndarray, np.ndarray]:
@@ -348,8 +345,7 @@ class StencilSystem:
                 (x[d[:, 1]] - x[d[:, 3]])[:, None] + offs_y.astype(x.dtype) * unit)
 
     def values(self, x: np.ndarray, unit) -> np.ndarray:
-        ox, oy = self._orient_points(x, unit)
-        orient = _orient_form(ox, oy)
+        orient = con_poly(*self._orient_points(x, unit))
         dx, dy = self._disc_deltas(x, unit)
         r = x[self.disc[:, 4]]
         disc = dx * dx + dy * dy - (r * r)[:, None]
@@ -377,8 +373,7 @@ class StencilSystem:
         six offset coordinates and takes its extremes on the 64 corners of
         the offset cube; disc extremes come from ``disc_extremes``.
         """
-        ox, oy = self._orient_points(x, unit, _CORNER_X, _CORNER_Y)
-        orient = _orient_form(ox, oy)
+        orient = con_poly(*self._orient_points(x, unit, _CORNER_X, _CORNER_Y))
         near, far = self.disc_extremes(x, unit)
         r = x[self.disc[:, 4]]
         lo = np.concatenate((orient.min(axis=1), near - r * r))
@@ -390,12 +385,12 @@ class StencilSystem:
         split = len(self.orient) * len(_TRIPLES)
         wo = w[:split].reshape(len(self.orient), -1)
         wd = w[split:].reshape(len(self.disc), -1)
-        ox, oy = self._orient_points(x, 1.0)
+        points = self._orient_points(x, 1.0)
         gx = np.zeros((len(self.orient), 3))
         gy = np.zeros((len(self.orient), 3))
         for p, q, s in _CON_PAIRS:
-            gx[:, p] += s * np.einsum("gk,gk->g", wo, oy[:, q])
-            gy[:, q] += s * np.einsum("gk,gk->g", wo, ox[:, p])
+            gx[:, p] += s * np.einsum("gk,gk->g", wo, points[q][1])
+            gy[:, q] += s * np.einsum("gk,gk->g", wo, points[p][0])
         dx, dy = self._disc_deltas(x, 1.0)
         gdx = 2.0 * np.einsum("dk,dk->d", wd, dx)
         gdy = 2.0 * np.einsum("dk,dk->d", wd, dy)
@@ -522,12 +517,15 @@ def satisfied_exact(system: StencilSystem, values: Mapping[VarId, Fraction]) -> 
 
 def repair_radii(system: StencilSystem,
                  values: dict[VarId, Fraction]) -> dict[VarId, Fraction]:
-    """Re-pick each witness radius to fit its rounded points and center.
+    """Re-pick each witness radius exactly, from its rounded points and center.
 
-    Any rational r with max(inside stencil distance^2) <= r^2 <
-    min(outside stencil distance^2) restores the disc constraints; points
-    and centers are left untouched. The exact evaluator remains the sole
-    acceptance gate.
+    On the assignment scaled by D (radii excluded), an edge's disc rows hold
+    exactly when far_in <= (r D)^2 < near_out, with far_in the greatest
+    squared stencil distance of its endpoints and near_out the least of any
+    other vertex. The fit is r = q / (m D) for the first power of two m with
+    q = ceil(sqrt(far_in m^2)) and q^2 < near_out m^2, so it finds a radius
+    whenever one exists. Otherwise the radius is kept and the exact gate
+    rejects the assignment; points and centers are never changed.
     """
     radii = dict.fromkeys(system.disc[:, 4].tolist())     # each edge's radius index, in order
     # radii are zeroed only to keep them out of the common denominator
@@ -540,17 +538,16 @@ def repair_radii(system: StencilSystem,
     out = dict(values)
     for k, far_in, near_out in zip(radii, far[:, :2].max(axis=1).tolist(),
                                    near[:, 2:].min(axis=1).tolist()):
-        max_in = Fraction(far_in, D * D)
-        min_out = Fraction(near_out, D * D)
-        if max_in >= min_out:
+        if far_in >= near_out:
             continue  # not repairable; exact evaluation will reject
-        target = (max_in + min_out) / 2
-        approx = math.sqrt(float(target))
-        for denom in (10**3, 10**6, 10**9, 10**12, 10**15):
-            r = Fraction(round(approx * denom), denom)
-            if max_in <= r * r < min_out:
-                out[system.variables[k]] = r
-                break
+        # far_in >= 2 D^2 > 0 (the stencil reaches +-1 on both axes), so
+        # isqrt(k - 1) + 1 is the ceiling square root of k = far_in m^2; the
+        # gap m (sqrt(near_out) - sqrt(far_in)) grows with m until some
+        # integer fits in it
+        m = 1
+        while (q := math.isqrt(far_in * m * m - 1) + 1) ** 2 >= near_out * m * m:
+            m *= 2
+        out[system.variables[k]] = Fraction(q, m * D)
     return out
 
 

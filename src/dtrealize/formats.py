@@ -23,6 +23,13 @@ class RealizationCertificate:
     transcript: tuple[str, ...]
 
 
+def _int(value) -> int:
+    """A JSON integer as it is; a float (even 4.0) or a boolean is an error."""
+    if type(value) is not int:
+        raise FormatError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
 # --- graph JSON ---------------------------------------------------------
 
 def graph_to_json(G: PlaneTriangulation) -> str:
@@ -40,10 +47,10 @@ def graph_from_json(text: str) -> PlaneTriangulation:
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e}") from e
     try:
-        n = int(doc["n"])
-        rotation = {int(k): [int(x) for x in v] for k, v in doc["rotation"].items()}
-        outer = [int(x) for x in doc["outer_face"]]
-    except (KeyError, TypeError, ValueError) as e:
+        n = _int(doc["n"])
+        rotation = {int(k): [_int(x) for x in v] for k, v in doc["rotation"].items()}
+        outer = [_int(x) for x in doc["outer_face"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"malformed graph document: {e}") from e
     for u, nbrs in rotation.items():
         if not 1 <= u <= n:
@@ -103,8 +110,8 @@ def certificate_from_json(text: str) -> RealizationCertificate:
     try:
         doc = json.loads(text)
         return RealizationCertificate(
-            tuple((int(x), int(y)) for x, y in doc["points"]),
-            tuple(int(v) for v in doc["outer_face"]),
+            tuple((_int(x), _int(y)) for x, y in doc["points"]),
+            tuple(_int(v) for v in doc["outer_face"]),
             tuple((Fraction(cx), Fraction(cy)) for cx, cy in doc["witness_centers"]),
             tuple(doc["transcript"]),
         )

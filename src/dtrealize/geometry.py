@@ -7,8 +7,9 @@ Every predicate is exact over int or ``fractions.Fraction`` coordinates
 ``circumcenter_homogeneous``, ``witness_centers``) run on Python ints as they
 are, which is far faster; :func:`circumcenter` divides, so it needs Fraction
 coordinates. The untrusted search also runs the multiply-only helpers on
-floats (``circumcenter_homogeneous`` and ``witness_centers``, for its start
-and its float radius); nothing float is trusted.
+floats (``con_poly``, as the stencil evaluator's orientation form on numpy
+arrays, and ``circumcenter_homogeneous`` and ``witness_centers``, for its
+start and its float radius); nothing float is trusted.
 """
 
 from __future__ import annotations

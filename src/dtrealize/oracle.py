@@ -57,7 +57,6 @@ class DelaunayResult:
     edges: frozenset[tuple[int, int]]       # 0-based sorted index pairs
     faces: tuple[tuple[int, int, int], ...]  # bounded faces, sorted triples
     hull: tuple[int, ...]                    # clockwise index cycle
-    general_position: bool
 
 
 def delaunay(points: Sequence[RatPoint]) -> DelaunayResult:
@@ -80,7 +79,7 @@ def delaunay(points: Sequence[RatPoint]) -> DelaunayResult:
             faces.append((i, j, k))
     edges = frozenset(e for f in faces for e in combinations(f, 2))
     hull = convex_hull(points).hull
-    return DelaunayResult(edges, tuple(sorted(faces)), tuple(hull), True)
+    return DelaunayResult(edges, tuple(sorted(faces)), tuple(hull))
 
 
 def _ccw_sort(points: Sequence[RatPoint], center: int, nbrs: list[int]) -> list[int]:

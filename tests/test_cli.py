@@ -61,6 +61,19 @@ def test_missing_file_is_usage_error():
     assert main(["check", "/nonexistent/graph.json"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", [["check"], ["realize"], ["emit"]])
+def test_graph_with_a_float_label_is_a_usage_error(fan_file, tmp_path, capsys, command):
+    doc = json.loads(fan_file.read_text())
+    doc["outer_face"][0] = 1.0
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main([*command, str(path), "-o", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_emit_json_and_smt2(fan_file, tmp_path, capsys):
     out = tmp_path / "sys.json"
     assert main(["emit", str(fan_file), "--flavor", "const",

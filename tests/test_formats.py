@@ -1,6 +1,7 @@
 """Graph / points / certificate serialization and the SVG plot."""
 
 import ast
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,17 @@ def test_graph_json_round_trip():
     assert formats.graph_to_json(back) == text
 
 
+def _with(text: str, *path, value) -> str:
+    """The JSON document ``text`` with the entry at ``path`` set to ``value``."""
+    doc = json.loads(text)
+    *keys, last = path
+    node = doc
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return json.dumps(doc)
+
+
 def test_graph_json_errors():
     with pytest.raises(formats.FormatError):
         formats.graph_from_json("not json at all {")
@@ -41,6 +53,15 @@ def test_graph_json_errors():
     with pytest.raises(formats.FormatError):
         formats.graph_from_json(
             '{"n": 2, "rotation": {"1": [5], "5": [1]}, "outer_face": [1, 5]}')
+    with pytest.raises(formats.FormatError):
+        formats.graph_from_json('{"n": 4, "rotation": [1, 2], "outer_face": [1, 2, 3]}')
+    # numbers that are not JSON integers are refused, not truncated to
+    # another graph (n = 5.7 used to read as 5, neighbour 3.9 as 3)
+    text = formats.graph_to_json(fan_triangulation(5))
+    for *path, value in (("n", 5.7), ("n", 5.0), ("n", True), ("rotation", "1", 1, 3.9),
+                         ("rotation", "2", 0, True), ("outer_face", 2, 3.6)):
+        with pytest.raises(formats.FormatError, match="expected an integer"):
+            formats.graph_from_json(_with(text, *path, value=value))
 
 
 def test_points_text_round_trip():
@@ -78,6 +99,13 @@ def test_certificate_round_trip():
 def test_certificate_json_malformed():
     with pytest.raises(formats.FormatError):
         formats.certificate_from_json("{}")
+    # a point [0.9, 0] used to read as (0, 0), an outer-face label 3.6 as 3
+    text = formats.certificate_to_json(realize(fan_triangulation(5)).certificate)
+    for *path, value in (("points", 0, [0.9, 0]), ("points", 1, [21.0, 21]),
+                         ("points", 0, [0, False]), ("outer_face", 2, 3.6),
+                         ("outer_face", 0, True)):
+        with pytest.raises(formats.FormatError, match="expected an integer"):
+            formats.certificate_from_json(_with(text, *path, value=value))
 
 
 def test_svg_contains_structure():

@@ -251,7 +251,13 @@ def test_warm_points_needing_a_finer_rounding(monkeypatch, n, seed):
 
 
 def _stencil_repair(G, values):
-    """Reference radius fit: exact stencil distances in Fraction, edge by edge."""
+    """Reference radius fit: exact stencil distances in Fraction, edge by edge.
+
+    With D the LCM of the point and center denominators, r = q / (m D) for
+    the first power of two m such that q = ceil(sqrt(max_in) m D) has
+    q^2 < min_out (m D)^2.
+    """
+    D = math.lcm(*(v.denominator for k, v in values.items() if k[0] != "r"))
     out = dict(values)
     for i, j in G.edge_pairs():
         center = pt(values[("cx", i, j)], values[("cy", i, j)])
@@ -264,12 +270,13 @@ def _stencil_repair(G, values):
         min_out = min(d for k in range(1, G.n + 1) if k not in (i, j) for d in d2(k))
         if max_in >= min_out:
             continue
-        approx = math.sqrt(float((max_in + min_out) / 2))
-        for denom in (10**3, 10**6, 10**9, 10**12, 10**15):
-            r = Fraction(round(approx * denom), denom)
-            if max_in <= r * r < min_out:
-                out[("r", i, j)] = r
+        m = 1
+        while True:
+            q = math.isqrt(int(max_in * (m * D) ** 2) - 1) + 1
+            if q * q < min_out * (m * D) ** 2:
                 break
+            m *= 2
+        out[("r", i, j)] = Fraction(q, m * D)
     return out
 
 
@@ -287,6 +294,21 @@ def test_repair_radii_restores_disc_constraints():
         assert evaluate(system, repaired).satisfied
         assert satisfied_exact(constsqu_stencil(G), repaired)
         assert repaired == _stencil_repair(G, values)
+
+
+def test_repair_radii_fits_beyond_float_precision():
+    """Near 2^55 a float cannot resolve the feasible radii of edge (1, 2): with
+    every center at the origin, (2^55 + 3)^2 + 1 <= r^2 < (2^55 + 4)^2, which
+    the fit meets at m = 2 with r = (2^56 + 7) / 2."""
+    pts = [pt(0, 0), pt(10, 0), pt(4, 9), pt(5, 3)]
+    G = oracle.as_plane_triangulation(oracle.delaunay(pts), pts)
+    a, b = 2**55 + 2, 2**55 + 5
+    values = {v: Fraction(0) for v in constsqu_stencil(G).variables}
+    for v, (x, y) in enumerate([(a, 0), (-a, 0), (0, b), (0, -b)], start=1):
+        values["px", v], values["py", v] = Fraction(x), Fraction(y)
+    repaired = repair_radii(constsqu_stencil(G), values)
+    assert repaired["r", 1, 2] == Fraction(2**56 + 7, 2)
+    assert repaired == _stencil_repair(G, values)
 
 
 def test_realize_deterministic():
