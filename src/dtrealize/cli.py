@@ -14,8 +14,7 @@ from pathlib import Path
 from . import formats
 from .constraints import build_const, build_constsqu, export_system
 from .instances import BoundTooSmall, fan_triangulation, random_instance
-from .plane_graph import FaceNotFound, candidate_outer_faces, reembed_with_outer_face, \
-    validate_triangulation
+from .plane_graph import candidate_outer_faces, reembed_with_outer_face, validate_triangulation
 from .realizer import RealizeConfig, certify, realize
 from .solver import SolverConfig
 
@@ -107,11 +106,7 @@ def cmd_emit(args) -> int:
             print(f"error: face index {args.face_index} out of range "
                   f"0..{len(candidates) - 1}", file=sys.stderr)
             return EXIT_USAGE
-        try:
-            G = reembed_with_outer_face(G, candidates[args.face_index])
-        except FaceNotFound as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
+        G = reembed_with_outer_face(G, candidates[args.face_index])
     system = build_const(G) if args.flavor == "const" else build_constsqu(G)
     _write(args.output, export_system(system, args.format))
     print(f"{len(system.variables)} variables, {len(system.constraints)} constraints",

@@ -17,7 +17,9 @@ group's coefficients over all its offsets at once. The exported rows
 ``constsqu_stencil``, which keeps ConstSqu as groups: per orientation group
 its three points and relation, per disc group its vertex, edge and side.
 One numpy evaluator computes every group's values over its offset table,
-in floats for the solver's loss (with an analytic gradient). The checks
+one block per group kind (``StencilSystem.blocks``); the solver's loss
+broadcasts each group's sign (``StencilSystem.sign``) over its rows, and
+``vjp`` gives its gradient from one weight block per group kind. The checks
 need only each group's worst case, which ``StencilSystem.worst_slacks``
 takes at the offsets where it can occur: an orientation form is affine in
 each of its six offset coordinates, so its extremes lie on the 64 corners
@@ -28,8 +30,9 @@ radius fit (``satisfied_exact``, ``repair_radii``), so realization never
 materialises ConstSqu as rows or term arrays. Row systems are evaluated
 exactly by ``evaluate``, the reference for any row system (row by row in
 Python ints, residuals as Fraction), and in floats by
-``solver.CompiledSystem``, the row-system reference that the stencil
-evaluator is tested against.
+``solver.CompiledSystem``, which has its own row-by-row penalty and is the
+reference that the stencil evaluator and the solver's loss are tested
+against.
 
 Systems are deterministic, exactly evaluable over Fraction, and exportable
 to JSON (lossless) and SMT-LIB2 (QF_NRA) for external complete solvers.
@@ -283,10 +286,10 @@ _CORNER_Y = np.ascontiguousarray(_CORNER_OFFSETS[:, :, 1].T)
 # the stencil's offsets along one axis
 _AXIS = np.array((-1, 0, 1), dtype=np.int64)
 
-# relations whose rows hold when minus the value is positive (non-negative),
-# and the strict relations
-_NEGATED = tuple(map(RELATIONS.index, ("<", "<=")))
+# the strict relations, and those whose rows hold when minus the value is
+# positive (non-negative)
 _STRICT = tuple(map(RELATIONS.index, (">", "<")))
+_NEGATED = tuple(map(RELATIONS.index, ("<", "<=")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,20 +313,16 @@ class StencilSystem:
     disc: np.ndarray         # (pairs, 5)
     disc_rel: np.ndarray     # (pairs,)
 
-    @property
-    def rel(self) -> np.ndarray:
-        """Each row's index into RELATIONS."""
-        return np.concatenate((np.repeat(self.orient_rel, len(_TRIPLES)),
-                               np.repeat(self.disc_rel, len(STENCIL))))
-
     @cached_property
     def strict(self) -> np.ndarray:
         """Whether each group's relation is strict, in ``worst_slacks`` order."""
         return np.isin(np.concatenate((self.orient_rel, self.disc_rel)), _STRICT)
 
     @cached_property
-    def _negated(self) -> np.ndarray:
-        return np.isin(np.concatenate((self.orient_rel, self.disc_rel)), _NEGATED)
+    def sign(self) -> np.ndarray:
+        """Per group, in ``worst_slacks`` order, -1.0 under < and <=, else 1.0."""
+        negated = np.isin(np.concatenate((self.orient_rel, self.disc_rel)), _NEGATED)
+        return np.where(negated, -1.0, 1.0)
 
     # The evaluators run on float, int64 or Python-int object vectors alike;
     # offsets are multiplied by ``unit``, so an assignment scaled by D is
@@ -344,12 +343,15 @@ class StencilSystem:
         return ((x[d[:, 0]] - x[d[:, 2]])[:, None] + offs_x.astype(x.dtype) * unit,
                 (x[d[:, 1]] - x[d[:, 3]])[:, None] + offs_y.astype(x.dtype) * unit)
 
-    def values(self, x: np.ndarray, unit) -> np.ndarray:
+    def blocks(self, x: np.ndarray, unit) -> tuple[np.ndarray, np.ndarray]:
+        """The row values per group: orientation (groups, 729), disc (pairs, 9)."""
         orient = con_poly(*self._orient_points(x, unit))
         dx, dy = self._disc_deltas(x, unit)
         r = x[self.disc[:, 4]]
-        disc = dx * dx + dy * dy - (r * r)[:, None]
-        return np.concatenate((orient.ravel(), disc.ravel()))
+        return orient, dx * dx + dy * dy - (r * r)[:, None]
+
+    def values(self, x: np.ndarray, unit) -> np.ndarray:
+        return np.concatenate([block.ravel() for block in self.blocks(x, unit)])
 
     def disc_extremes(self, x: np.ndarray, unit) -> tuple[np.ndarray, np.ndarray]:
         """Least and greatest |Z - C|^2 over each disc group's 9 stencil points.
@@ -378,13 +380,11 @@ class StencilSystem:
         r = x[self.disc[:, 4]]
         lo = np.concatenate((orient.min(axis=1), near - r * r))
         hi = np.concatenate((orient.max(axis=1), far - r * r))
-        return np.where(self._negated, -hi, lo)
+        return np.where(self.sign < 0, -hi, lo)
 
-    def vjp(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Gradient of sum(w * values(x)) with respect to the float vector x."""
-        split = len(self.orient) * len(_TRIPLES)
-        wo = w[:split].reshape(len(self.orient), -1)
-        wd = w[split:].reshape(len(self.disc), -1)
+    def vjp(self, x: np.ndarray, wo: np.ndarray, wd: np.ndarray) -> np.ndarray:
+        """Gradient of sum(wo * orient) + sum(wd * disc) with respect to the
+        float vector x, for the blocks (orient, disc) = ``blocks(x, 1.0)``."""
         points = self._orient_points(x, 1.0)
         gx = np.zeros((len(self.orient), 3))
         gy = np.zeros((len(self.orient), 3))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,6 +31,34 @@ def _int(value) -> int:
     return value
 
 
+def _str(value) -> str:
+    if type(value) is not str:
+        raise FormatError(f"expected a string, got {json.dumps(value)}")
+    return value
+
+
+def _unique_keys(pairs: list) -> dict:
+    """``json.loads``'s object_pairs_hook: a key may appear only once."""
+    if len(doc := dict(pairs)) != len(pairs):
+        raise FormatError(f"duplicate key in {json.dumps([k for k, _ in pairs])}")
+    return doc
+
+
+def _label(key: str) -> int:
+    """A rotation key: canonical decimal digits only, so no two keys name one vertex."""
+    if not re.fullmatch(r"0|[1-9][0-9]*", key):
+        raise FormatError(f"expected a vertex label, got key {json.dumps(key)}")
+    return int(key)
+
+
+def _rat(value) -> Fraction:
+    """A rational as ``_rat_str`` writes it: a string "a" or "a/b", b != 0."""
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", value) if type(value) is str else None
+    if match is None or match[2] is not None and int(match[2]) == 0:
+        raise FormatError(f'expected a rational "a" or "a/b", got {json.dumps(value)}')
+    return Fraction(int(match[1]), int(match[2] or 1))
+
+
 # --- graph JSON ---------------------------------------------------------
 
 def graph_to_json(G: PlaneTriangulation) -> str:
@@ -43,12 +72,12 @@ def graph_to_json(G: PlaneTriangulation) -> str:
 
 def graph_from_json(text: str) -> PlaneTriangulation:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e}") from e
     try:
         n = _int(doc["n"])
-        rotation = {int(k): [_int(x) for x in v] for k, v in doc["rotation"].items()}
+        rotation = {_label(k): [_int(x) for x in v] for k, v in doc["rotation"].items()}
         outer = [_int(x) for x in doc["outer_face"]]
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"malformed graph document: {e}") from e
@@ -108,12 +137,12 @@ def certificate_to_json(cert: RealizationCertificate) -> str:
 
 def certificate_from_json(text: str) -> RealizationCertificate:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
         return RealizationCertificate(
             tuple((_int(x), _int(y)) for x, y in doc["points"]),
             tuple(_int(v) for v in doc["outer_face"]),
-            tuple((Fraction(cx), Fraction(cy)) for cx, cy in doc["witness_centers"]),
-            tuple(doc["transcript"]),
+            tuple((_rat(cx), _rat(cy)) for cx, cy in doc["witness_centers"]),
+            tuple(_str(line) for line in doc["transcript"]),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"malformed certificate: {e}") from e

@@ -308,8 +308,8 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             # small seeded rational jitters, each drawn only once the trial
             # before it has failed
             rng = random.Random(solver_cfg.seed)
-            for k in range(4):
-                trial = rat_points if k == 0 else [
+            for trial_index in range(4):
+                trial = rat_points if trial_index == 0 else [
                     RatPoint(p.x + Fraction(rng.randrange(-499, 500), 1999),
                              p.y + Fraction(rng.randrange(-499, 500), 1999))
                     for p in rat_points]

@@ -6,11 +6,15 @@ exact arithmetic. Nothing here is trusted for correctness.
 
 Loss: sum of squared equality residuals plus squared hinges on strict
 inequalities (hinge target = margin; non-strict relations use margin 0).
-All polynomials have degree <= 2, so the analytic gradient is evaluated
-directly from the stencil groups of ConstSqu (``CompiledStencil``), the
-only system ``solve`` searches. ``CompiledSystem`` evaluates a row system
-from flat term arrays; it is the row-system reference the stencil evaluator
-is tested against.
+``solve`` searches ConstSqu, which has no equalities: its loss
+(``penalty``) is computed from the value blocks of ``StencilSystem.blocks``
+with each group's sign and hinge target broadcast over its offsets, so no
+per-row relation, sign or target array is built. All polynomials have
+degree <= 2, and the analytic gradient (``penalty_grad``) is the groups'
+``vjp`` of the hinge weights. ``CompiledSystem`` evaluates a row system
+from flat term arrays with its own row-by-row penalty; sharing no code with
+the search, it is the row-system reference the stencil penalty is tested
+against.
 
 ``solve`` tries the start from ``initialize`` and then up to
 ``SolverConfig.restarts`` seeded jitters of it. Each start is a conjugate
@@ -20,8 +24,7 @@ of:
 - ``satisfied()`` true, checked on the start and after any step that
   reaches zero loss, which returns SATISFIED_FLOAT. It reads each stencil
   group's worst slack (``StencilSystem.worst_slacks``), not every row, so a
-  start that is accepted at once never evaluates the loss or its per-row
-  arrays;
+  start that is accepted at once never evaluates the loss;
 - a line search along the steepest direction that finds no lower loss;
 - a zero gradient;
 - ``SolverConfig.max_iterations`` steps;
@@ -36,7 +39,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -76,51 +78,50 @@ class SolveOutcome:
     restart_index: int
 
 
+def _hinges(system: StencilSystem, v: np.ndarray,
+            margin: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per block of ``system.blocks``, its hinges max(0, target - sign * value)
+    (target ``margin`` on strict groups, else 0) and its groups' signs, a column."""
+    k = len(system.orient)
+    target = np.where(system.strict, margin, 0.0)[:, None]
+    sign = system.sign[:, None]
+    return [(np.maximum(0.0, t - s * block), s) for block, t, s in
+            zip(system.blocks(v, 1.0), (target[:k], target[k:]), (sign[:k], sign[k:]))]
+
+
+def _sum_squares(hinges: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    # one dot in ``values`` row order: a dot per block would round differently
+    h = np.concatenate([hinge.ravel() for hinge, _ in hinges])
+    return float(np.dot(h, h))
+
+
+def penalty(system: StencilSystem, v: np.ndarray, margin: float) -> float:
+    """Sum of squared hinges of ConstSqu's rows at the float vector v."""
+    return _sum_squares(_hinges(system, v, margin))
+
+
+def penalty_grad(system: StencilSystem, v: np.ndarray,
+                 margin: float) -> tuple[float, np.ndarray]:
+    """``penalty`` and its gradient: a row's hinge h weighs its value by -2 h sign."""
+    hinges = _hinges(system, v, margin)
+    return _sum_squares(hinges), system.vjp(v, *(-2.0 * h * s for h, s in hinges))
+
+
+def satisfied(system: StencilSystem, v: np.ndarray, margin: float) -> tuple[bool, float]:
+    """Whether every group holds, strict ones by ``margin``, and the least
+    slack of a strict group, from each group's worst slack."""
+    worst = system.worst_slacks(v, 1.0)
+    strict = system.strict
+    ok = bool(np.all(worst[strict] >= margin) and np.all(worst[~strict] >= 0))
+    return ok, float(np.min(worst[strict])) if np.any(strict) else math.inf
+
+
 _EQ, _GT, _LT, _LE = map(RELATIONS.index, ("=", ">", "<", "<="))
 
 
-class _Penalty:
-    """Hinge penalty over rows with relation codes ``rel`` (indices into RELATIONS).
-
-    Subclasses supply ``nv``, ``rel``, ``values(v)``, the row values at the
-    float vector v, and ``_pullback(v, w)``, the gradient of
-    ``sum(w * values(v))``. The per-row masks are built when first needed.
-    """
-
-    @cached_property
-    def is_eq(self) -> np.ndarray:
-        return self.rel == _EQ
-
-    @cached_property
-    def strict(self) -> np.ndarray:
-        return (self.rel == _GT) | (self.rel == _LT)
-
-    @cached_property
-    def sign(self) -> np.ndarray:
-        """Per row, the sign that makes sign * value a slack, positive when satisfied."""
-        return np.where((self.rel == _LT) | (self.rel == _LE), -1.0, 1.0)
-
-    def _loss_parts(self, v: np.ndarray, margin: float):
-        vals = self.values(v)
-        target = np.where(self.strict, margin, 0.0)
-        slack = self.sign * vals
-        hinge = np.maximum(0.0, target - slack)
-        resid = np.where(self.is_eq, vals, 0.0)
-        loss = float(np.dot(resid, resid) + np.dot(hinge, hinge))
-        return loss, resid, hinge
-
-    def loss(self, v: np.ndarray, margin: float) -> float:
-        return self._loss_parts(v, margin)[0]
-
-    def loss_grad(self, v: np.ndarray, margin: float) -> tuple[float, np.ndarray]:
-        loss, resid, hinge = self._loss_parts(v, margin)
-        # d loss / d value per constraint
-        dval = 2.0 * resid - 2.0 * hinge * self.sign
-        return loss, self._pullback(v, dval)
-
-
-class CompiledSystem(_Penalty):
-    """Vectorized float evaluation of a row system as flat term arrays.
+class CompiledSystem:
+    """Vectorized float evaluation of a row system as flat term arrays, with
+    the row-by-row penalty: the reference the stencil penalty is tested against.
 
     Term t adds ``coefs[t] * v[ia[t]] * v[ib[t]]`` to row ``rows[t]``, where v
     is the variable vector followed by a constant slot at index ``nv``; terms
@@ -142,18 +143,32 @@ class CompiledSystem(_Penalty):
                               dtype=np.int64)
         self.rows, self.ia, self.ib = (np.asarray(x, dtype=np.int64) for x in (rows, ia, ib))
         self.coefs = np.asarray(coefs, dtype=np.float64)
+        self.is_eq = self.rel == _EQ
+        self.strict = (self.rel == _GT) | (self.rel == _LT)
+        # per row, the sign that makes sign * value a slack, positive when satisfied
+        self.sign = np.where((self.rel == _LT) | (self.rel == _LE), -1.0, 1.0)
 
     def values(self, v: np.ndarray) -> np.ndarray:
         va = np.append(v, 1.0)
         tv = self.coefs * va[self.ia] * va[self.ib]
         return np.bincount(self.rows, weights=tv, minlength=len(self.rel))
 
-    def _pullback(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def loss_grad(self, v: np.ndarray, margin: float) -> tuple[float, np.ndarray]:
+        """Sum of squared equality residuals and inequality hinges, and its gradient."""
+        vals = self.values(v)
+        target = np.where(self.strict, margin, 0.0)
+        hinge = np.where(self.is_eq, 0.0, np.maximum(0.0, target - self.sign * vals))
+        resid = np.where(self.is_eq, vals, 0.0)
+        loss = float(np.dot(resid, resid) + np.dot(hinge, hinge))
+        # pulled back from d loss / d value per row, term by term
         va = np.append(v, 1.0)
-        tw = w[self.rows] * self.coefs
-        grad_aug = np.bincount(self.ia, weights=tw * va[self.ib], minlength=self.nv + 1)
-        grad_aug += np.bincount(self.ib, weights=tw * va[self.ia], minlength=self.nv + 1)
-        return grad_aug[: self.nv]
+        tw = (2.0 * resid - 2.0 * hinge * self.sign)[self.rows] * self.coefs
+        grad = np.bincount(self.ia, weights=tw * va[self.ib], minlength=self.nv + 1)
+        grad += np.bincount(self.ib, weights=tw * va[self.ia], minlength=self.nv + 1)
+        return loss, grad[: self.nv]
+
+    def loss(self, v: np.ndarray, margin: float) -> float:
+        return self.loss_grad(v, margin)[0]
 
     def satisfied(self, v: np.ndarray, margin: float) -> tuple[bool, float]:
         """Whether every row holds, strict rows by ``margin``, equalities to
@@ -162,41 +177,8 @@ class CompiledSystem(_Penalty):
         scale = max(1.0, float(np.max(np.abs(v))) ** 2) if v.size else 1.0
         eq_ok = np.all(np.abs(vals[self.is_eq]) <= 1e-9 * scale)
         slack = self.sign * vals
-        target = np.where(self.strict, margin, 0.0)
-        ineq = ~self.is_eq
-        ok = bool(eq_ok and np.all(slack[ineq] >= target[ineq]))
-        strict_margin = float(np.min(slack[self.strict])) if np.any(self.strict) else math.inf
-        return ok, strict_margin
-
-
-class CompiledStencil(_Penalty):
-    """Float evaluation of ConstSqu straight from its stencil groups.
-
-    The loss and its gradient run over every row; ``satisfied`` reads only
-    each group's worst slack (``StencilSystem.worst_slacks``).
-    """
-
-    def __init__(self, system: StencilSystem):
-        self.nv = len(system.variables)
-        self.system = system
-
-    @cached_property
-    def rel(self) -> np.ndarray:
-        return self.system.rel
-
-    def values(self, v: np.ndarray) -> np.ndarray:
-        return self.system.values(v, 1.0)
-
-    def _pullback(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return self.system.vjp(v, w)
-
-    def satisfied(self, v: np.ndarray, margin: float) -> tuple[bool, float]:
-        """Whether every group holds, strict ones by ``margin``, and the least
-        slack of a strict group."""
-        worst = self.system.worst_slacks(v, 1.0)
-        strict = self.system.strict
-        ok = bool(np.all(worst[strict] >= margin) and np.all(worst[~strict] >= 0))
-        return ok, float(np.min(worst[strict])) if np.any(strict) else math.inf
+        ok = bool(eq_ok and np.all((slack >= np.where(self.strict, margin, 0.0))[~self.is_eq]))
+        return ok, float(np.min(slack[self.strict])) if np.any(self.strict) else math.inf
 
 
 def initialize(G: PlaneTriangulation,
@@ -248,7 +230,6 @@ def solve(system: StencilSystem, config: SolverConfig, G: PlaneTriangulation,
     ``time.monotonic()`` instant after which no further descent step or
     restart begins.
     """
-    comp = CompiledStencil(system)
     values = initialize(G, initial_points)
     start = np.asarray([values[v] for v in system.variables], dtype=np.float64)
     point_mask = np.asarray([v[0] in ("px", "py") for v in system.variables])
@@ -269,17 +250,16 @@ def solve(system: StencilSystem, config: SolverConfig, G: PlaneTriangulation,
     best_restart = 0
     total_iters = 0
 
-    def finish(vec: np.ndarray, restart: int, min_margin: float) -> SolveOutcome:
-        return SolveOutcome("SATISFIED_FLOAT",
-                            dict(zip(system.variables, map(float, vec))),
+    def outcome(status: str, vec: np.ndarray, restart: int, min_margin: float) -> SolveOutcome:
+        return SolveOutcome(status, dict(zip(system.variables, map(float, vec))),
                             min_margin, total_iters, restart)
 
     for restart in range(config.restarts + 1):
         vec = start_vector(restart)
-        ok, min_margin = comp.satisfied(vec, MARGIN)
+        ok, min_margin = satisfied(system, vec, MARGIN)
         if ok:
-            return finish(vec, restart, min_margin)
-        loss, grad = comp.loss_grad(vec, MARGIN)
+            return outcome("SATISFIED_FLOAT", vec, restart, min_margin)
+        loss, grad = penalty_grad(system, vec, MARGIN)
         # conjugate descent direction (Polak-Ribiere, reset on non-descent);
         # the initial trial step targets loss 0 along the direction and
         # backtracking keeps accepted losses strictly decreasing
@@ -300,7 +280,7 @@ def solve(system: StencilSystem, config: SolverConfig, G: PlaneTriangulation,
             accepted = False
             for _ in range(40):
                 cand = vec + alpha * direction
-                closs = comp.loss(cand, MARGIN)
+                closs = penalty(system, cand, MARGIN)
                 if closs < loss:
                     accepted = True
                     break
@@ -315,10 +295,10 @@ def solve(system: StencilSystem, config: SolverConfig, G: PlaneTriangulation,
             # ConstSqu has no equality rows, so it is satisfied only at zero
             # loss; the check is still needed, as a tiny hinge squares to 0
             if loss == 0.0:
-                ok, min_margin = comp.satisfied(vec, MARGIN)
+                ok, min_margin = satisfied(system, vec, MARGIN)
                 if ok:
-                    return finish(vec, restart, min_margin)
-            new_grad = comp.loss_grad(vec, MARGIN)[1]
+                    return outcome("SATISFIED_FLOAT", vec, restart, min_margin)
+            new_grad = penalty_grad(system, vec, MARGIN)[1]
             g2 = float(grad @ grad)
             beta = max(0.0, float(new_grad @ (new_grad - grad)) / g2) if g2 > 0 else 0.0
             direction = -new_grad + beta * direction
@@ -332,10 +312,8 @@ def solve(system: StencilSystem, config: SolverConfig, G: PlaneTriangulation,
             break
 
     assert best_vec is not None
-    mm = comp.satisfied(best_vec, MARGIN)[1]
-    return SolveOutcome("EXHAUSTED",
-                        dict(zip(system.variables, map(float, best_vec))),
-                        mm, total_iters, best_restart)
+    mm = satisfied(system, best_vec, MARGIN)[1]
+    return outcome("EXHAUSTED", best_vec, best_restart, mm)
 
 
 def round_candidates(assignment: dict[VarId, float]) -> Iterator[dict[VarId, Fraction]]:

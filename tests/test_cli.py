@@ -7,8 +7,10 @@ import pytest
 
 from dtrealize import realizer
 from dtrealize.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
+from dtrealize.constraints import graph_digest
 from dtrealize.formats import certificate_from_json, graph_to_json
-from dtrealize.plane_graph import build_triangulation
+from dtrealize.plane_graph import build_triangulation, candidate_outer_faces, \
+    reembed_with_outer_face
 from dtrealize.realizer import RealizeConfig
 from dtrealize.solver import SolverConfig
 
@@ -92,6 +94,22 @@ def test_emit_json_and_smt2(fan_file, tmp_path, capsys):
 def test_emit_face_index_out_of_range(fan_file):
     # a fan fixes its own outer face: only index 0 exists
     assert main(["emit", str(fan_file), "--face-index", "7"]) == EXIT_USAGE
+
+
+def test_emit_face_index_reembeds(tmp_path):
+    """K4 has four candidate outer faces; --face-index 1 exports the system of
+    the second one, re-embedded."""
+    G = build_triangulation(4, {1: [2, 4, 3], 2: [3, 4, 1], 3: [1, 4, 2], 4: [1, 2, 3]},
+                            (1, 3, 2))
+    path = tmp_path / "k4.json"
+    path.write_text(graph_to_json(G))
+    digests = []
+    for face in (0, 1):
+        out = tmp_path / f"sys{face}.json"
+        assert main(["emit", str(path), "--face-index", str(face), "-o", str(out)]) == EXIT_OK
+        digests.append(json.loads(out.read_text())["graph_digest"])
+    H = reembed_with_outer_face(G, candidate_outer_faces(G)[1])
+    assert digests[1] == graph_digest(H) != digests[0]
 
 
 def test_realize_verify_round_trip(fan_file, tmp_path):

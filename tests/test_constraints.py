@@ -201,7 +201,9 @@ def test_satisfied_exact_agrees_with_evaluate():
 
 def _worst_from_rows(system, x, unit):
     """Each group's least signed slack, read off the full offset table."""
-    negated = np.isin(system.rel, [RELATIONS.index("<"), RELATIONS.index("<=")])
+    rel = np.concatenate((np.repeat(system.orient_rel, len(STENCIL) ** 3),
+                          np.repeat(system.disc_rel, len(STENCIL))))
+    negated = np.isin(rel, [RELATIONS.index("<"), RELATIONS.index("<=")])
     vals = system.values(x, unit)
     slack = np.where(negated, -vals, vals)
     split = len(system.orient) * len(STENCIL) ** 3

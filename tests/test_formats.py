@@ -62,6 +62,21 @@ def test_graph_json_errors():
                          ("rotation", "2", 0, True), ("outer_face", 2, 3.6)):
         with pytest.raises(formats.FormatError, match="expected an integer"):
             formats.graph_from_json(_with(text, *path, value=value))
+    # rotation keys are canonical decimal labels, each once: " 5 ", "01" and
+    # "1_0" used to read as 5, 1 and 10, and "01" next to "1" dropped a rotation
+    for key in (" 5 ", "01", "1_0", "+1", "\uff11"):
+        doc = json.loads(text)
+        doc["rotation"][key] = doc["rotation"].pop("1")
+        with pytest.raises(formats.FormatError, match="vertex label"):
+            formats.graph_from_json(json.dumps(doc))
+    doc = json.loads(text)
+    doc["rotation"]["01"] = doc["rotation"]["1"]
+    with pytest.raises(formats.FormatError):
+        formats.graph_from_json(json.dumps(doc))
+    duplicate = text.replace('"1": [', '"1": [2, 5, 4, 3], "1": [', 1)
+    assert duplicate != text
+    with pytest.raises(formats.FormatError, match="duplicate key"):
+        formats.graph_from_json(duplicate)
 
 
 def test_points_text_round_trip():
@@ -106,6 +121,16 @@ def test_certificate_json_malformed():
                          ("outer_face", 0, True)):
         with pytest.raises(formats.FormatError, match="expected an integer"):
             formats.certificate_from_json(_with(text, *path, value=value))
+    # witness centers are "a" or "a/b" strings, as the writer emits them: a
+    # float or boolean used to read as some other number, and "1/0" escaped
+    # as ZeroDivisionError
+    for center in ([0.1, True], [1, "2"], ["1/0", "0"], ["1/2", "1.5"], ["1_0", "0"],
+                   [" 1", "0"], ["1/-2", "0"], ["1/2/3", "0"], [None, "0"]):
+        with pytest.raises(formats.FormatError, match="rational"):
+            formats.certificate_from_json(_with(text, "witness_centers", 0, value=center))
+    for entry in ([1, None], 7, None):
+        with pytest.raises(formats.FormatError, match="expected a string"):
+            formats.certificate_from_json(_with(text, "transcript", 0, value=entry))
 
 
 def test_svg_contains_structure():

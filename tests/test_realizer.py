@@ -404,6 +404,32 @@ def test_certify_failure_is_not_reported_as_a_gate_failure(monkeypatch):
         assert "note" not in attempt
 
 
+def test_exhausted_solve_is_reported_with_its_margin():
+    """Warm points on one circle (float radius <= 0, so they are only scaled
+    up by initialize) leave ConstSqu unsatisfied, and no step may run."""
+    hexagon = [(math.sin(k * math.pi / 3), math.cos(k * math.pi / 3)) for k in range(6)]
+    config = RealizeConfig(solver=solver.SolverConfig(max_iterations=0, restarts=0))
+    res = realize(fan_triangulation(6), config, warm_points=hexagon)
+    assert res.status == "UNKNOWN" and res.certificate is None
+    (attempt,) = res.diagnostics
+    assert attempt.keys() == {"outer_face", "solver_status", "min_margin"}
+    assert attempt["solver_status"] == "EXHAUSTED"
+    assert attempt["min_margin"] == pytest.approx(-69.32, abs=0.01)
+
+
+def test_exact_gate_failure_is_noted(monkeypatch):
+    """A float solution whose rounded candidates all fail the exact ConstSqu
+    check is reported with the note, and nothing reaches certify."""
+    monkeypatch.setattr(realizer, "satisfied_exact", lambda system, values: False)
+    monkeypatch.setattr(realizer, "certify", None)
+    res = realize(fan_triangulation(6))
+    assert res.status == "UNKNOWN"
+    (attempt,) = res.diagnostics
+    assert attempt["solver_status"] == "SATISFIED_FLOAT" and attempt["min_margin"] > 0
+    assert attempt["note"] == "no rounded candidate satisfied the exact system"
+    assert "certify_fail" not in attempt
+
+
 @pytest.mark.parametrize("n, seed", [(7, 4007), (7, 4013), (8, 4021), (9, 4007), (9, 4021),
                                      (10, 4007)])
 def test_single_face_graphs_once_lost_by_the_search_are_realized(n, seed):

@@ -3,17 +3,18 @@
 import math
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
-from dtrealize.constraints import Constraint, ConstraintSystem, StencilSystem, build_const, \
-    build_constsqu, constsqu_stencil
+from dtrealize.constraints import STENCIL, Constraint, ConstraintSystem, StencilSystem, \
+    build_const, build_constsqu, constsqu_stencil
 from dtrealize.instances import fan_triangulation, random_instance
 from dtrealize.plane_graph import build_triangulation
 from dtrealize.realizer import _angle_warm_start, certify
-from dtrealize.solver import (DENOMINATORS, MARGIN, CompiledStencil, CompiledSystem,
-                              SolverConfig, initialize, round_candidates, solve)
+from dtrealize.solver import (DENOMINATORS, MARGIN, CompiledSystem, SolverConfig, initialize,
+                              penalty, penalty_grad, round_candidates, satisfied, solve)
 
 K4_ROT = {1: [2, 4, 3], 2: [3, 4, 1], 3: [1, 4, 2], 4: [1, 2, 3]}
 # K4's outer triangle on the unit circle, vertex 4 at its center
@@ -56,33 +57,42 @@ def test_penalty_zero_at_satisfied():
 
 def test_penalty_equality_residual():
     assert _toy_penalty("=", 3.0, margin=1.0) == (9.0, 6.0)
+    # an equality is not hinged: below zero only its residual counts
+    assert _toy_penalty("=", -3.0, margin=1.0) == (9.0, -6.0)
 
 
 def test_penalty_nonstrict_uses_zero_margin():
     assert _toy_penalty(">=", 0.0, margin=5.0)[0] == 0.0
 
 
-def _central_difference(comp, vec, margin, h=1e-6):
+def _penalty_of(system):
+    """(loss, loss_grad, variable count) of the stencil penalty or of the compiled rows."""
+    if isinstance(system, StencilSystem):
+        return partial(penalty, system), partial(penalty_grad, system), len(system.variables)
+    comp = CompiledSystem(system)
+    return comp.loss, comp.loss_grad, comp.nv
+
+
+def _central_difference(loss, vec, margin, h=1e-6):
     out = np.zeros_like(vec)
     for i in range(len(vec)):
         up = vec.copy()
         dn = vec.copy()
         up[i] += h
         dn[i] -= h
-        out[i] = (comp.loss(up, margin) - comp.loss(dn, margin)) / (2 * h)
+        out[i] = (loss(up, margin) - loss(dn, margin)) / (2 * h)
     return out
 
 
 @pytest.mark.parametrize("build", [build_const, build_constsqu, constsqu_stencil])
 def test_gradient_matches_finite_differences(build):
     system = build(k4())
-    comp = (CompiledStencil(system) if isinstance(system, StencilSystem)
-            else CompiledSystem(system))
+    loss, loss_grad, nv = _penalty_of(system)
     rng = np.random.default_rng(42)
     for _ in range(10):
-        vec = rng.uniform(-8, 8, comp.nv)
-        _, grad = comp.loss_grad(vec, margin=1.0)
-        fd = _central_difference(comp, vec, 1.0)
+        vec = rng.uniform(-8, 8, nv)
+        _, grad = loss_grad(vec, margin=1.0)
+        fd = _central_difference(loss, vec, 1.0)
         denom = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(fd)))
         assert float(np.max(np.abs(grad - fd) / denom)) < 1e-5
 
@@ -98,19 +108,21 @@ def test_stencil_matches_compiled_rows(G):
     loss, gradient and satisfaction semantics, up to float rounding."""
     system = constsqu_stencil(G)
     assert system.variables == build_constsqu(G).variables
-    stencil, rows = CompiledStencil(system), CompiledSystem(build_constsqu(G))
-    assert np.array_equal(stencil.rel, rows.rel)
+    rows = CompiledSystem(build_constsqu(G))
+    rel = np.concatenate((np.repeat(system.orient_rel, len(STENCIL) ** 3),
+                          np.repeat(system.disc_rel, len(STENCIL))))
+    assert np.array_equal(rel, rows.rel)
     rng = np.random.default_rng(7)
     for scale in (30, 300, 3000):
         vec = rng.uniform(-scale, scale, rows.nv)
-        assert _close(stencil.values(vec), rows.values(vec))
+        assert _close(system.values(vec, 1.0), rows.values(vec))
         for margin in (1.0, 50.0):
-            la, ga = stencil.loss_grad(vec, margin)
+            la, ga = penalty_grad(system, vec, margin)
             lb, gb = rows.loss_grad(vec, margin)
             assert la == pytest.approx(lb, rel=1e-9)
             assert _close(ga, gb)
-            assert stencil.loss(vec, margin) == la
-            ok_a, mm_a = stencil.satisfied(vec, margin)
+            assert penalty(system, vec, margin) == la
+            ok_a, mm_a = satisfied(system, vec, margin)
             ok_b, mm_b = rows.satisfied(vec, margin)
             assert ok_a == ok_b and mm_a == pytest.approx(mm_b, rel=1e-9, abs=1e-9)
 
@@ -211,8 +223,8 @@ def test_solve_checks_a_satisfied_start_once(monkeypatch):
     system = constsqu_stencil(G)
     start = initialize(G, warm)
     vec = np.asarray([start[v] for v in system.variables])
-    expected = CompiledStencil(system).satisfied(vec, MARGIN)[1]
-    calls = {"values": 0, "worst_slacks": 0}
+    expected = satisfied(system, vec, MARGIN)[1]
+    calls = {"blocks": 0, "worst_slacks": 0}
 
     def counted(name):
         real = getattr(StencilSystem, name)
@@ -225,7 +237,7 @@ def test_solve_checks_a_satisfied_start_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(StencilSystem, name, counted(name))
     out = solve(system, SolverConfig(), G=G, initial_points=warm)
-    assert calls == {"values": 0, "worst_slacks": 1}
+    assert calls == {"blocks": 0, "worst_slacks": 1}
     assert out.status == "SATISFIED_FLOAT" and out.iterations == 0
     assert out.min_margin == expected
 
@@ -237,7 +249,7 @@ def _fan6_hexagon():
     system = constsqu_stencil(G)
     start = initialize(G, HEXAGON)
     vec = np.asarray([start[v] for v in system.variables])
-    assert not CompiledStencil(system).satisfied(vec, MARGIN)[0]
+    assert not satisfied(system, vec, MARGIN)[0]
     return G, system
 
 
