@@ -12,19 +12,21 @@ Two flavors over a shared degree-<=2 integer polynomial IR:
 
 Both are described once, as groups of rows that share a monomial layout and
 differ only in the stencil offsets substituted into it; numpy computes a
-group's coefficients over all its offsets at once. The exported rows
-(``build_const``, ``build_constsqu``) come from that description. So does
-``constsqu_stencil``, which keeps ConstSqu as groups: per orientation group
-its three points and relation, per disc group its vertex, edge and side.
-One numpy evaluator computes every group's values over its offset table,
-one block per group kind (``StencilSystem.blocks``); the solver's loss
-broadcasts each group's sign (``StencilSystem.sign``) over its rows, and
-``vjp`` gives its gradient from one weight block per group kind. The checks
-need only each group's worst case, which ``StencilSystem.worst_slacks``
-takes at the offsets where it can occur: an orientation form is affine in
-each of its six offset coordinates, so its extremes lie on the 64 corners
-of the offset cube, and a disc value separates into an x part and a y part,
-so its extremes are per-axis extremes over three offsets each. It runs in
+group's coefficients over all its offsets at once. The row builders
+(``build_const``, ``build_constsqu``) expand each group straight into its
+rows (``_expand``). ``constsqu_stencil`` keeps ConstSqu as the same groups:
+per orientation group its three points, per disc group its vertex, edge and
+side, and per group its relation as a sign and a strictness flag
+(``StencilSystem.sign``, ``StencilSystem.strict``). One numpy evaluator
+computes every group's values over its offset table, one block per group
+kind (``StencilSystem.blocks``); the solver's loss broadcasts each group's
+sign over its rows, and ``vjp`` gives its gradient from one weight block
+per group kind. The checks need only each group's worst case, which
+``StencilSystem.worst_slacks`` takes at the offsets where it can occur: an
+orientation form is affine in each of its six offset coordinates, so its
+extremes lie on the 64 corners of the offset cube, and a disc value
+separates into an x part and a y part, so its extremes are per-axis
+extremes over three offsets each. It runs in
 floats for the solver's check and in integers for the exact gate and the
 radius fit (``satisfied_exact``, ``repair_radii``), so realization never
 materialises ConstSqu as rows or term arrays. Row systems are evaluated
@@ -32,7 +34,8 @@ exactly by ``evaluate``, the reference for any row system (row by row in
 Python ints, residuals as Fraction), and in floats by
 ``solver.CompiledSystem``, which has its own row-by-row penalty and is the
 reference that the stencil evaluator and the solver's loss are tested
-against.
+against. Each reference reads its rows' relation strings itself and shares
+no relation decoding with ``StencilSystem``.
 
 Systems are deterministic, exactly evaluable over Fraction, and exportable
 to JSON (lossless) and SMT-LIB2 (QF_NRA) for external complete solvers.
@@ -44,13 +47,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .formats import graph_document
 from .geometry import con_poly
 from .plane_graph import PlaneTriangulation
 
@@ -66,9 +69,6 @@ STENCIL = (
     (-1, -1), (-1, 1), (1, -1), (1, 1),
     (-1, 0), (0, 1), (1, 0), (0, -1),
 )
-
-# a relation's index here is its code in term arrays
-RELATIONS = ("=", ">", "<", ">=", "<=")
 
 
 class MissingVariable(KeyError):
@@ -91,12 +91,8 @@ class ConstraintSystem:
 
 
 def graph_digest(G: PlaneTriangulation) -> str:
-    blob = json.dumps(
-        {"n": G.n,
-         "rotation": {str(u): G.rotation[u] for u in sorted(G.rotation)},
-         "outer_face": list(G.outer_face)},
-        sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """SHA-256 of the graph JSON object, keys sorted."""
+    return hashlib.sha256(json.dumps(graph_document(G), sort_keys=True).encode()).hexdigest()
 
 
 def _variables(G: PlaneTriangulation, with_radius: bool) -> tuple[VarId, ...]:
@@ -126,18 +122,15 @@ def _outer_pairs(outer: Sequence[int]):
 
 # --- structure: groups of rows over stencil offsets ---------------------
 
-@dataclass(frozen=True)
-class _Group:
-    """Rows sharing one sorted monomial layout, one row per offset choice.
+def _expand(tag: tuple, relation: str, monos: list, coefs: np.ndarray,
+            suffixes: Sequence[tuple]) -> Iterable[Constraint]:
+    """The rows of one group: one sorted monomial layout, one row per offset choice.
 
     ``coefs[r]`` holds row r's coefficient of each monomial (0 where the row
-    lacks it); the row's tag is ``tag + suffixes[r]``.
+    lacks it, and dropped); the row's tag is ``tag + suffixes[r]``.
     """
-    tag: tuple
-    relation: str
-    monos: list
-    coefs: np.ndarray
-    suffixes: Sequence[tuple]
+    for suffix, row in zip(suffixes, coefs.tolist()):
+        yield Constraint(tuple((m, c) for m, c in zip(monos, row) if c), relation, tag + suffix)
 
 
 _STENCIL = np.array(STENCIL, dtype=np.int64)
@@ -194,7 +187,7 @@ def _orientation_specs(G: PlaneTriangulation):
 def _orientation_groups(G: PlaneTriangulation, prefix: str, offs: np.ndarray,
                         suffixes: Sequence[tuple]):
     for kind, tag, verts, relation in _orientation_specs(G):
-        yield _Group((prefix + kind, *tag), relation, *_orientation(verts, offs), suffixes)
+        yield from _expand((prefix + kind, *tag), relation, *_orientation(verts, offs), suffixes)
 
 
 def _power_diff(u: int, w: int, edge: tuple[int, int]) -> tuple[list, np.ndarray]:
@@ -220,10 +213,10 @@ def _disc(v: int, edge: tuple[int, int]) -> tuple[list, np.ndarray]:
 def _const_groups(G: PlaneTriangulation):
     yield from _orientation_groups(G, "CON", _ORIGIN, [()])
     for i, j in G.edge_pairs():
-        yield _Group(("DIS_EQ", i, j), "=", *_power_diff(i, j, (i, j)), [()])
+        yield from _expand(("DIS_EQ", i, j), "=", *_power_diff(i, j, (i, j)), [()])
         for k in range(1, G.n + 1):
             if k not in (i, j):
-                yield _Group(("DIS_EXCL", i, j, k), ">", *_power_diff(k, i, (i, j)), [()])
+                yield from _expand(("DIS_EXCL", i, j, k), ">", *_power_diff(k, i, (i, j)), [()])
 
 
 def _disc_specs(G: PlaneTriangulation):
@@ -243,13 +236,7 @@ def _disc_specs(G: PlaneTriangulation):
 def _constsqu_groups(G: PlaneTriangulation):
     yield from _orientation_groups(G, "CONSQU", _TRIPLE_OFFSETS, _TRIPLES)
     for kind, edge, v, relation in _disc_specs(G):
-        yield _Group((kind, *edge, v), relation, *_disc(v, edge), _SINGLES)
-
-
-def _rows(groups) -> tuple[Constraint, ...]:
-    return tuple(
-        Constraint(tuple((m, c) for m, c in zip(g.monos, coefs) if c), g.relation, g.tag + suffix)
-        for g in groups for suffix, coefs in zip(g.suffixes, g.coefs.tolist()))
+        yield from _expand((kind, *edge, v), relation, *_disc(v, edge), _SINGLES)
 
 
 def build_const(G: PlaneTriangulation) -> ConstraintSystem:
@@ -258,7 +245,7 @@ def build_const(G: PlaneTriangulation) -> ConstraintSystem:
     The interior turn constraints range over all vertices other than the two
     consecutive outer ones (the displayed condition).
     """
-    return ConstraintSystem(_variables(G, False), _rows(_const_groups(G)), "CONST",
+    return ConstraintSystem(_variables(G, False), tuple(_const_groups(G)), "CONST",
                             graph_digest(G))
 
 
@@ -270,7 +257,7 @@ def build_constsqu(G: PlaneTriangulation) -> ConstraintSystem:
     serve export and reference checks; realization evaluates the same groups
     through ``constsqu_stencil``.
     """
-    return ConstraintSystem(_variables(G, True), _rows(_constsqu_groups(G)), "CONSTSQU",
+    return ConstraintSystem(_variables(G, True), tuple(_constsqu_groups(G)), "CONSTSQU",
                             graph_digest(G))
 
 
@@ -286,11 +273,6 @@ _CORNER_Y = np.ascontiguousarray(_CORNER_OFFSETS[:, :, 1].T)
 # the stencil's offsets along one axis
 _AXIS = np.array((-1, 0, 1), dtype=np.int64)
 
-# the strict relations, and those whose rows hold when minus the value is
-# positive (non-negative)
-_STRICT = tuple(map(RELATIONS.index, (">", "<")))
-_NEGATED = tuple(map(RELATIONS.index, ("<", "<=")))
-
 
 @dataclass(frozen=True, eq=False)
 class StencilSystem:
@@ -303,26 +285,16 @@ class StencilSystem:
     C = (x[disc[d, 2]], x[disc[d, 3]]) and R = x[disc[d, 4]]. Disc groups
     are edge-major: per edge its two endpoints (IN), then the n - 2 other
     vertices (OUT). ``values`` lists the rows in ``build_constsqu`` order.
-    Indices point into the variable vector x; ``orient_rel``/``disc_rel``
-    hold each group's index into RELATIONS.
+    Indices point into the variable vector x. ``sign`` and ``strict`` hold
+    each group's relation, in ``worst_slacks`` order (orientation groups
+    first): -1.0 under < and <=, else 1.0, and whether it is strict.
     """
     variables: tuple[VarId, ...]
     flavor: str
     orient: np.ndarray       # (groups, 3, 2)
-    orient_rel: np.ndarray   # (groups,)
     disc: np.ndarray         # (pairs, 5)
-    disc_rel: np.ndarray     # (pairs,)
-
-    @cached_property
-    def strict(self) -> np.ndarray:
-        """Whether each group's relation is strict, in ``worst_slacks`` order."""
-        return np.isin(np.concatenate((self.orient_rel, self.disc_rel)), _STRICT)
-
-    @cached_property
-    def sign(self) -> np.ndarray:
-        """Per group, in ``worst_slacks`` order, -1.0 under < and <=, else 1.0."""
-        negated = np.isin(np.concatenate((self.orient_rel, self.disc_rel)), _NEGATED)
-        return np.where(negated, -1.0, 1.0)
+    sign: np.ndarray         # (groups + pairs,) float64
+    strict: np.ndarray       # (groups + pairs,) bool
 
     # The evaluators run on float, int64 or Python-int object vectors alike;
     # offsets are multiplied by ``unit``, so an assignment scaled by D is
@@ -407,18 +379,15 @@ def constsqu_stencil(G: PlaneTriangulation) -> StencilSystem:
     index = {v: k for k, v in enumerate(variables)}
     orient = list(_orientation_specs(G))
     disc = list(_disc_specs(G))
-
-    def codes(specs):
-        return np.array([RELATIONS.index(relation) for *_, relation in specs], dtype=np.int64)
-
+    relations = [relation for *_, relation in orient + disc]
     return StencilSystem(
         variables, "CONSTSQU",
         np.array([[(index["px", v], index["py", v]) for v in verts]
                   for _, _, verts, _ in orient], dtype=np.int64),
-        codes(orient),
         np.array([[index["px", v], index["py", v], index[("cx", *e)], index[("cy", *e)],
                    index[("r", *e)]] for _, e, v, _ in disc], dtype=np.int64),
-        codes(disc))
+        np.array([-1.0 if relation in ("<", "<=") else 1.0 for relation in relations]),
+        np.array([relation in (">", "<") for relation in relations]))
 
 
 # --- evaluation ---------------------------------------------------------

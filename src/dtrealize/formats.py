@@ -61,13 +61,17 @@ def _rat(value) -> Fraction:
 
 # --- graph JSON ---------------------------------------------------------
 
-def graph_to_json(G: PlaneTriangulation) -> str:
-    doc = {
+def graph_document(G: PlaneTriangulation) -> dict:
+    """The graph JSON object, also hashed by ``constraints.graph_digest``."""
+    return {
         "n": G.n,
         "rotation": {str(u): G.rotation[u] for u in sorted(G.rotation)},
         "outer_face": list(G.outer_face),
     }
-    return json.dumps(doc, indent=1) + "\n"
+
+
+def graph_to_json(G: PlaneTriangulation) -> str:
+    return json.dumps(graph_document(G), indent=1) + "\n"
 
 
 def graph_from_json(text: str) -> PlaneTriangulation:

@@ -1,7 +1,7 @@
 """Combinatorial plane triangulations: representation, validation, embedding.
 
-A triangulation is given by its rotation system (counterclockwise neighbor
-order per vertex) plus a designated outer face stored as a clockwise cycle.
+A triangulation is given by its rotation system (clockwise neighbor order
+per vertex) plus a designated outer face stored as a clockwise cycle.
 Faces are always derived from the rotation system, never trusted from input.
 """
 
@@ -42,9 +42,9 @@ def faces_from_rotation(rotation: dict[int, list[int]]) -> list[list[int]]:
     """All face cycles of the combinatorial embedding.
 
     The face permutation maps a dart (u, v) to (v, w) where w follows u in
-    the counterclockwise rotation at v; each directed edge then lies on
-    exactly one face orbit. With counterclockwise rotations the outer face
-    orbit comes out clockwise and inner faces counterclockwise.
+    the rotation at v; each directed edge then lies on exactly one face
+    orbit. With clockwise rotations the outer face orbit comes out clockwise
+    too, and inner faces counterclockwise.
     """
     for u, nbrs in rotation.items():
         if len(set(nbrs)) != len(nbrs) or u in nbrs:
@@ -141,9 +141,9 @@ def build_triangulation(n: int, rotation: dict[int, list[int]],
                         outer_face: Sequence[int]) -> PlaneTriangulation:
     """Construct with orientation normalization.
 
-    If the supplied outer face appears reversed among the derived face
-    cycles, the input is a mirror image: all rotations are flipped so the
-    clockwise-outer-face convention holds.
+    Rotations may be given in either sense: if the supplied outer face
+    appears reversed among the derived face cycles, all rotations are
+    flipped, so the stored ones turn the same way as the clockwise outer face.
     """
     faces = faces_from_rotation(rotation)
     outer = tuple(outer_face)

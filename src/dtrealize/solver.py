@@ -44,7 +44,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .constraints import RELATIONS, ConstraintSystem, StencilSystem, VarId
+from .constraints import ConstraintSystem, StencilSystem, VarId
 from .geometry import rationalize, witness_centers
 from .plane_graph import PlaneTriangulation
 
@@ -116,9 +116,6 @@ def satisfied(system: StencilSystem, v: np.ndarray, margin: float) -> tuple[bool
     return ok, float(np.min(worst[strict])) if np.any(strict) else math.inf
 
 
-_EQ, _GT, _LT, _LE = map(RELATIONS.index, ("=", ">", "<", "<="))
-
-
 class CompiledSystem:
     """Vectorized float evaluation of a row system as flat term arrays, with
     the row-by-row penalty: the reference the stencil penalty is tested against.
@@ -139,19 +136,18 @@ class CompiledSystem:
                 ib.append(index[mono[1]] if len(mono) == 2 else slot)
                 coefs.append(coeff)
         self.nv = slot
-        self.rel = np.asarray([RELATIONS.index(c.relation) for c in system.constraints],
-                              dtype=np.int64)
         self.rows, self.ia, self.ib = (np.asarray(x, dtype=np.int64) for x in (rows, ia, ib))
         self.coefs = np.asarray(coefs, dtype=np.float64)
-        self.is_eq = self.rel == _EQ
-        self.strict = (self.rel == _GT) | (self.rel == _LT)
+        relations = [c.relation for c in system.constraints]
+        self.is_eq = np.array([r == "=" for r in relations], dtype=bool)
+        self.strict = np.array([r in (">", "<") for r in relations], dtype=bool)
         # per row, the sign that makes sign * value a slack, positive when satisfied
-        self.sign = np.where((self.rel == _LT) | (self.rel == _LE), -1.0, 1.0)
+        self.sign = np.array([-1.0 if r in ("<", "<=") else 1.0 for r in relations])
 
     def values(self, v: np.ndarray) -> np.ndarray:
         va = np.append(v, 1.0)
         tv = self.coefs * va[self.ia] * va[self.ib]
-        return np.bincount(self.rows, weights=tv, minlength=len(self.rel))
+        return np.bincount(self.rows, weights=tv, minlength=len(self.sign))
 
     def loss_grad(self, v: np.ndarray, margin: float) -> tuple[float, np.ndarray]:
         """Sum of squared equality residuals and inequality hinges, and its gradient."""
@@ -186,7 +182,7 @@ def initialize(G: PlaneTriangulation,
     """Starting ConstSqu assignment: ``points``, scaled up until no two are
     closer than 10 stencil units, plus witness centers and radii.
 
-    Raises ValueError when a coordinate is not finite.
+    Raises ValueError when a coordinate is not finite or two points coincide.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if not all(math.isfinite(c) for p in pts for c in p):
@@ -194,8 +190,8 @@ def initialize(G: PlaneTriangulation,
 
     mind = min(math.dist(pts[i], pts[j])
                for i in range(len(pts)) for j in range(i + 1, len(pts)))
-    if mind <= 0:
-        mind = 1e-9
+    if mind == 0:
+        raise ValueError("start points must be distinct")
     if mind < 10.0:
         s = 10.0 / mind
         pts = [(x * s, y * s) for x, y in pts]

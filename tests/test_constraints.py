@@ -8,11 +8,10 @@ import pytest
 
 import numpy as np
 
-from dtrealize.constraints import (RELATIONS, STENCIL, MissingVariable, build_const,
-                                   build_constsqu, constsqu_stencil, evaluate,
-                                   export_system, satisfied_exact, scale_assignment,
-                                   system_from_json, system_to_json,
-                                   system_to_smtlib2)
+from dtrealize.constraints import (STENCIL, MissingVariable, build_const, build_constsqu,
+                                   constsqu_stencil, evaluate, export_system,
+                                   satisfied_exact, scale_assignment, system_from_json,
+                                   system_to_json, system_to_smtlib2)
 from dtrealize.instances import fan_triangulation, random_instance, sqrt_lower, sqrt_upper
 from dtrealize.plane_graph import build_triangulation, reembed_with_outer_face
 from dtrealize.realizer import realize
@@ -201,9 +200,9 @@ def test_satisfied_exact_agrees_with_evaluate():
 
 def _worst_from_rows(system, x, unit):
     """Each group's least signed slack, read off the full offset table."""
-    rel = np.concatenate((np.repeat(system.orient_rel, len(STENCIL) ** 3),
-                          np.repeat(system.disc_rel, len(STENCIL))))
-    negated = np.isin(rel, [RELATIONS.index("<"), RELATIONS.index("<=")])
+    per_group = np.repeat([len(STENCIL) ** 3, len(STENCIL)],
+                          [len(system.orient), len(system.disc)])
+    negated = np.repeat(system.sign, per_group) == -1
     vals = system.values(x, unit)
     slack = np.where(negated, -vals, vals)
     split = len(system.orient) * len(STENCIL) ** 3
@@ -235,7 +234,7 @@ def test_disc_minimum_off_the_corners():
     """An OUT disc whose vertex sits right on the witness center is nearest
     at the stencil's center offset: a corners-only rule would miss it."""
     system = constsqu_stencil(k4())
-    d = int(np.flatnonzero(system.disc_rel == RELATIONS.index(">"))[0])
+    d = int(np.flatnonzero(system.strict[len(system.orient):])[0])
     v, w, cx, cy, r = system.disc[d]
     x = np.arange(1, len(system.variables) + 1, dtype=np.int64) * 10
     x[v], x[w], x[r] = x[cx], x[cy], 1

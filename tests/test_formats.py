@@ -77,6 +77,14 @@ def test_graph_json_errors():
     assert duplicate != text
     with pytest.raises(formats.FormatError, match="duplicate key"):
         formats.graph_from_json(duplicate)
+    with pytest.raises(formats.FormatError, match="vertex label 4 out of range 1..3"):
+        formats.graph_from_json('{"n": 3, "rotation": {"1": [2, 3], "2": [3, 1], '
+                                '"3": [1, 2], "4": []}, "outer_face": [1, 2, 3]}')
+    # planar K4: its faces are triangles, so no 4-cycle is one of them
+    k4 = {"n": 4, "rotation": {"1": [2, 4, 3], "2": [3, 4, 1], "3": [1, 4, 2], "4": [1, 2, 3]},
+          "outer_face": [1, 2, 3, 4]}
+    with pytest.raises(formats.FormatError, match="outer_face is not a face of the embedding"):
+        formats.graph_from_json(json.dumps(k4))
 
 
 def test_points_text_round_trip():

@@ -140,6 +140,21 @@ def test_validate_outer_not_a_face():
     assert any(v.rule == "OUTER_FACE_NOT_A_FACE" for v in report.violations)
 
 
+@pytest.mark.parametrize("n, rot, outer, rule, elements", [
+    # K4 with every rotation in label order: a torus embedding, V - E + F = 0
+    (4, {1: [2, 3, 4], 2: [1, 3, 4], 3: [1, 2, 4], 4: [1, 2, 3]}, (1, 2, 3, 4), "EULER", ()),
+    # vertex 4 hangs off vertex 1 by a single edge
+    (4, {1: [2, 4, 3], 2: [3, 1], 3: [1, 2], 4: [1]}, (1, 2, 3), "LOW_DEGREE", (4,)),
+    # vertex 5 sits inside the quadrilateral 1-2-3-4 on the path 1-5-3
+    (5, {1: [2, 5, 4], 2: [3, 1], 3: [4, 5, 2], 4: [1, 3], 5: [3, 1]}, (1, 2, 3, 4),
+     "DEGREE2_INTERIOR", (5,)),
+], ids=["euler", "low_degree", "degree2_interior"])
+def test_validate_reports_rule(n, rot, outer, rule, elements):
+    report = validate_triangulation(PlaneTriangulation(n, rot, outer))
+    assert not report.ok
+    assert (rule, elements) in {(v.rule, v.elements) for v in report.violations}
+
+
 def test_candidate_outer_faces():
     # maximal planar: every face is a candidate, current outer first
     cands = candidate_outer_faces(k4())

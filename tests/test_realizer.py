@@ -180,6 +180,15 @@ def test_realize_rejects_non_finite_warm_points(bad):
         realize(G, warm_points=warm)
 
 
+def test_realize_rejects_coincident_warm_points():
+    """Two coincident start points are refused, not scaled apart by 10^10
+    into a search that runs out the budget."""
+    pts, G = random_instance(6, 4000)
+    pts[1] = pts[0]
+    with pytest.raises(ValueError, match="distinct"):
+        realize(G, RealizeConfig(time_budget=1), warm_points=pts)
+
+
 class _CountingRandom(realizer.random.Random):
     draws = 0
 
@@ -415,6 +424,21 @@ def test_exhausted_solve_is_reported_with_its_margin():
     assert attempt.keys() == {"outer_face", "solver_status", "min_margin"}
     assert attempt["solver_status"] == "EXHAUSTED"
     assert attempt["min_margin"] == pytest.approx(-69.32, abs=0.01)
+
+
+def test_newton_failure_is_reported(monkeypatch):
+    monkeypatch.setattr(angles, "maximise_volume", lambda *args: None)
+    res = realize(fan_triangulation(6))
+    assert res.status == "UNKNOWN" and res.certificate is None
+    assert res.diagnostics == ({"outer_face": [1, 2, 3, 4, 5, 6], "solver_status": "NEWTON"},)
+
+
+def test_layout_failure_is_reported(monkeypatch):
+    """A layout that puts every vertex at one point realizes nothing."""
+    monkeypatch.setattr(angles, "layout", lambda n, cs, x: [(0.0, 0.0)] * n)
+    res = realize(fan_triangulation(6))
+    assert res.status == "UNKNOWN" and res.certificate is None
+    assert res.diagnostics == ({"outer_face": [1, 2, 3, 4, 5, 6], "solver_status": "LAYOUT"},)
 
 
 def test_exact_gate_failure_is_noted(monkeypatch):

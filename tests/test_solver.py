@@ -109,9 +109,14 @@ def test_stencil_matches_compiled_rows(G):
     system = constsqu_stencil(G)
     assert system.variables == build_constsqu(G).variables
     rows = CompiledSystem(build_constsqu(G))
-    rel = np.concatenate((np.repeat(system.orient_rel, len(STENCIL) ** 3),
-                          np.repeat(system.disc_rel, len(STENCIL))))
-    assert np.array_equal(rel, rows.rel)
+    # per row, its group's sign and strictness; with no equality rows the
+    # pair names the relation
+    per_group = np.repeat([len(STENCIL) ** 3, len(STENCIL)],
+                          [len(system.orient), len(system.disc)])
+    assert not rows.is_eq.any()
+    assert system.sign.dtype == np.float64 and system.strict.dtype == bool
+    assert np.array_equal(np.repeat(system.sign, per_group), rows.sign)
+    assert np.array_equal(np.repeat(system.strict, per_group), rows.strict)
     rng = np.random.default_rng(7)
     for scale in (30, 300, 3000):
         vec = rng.uniform(-scale, scale, rows.nv)
@@ -190,6 +195,12 @@ def test_initialize_rejects_non_finite_points(bad):
     warm = [(0.0, 10.0), (-9.0, -5.0), (9.0, bad), (0.0, 0.0)]
     with pytest.raises(ValueError, match="finite"):
         initialize(G, warm)
+
+
+def test_initialize_rejects_coincident_points():
+    warm = [(0.0, 10.0), (-9.0, -5.0), (0.0, 10.0), (0.0, 0.0)]
+    with pytest.raises(ValueError, match="distinct"):
+        initialize(k4(), warm)
 
 
 def test_solve_deterministic():
