@@ -12,8 +12,8 @@ has triangle angles that satisfy, in units of pi and with some t > 0:
 - for each interior edge, the two angles opposite it, plus t, sum to at most
   1 (the edge is locally Delaunay).
 
-``solve_angle_lp`` maximises t (capped at 1/4) over these constraints with a
-dense primal-dual interior-point method. From a point with t > 0,
+``solve_angle_lp`` maximises t (capped at 1/4) by Mehrotra's method on the LP
+that ``angle_lp`` cuts from one per-graph ``lp_table``. From a point with t > 0,
 ``maximise_volume`` holds each edge's opposite-angle sum fixed and maximises
 Rivin's volume, the sum of Lobachevsky functions of the angles (Rivin, Ann.
 Math. 139, 1994); at the maximum, the law-of-sines edge lengths agree across
@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .plane_graph import PlaneTriangulation
+from .plane_graph import PlaneTriangulation, _canon_cycle
 
 # the LP's cap on t, in units of pi
 T_CAP = 0.25
@@ -47,21 +48,22 @@ LINE_SEARCH_STEPS = 30
 
 @dataclass(frozen=True)
 class Corners:
-    """The corners of the inner faces of a triangulation.
+    """The corners of a list of triangular faces.
 
     Corner ``3 * f + k`` is the corner of face ``faces[f]`` at vertex
     ``faces[f][k]``; every face is listed counterclockwise.
     ``opposite[e]`` lists the corners opposite edge ``e`` (a sorted vertex
-    pair): two for an interior edge, one for a hull edge.
+    pair): two for an edge of two of the faces, one for an edge of one.
     """
     faces: tuple[tuple[int, int, int], ...]
     at_vertex: dict[int, list[int]]
     opposite: dict[tuple[int, int], list[int]]
 
 
-def corners(H: PlaneTriangulation) -> Corners:
-    faces = tuple(tuple(f) for f in H.inner_faces())
-    at_vertex: dict[int, list[int]] = {v: [] for v in range(1, H.n + 1)}
+def corners(n: int, faces: Iterable[Sequence[int]]) -> Corners:
+    """The corners of ``faces``, triangles over the vertices 1..n."""
+    faces = tuple(tuple(f) for f in faces)
+    at_vertex: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     opposite: dict[tuple[int, int], list[int]] = {}
     for fi, f in enumerate(faces):
         for k in range(3):
@@ -76,10 +78,13 @@ class AngleLP:
     """The angle LP in standard form: minimise ``c @ x`` subject to
     ``A @ x == b`` and ``x >= 0``.
 
-    The columns are, in order: one per corner, ``angle - t``; then
-    ``t + 1`` at column ``tau`` (t >= -1 holds at the optimum, since a
-    planar straight-line embedding has every angle in (0, 1) and so meets
-    every inequality at t = -1); then one slack per inequality row.
+    A row ``sum(angles) + k t (<=|==) r`` over m corners becomes
+    ``sum(angle - t) + (m + k) (t + 1) (+ slack) == r + m + k``. Rows: each
+    inner face, vertex and interior edge (sorted), then the cap on t.
+    Columns: each corner's ``angle - t``, then ``t + 1`` at ``tau`` (t >= -1
+    holds at the optimum, since a planar straight-line embedding has every
+    angle in (0, 1) and so meets every inequality at t = -1), then one slack
+    per inequality row.
     """
     A: np.ndarray
     b: np.ndarray
@@ -87,42 +92,59 @@ class AngleLP:
     tau: int
 
 
-def angle_lp(H: PlaneTriangulation, cs: Corners) -> AngleLP:
-    """The LP of the module docstring for H and its outer face.
-
-    A row ``sum(angles) + k t (<=|==) r`` over corners becomes
-    ``sum(angle - t) + (m + k) (t + 1) (+ slack) == r + m + k``, where m is
-    the number of corners in the row.
+@dataclass(frozen=True)
+class LPTable:
+    """One graph's angle LP rows, over the corners ``cs`` of all its
+    triangular faces, as if every vertex were interior and every edge of two
+    faces interior; ``r`` is each row's right-hand side. ``A``'s column
+    ``t + 1`` is zero, and each row after the face rows has its slack.
     """
-    n_corners = 3 * len(cs.faces)
-    tau = n_corners
-    hull = set(H.outer_face)
-    rows: list[tuple[list[int], int, float, bool]] = []   # corners, k, r, has slack
-    for f in range(len(cs.faces)):
-        rows.append(([3 * f, 3 * f + 1, 3 * f + 2], 0, 1.0, False))
-    for v in range(1, H.n + 1):
-        if v in hull:
-            rows.append((cs.at_vertex[v], 1, 1.0, True))
-        else:
-            rows.append((cs.at_vertex[v], 0, 2.0, False))
-    for e in sorted(cs.opposite):
-        if len(cs.opposite[e]) == 2:
-            rows.append((cs.opposite[e], 1, 1.0, True))
-    rows.append(([], 1, T_CAP, True))
-    n_slack = sum(r[3] for r in rows)
-    A = np.zeros((len(rows), n_corners + 1 + n_slack))
-    b = np.empty(len(rows))
-    slack = n_corners + 1
-    for i, (cols, k, r, has_slack) in enumerate(rows):
+    cs: Corners
+    A: np.ndarray
+    r: np.ndarray
+    face_row: dict[tuple[int, ...], int]
+    edge_row: dict[tuple[int, int], int]
+
+
+def lp_table(G: PlaneTriangulation) -> LPTable:
+    cs = corners(G.n, [f for f in G.faces if len(f) == 3])
+    edges = [e for e in sorted(cs.opposite) if len(cs.opposite[e]) == 2]
+    nf = len(cs.faces)
+    rows = [[3 * f, 3 * f + 1, 3 * f + 2] for f in range(nf)]
+    rows += [cs.at_vertex[v] for v in range(1, G.n + 1)] + [cs.opposite[e] for e in edges] + [[]]
+    A = np.zeros((len(rows), 2 * nf + 1 + len(rows)))
+    for i, cols in enumerate(rows):
         A[i, cols] = 1.0
-        A[i, tau] = len(cols) + k
-        b[i] = r + len(cols) + k
-        if has_slack:
-            A[i, slack] = 1.0
-            slack += 1
+    A[np.arange(nf, len(rows)), np.arange(3 * nf + 1, A.shape[1])] = 1.0
+    r = np.array([1.0] * nf + [2.0] * G.n + [1.0] * len(edges) + [T_CAP])
+    return LPTable(cs, A, r, {_canon_cycle(f): i for i, f in enumerate(cs.faces)},
+                   {e: i for i, e in enumerate(edges, start=nf + G.n)})
+
+
+def angle_lp(table: LPTable, face: Sequence[int]) -> AngleLP:
+    """The LP of the module docstring for outer face ``face``, cut from ``table``:
+    without the face's row, corners and edge rows, and with hull vertex rows."""
+    nf, n = len(table.cs.faces), len(table.cs.at_vertex)
+    slack = 2 * nf + 1   # the column of row i's slack is i + slack
+    hull = np.array(face) + (nf - 1)
+    edges = [table.edge_row.get((min(u, w), max(u, w))) for u, w in zip(face, face[1:] + face[:1])]
+    dropped = np.array([i for i in edges if i is not None], dtype=int)
+    rows, cols = np.ones(len(table.A), bool), np.ones(table.A.shape[1], bool)
+    cols[nf + slack:nf + n + slack] = False
+    cols[hull + slack] = True
+    rows[dropped], cols[dropped + slack] = False, False
+    j = table.face_row.get(_canon_cycle(face))
+    if j is not None:
+        rows[j], cols[3 * j:3 * j + 3] = False, False
+    r = table.r.copy()
+    r[hull] = 1.0
+    A = table.A[np.ix_(rows, cols)]
+    tau = 3 * (nf - (j is not None))
+    # the m + k of each row: its corners, and k = 1 exactly where it has a slack
+    A[:, tau] = A.sum(axis=1)
     c = np.zeros(A.shape[1])
     c[tau] = -1.0
-    return AngleLP(A, b, c, tau)
+    return AngleLP(A, r[rows] + A[:, tau], c, tau)
 
 
 def interior_point(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -132,10 +154,11 @@ def interior_point(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndar
     it met ``LP_TOL`` (Nocedal and Wright, Numerical Optimization, 14.2).
     """
     m, n = A.shape
-    AAT = A @ A.T
-    x = A.T @ np.linalg.solve(AAT, b)
+    AT = A.T
+    AAT = A @ AT
+    x = AT @ np.linalg.solve(AAT, b)
     y = np.linalg.solve(AAT, A @ c)
-    s = c - A.T @ y
+    s = c - AT @ y
     x += max(-1.5 * x.min(), 0.0)
     s += max(-1.5 * s.min(), 0.0)
     xs = x @ s
@@ -143,37 +166,40 @@ def interior_point(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndar
     s += 0.5 * xs / x.sum()
     b_scale = 1.0 + np.abs(b).max()
     c_scale = 1.0 + np.abs(c).max()
+    diagonal = np.arange(m) * (m + 1)
 
     def step_length(v: np.ndarray, dv: np.ndarray) -> float:
-        shrinking = dv < 0
-        return min(1.0, float(np.min(-v[shrinking] / dv[shrinking]))) if shrinking.any() else 1.0
+        # v > 0 throughout, so the step to the boundary v + a dv = 0 is
+        # -1 / min(dv / v) when that minimum is negative
+        low = float((dv / v).min())
+        return min(1.0, -1.0 / low) if low < 0 else 1.0
 
     for _ in range(LP_MAX_ITERATIONS):
-        rb = A @ x - b
-        rc = A.T @ y + s - c
+        rc = AT @ y + s - c
         mu = x @ s / n
-        if (np.abs(rb).max() <= LP_TOL * b_scale and np.abs(rc).max() <= LP_TOL * c_scale
+        if (np.abs(A @ x - b).max() <= LP_TOL * b_scale and np.abs(rc).max() <= LP_TOL * c_scale
                 and mu <= LP_TOL):
             return x, True
         d = x / s
-        M = (A * d) @ A.T
-        M[np.diag_indices(m)] += LP_REGULARIZATION * M.diagonal().max()
-
-        def direction(rxs: np.ndarray):
-            dy = np.linalg.solve(M, -rb - A @ (rxs / s + d * rc))
-            ds = -rc - A.T @ dy
-            return (rxs - x * ds) / s, dy, ds
-
+        M = (A * d) @ AT
+        M.flat[diagonal] += LP_REGULARIZATION * M.flat[diagonal].max()
+        # with r_b = A x - b and r_xs = -x s, the predictor's right-hand side
+        # -r_b - A (r_xs / s + d r_c) is b - A (d r_c); the corrector's adds
+        # A w, and its dx is the predictor's minus w
+        rhs = b - A @ (d * rc)
         try:
-            dx, dy, ds = direction(-x * s)
+            ds = -rc - AT @ np.linalg.solve(M, rhs)
+            dx = -x - d * ds
             ap, ad = step_length(x, dx), step_length(s, ds)
             mu_aff = (x + ap * dx) @ (s + ad * ds) / n
             sigma = (mu_aff / mu) ** 3
-            dx, dy, ds = direction(-x * s - dx * ds + sigma * mu)
+            w = (dx * ds - sigma * mu) / s
+            dy = np.linalg.solve(M, rhs + A @ w)
         except np.linalg.LinAlgError:
             break
-        eta = 0.995
-        ap, ad = min(1.0, eta * step_length(x, dx)), min(1.0, eta * step_length(s, ds))
+        ds = -rc - AT @ dy
+        dx = -x - w - d * ds
+        ap, ad = 0.995 * step_length(x, dx), 0.995 * step_length(s, ds)
         x = x + ap * dx
         y = y + ad * dy
         s = s + ad * ds
@@ -187,8 +213,8 @@ class AngleLPResult:
     converged: bool
 
 
-def solve_angle_lp(H: PlaneTriangulation, cs: Corners) -> AngleLPResult:
-    lp = angle_lp(H, cs)
+def solve_angle_lp(table: LPTable, face: Sequence[int]) -> AngleLPResult:
+    lp = angle_lp(table, face)
     x, converged = interior_point(lp.A, lp.b, lp.c)
     t = float(x[lp.tau]) - 1.0
     return AngleLPResult(t, x[:lp.tau] + t, converged)

@@ -227,12 +227,15 @@ def candidate_outer_faces(G: PlaneTriangulation) -> list[list[int]]:
 def reembed_with_outer_face(G: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangulation:
     """Same rotation system, new outer face (maximal planar graphs only).
 
-    The face orbits of the rotation system are unchanged by re-rooting, so
-    only the designated outer cycle moves.
+    Re-rooting leaves the face orbits of the rotation system unchanged, so the
+    result takes G's derived faces, and only the designated outer cycle moves.
     """
-    for f in G.faces:
+    for f in G._faces:
         if _same_cycle(f, face) or _same_cycle(f, list(reversed(face))):
             if _same_cycle(f, G.outer_face):
                 return G
-            return PlaneTriangulation(G.n, G.rotation, tuple(f))
+            H = PlaneTriangulation(G.n, G.rotation, f)
+            # cached_property reads the instance dict before computing
+            H.__dict__["_faces"] = G._faces
+            return H
     raise FaceNotFound(f"{list(face)} is not a face of the triangulation")

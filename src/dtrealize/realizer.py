@@ -42,6 +42,7 @@ class RealizeConfig:
     between stages and at every solver step, so a call can overrun it by at
     most one stage that is not interrupted once started:
 
+    - the build of the graph's angle LP table, before the first face;
     - one face's angle LP, Newton step and layout, then its system build and
       solve start-up (compiling the system and building its start
       assignment);
@@ -208,18 +209,19 @@ def _rescale_warm(pts: list[tuple[float, float]], r: float) -> list[tuple[float,
     return [(x * s, y * s) for x, y in pts]
 
 
-def _angle_warm_start(H: PlaneTriangulation) -> tuple[list[tuple[float, float]] | None, dict]:
-    """Stage-1 placement from the angles: the angle LP, Rivin's volume
-    maximisation, the face-by-face layout, then the upscale.
+def _angle_warm_start(H: PlaneTriangulation,
+                      table: angles.LPTable) -> tuple[list[tuple[float, float]] | None, dict]:
+    """Stage-1 placement from the angles: the angle LP (cut from ``table``),
+    Rivin's volume maximisation, the face-by-face layout, then the upscale.
 
     Returns the placement, or None with the diagnostics of the stage that
     stopped: the LP optimum t* (units of pi) is not above ``T_STAR_MIN``,
     Newton did not converge, or the layout does not realize H in floats.
     """
-    cs = angles.corners(H)
-    lp = angles.solve_angle_lp(H, cs)
+    lp = angles.solve_angle_lp(table, H.outer_face)
     if not (lp.converged and lp.t_star > T_STAR_MIN):
         return None, {"solver_status": "ANGLE_LP", "t_star": lp.t_star}
+    cs = angles.corners(H.n, H.inner_faces())
     x = angles.maximise_volume(cs, lp.angles)
     if x is None:
         return None, {"solver_status": "NEWTON"}
@@ -271,6 +273,8 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             diagnostics=tuple((v.rule, v.message) for v in report.violations))
 
     candidates = candidate_outer_faces(G)
+    # every candidate face's angle LP is cut from this one table
+    table = angles.lp_table(G) if warm_points is None else None
     solver_cfg = config.solver
     diagnostics = []
     for k, face in enumerate(candidates):
@@ -284,7 +288,7 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             pts = [(float(x), float(y)) for x, y in warm_points]
             warm = _rescale_warm(pts, _float_radius(H, pts))
         else:
-            warm, stopped = _angle_warm_start(H)
+            warm, stopped = _angle_warm_start(H, table)
             if warm is None:
                 diagnostics.append({"outer_face": list(H.outer_face), **stopped})
                 continue

@@ -30,13 +30,73 @@ def _lp_graphs():
     return graphs + [bipyramid_kleetope()]
 
 
+def _inner_corners(H):
+    return angles.corners(H.n, H.inner_faces())
+
+
+def _angle_lp_rows(H, cs):
+    """The angle LP of H built row by row, the reference for the LP that
+    ``angles.angle_lp`` cuts from the graph's table.
+
+    A row ``sum(angles) + k t (<=|==) r`` over corners becomes
+    ``sum(angle - t) + (m + k) (t + 1) (+ slack) == r + m + k``, where m is
+    the number of corners in the row.
+    """
+    n_corners = 3 * len(cs.faces)
+    tau = n_corners
+    hull = set(H.outer_face)
+    rows = []   # corners, k, r, has slack
+    for f in range(len(cs.faces)):
+        rows.append(([3 * f, 3 * f + 1, 3 * f + 2], 0, 1.0, False))
+    for v in range(1, H.n + 1):
+        if v in hull:
+            rows.append((cs.at_vertex[v], 1, 1.0, True))
+        else:
+            rows.append((cs.at_vertex[v], 0, 2.0, False))
+    for e in sorted(cs.opposite):
+        if len(cs.opposite[e]) == 2:
+            rows.append((cs.opposite[e], 1, 1.0, True))
+    rows.append(([], 1, angles.T_CAP, True))
+    n_slack = sum(r[3] for r in rows)
+    A = np.zeros((len(rows), n_corners + 1 + n_slack))
+    b = np.empty(len(rows))
+    slack = n_corners + 1
+    for i, (cols, k, r, has_slack) in enumerate(rows):
+        A[i, cols] = 1.0
+        A[i, tau] = len(cols) + k
+        b[i] = r + len(cols) + k
+        if has_slack:
+            A[i, slack] = 1.0
+            slack += 1
+    c = np.zeros(A.shape[1])
+    c[tau] = -1.0
+    return angles.AngleLP(A, b, c, tau)
+
+
+def test_lp_table_cuts_the_row_by_row_lp():
+    """Every candidate face's LP, cut from its graph's table, is the row by
+    row LP bit for bit: the same arrays, dtypes and column tau."""
+    graphs = _lp_graphs()
+    graphs += [random_instance(n, s)[1] for n in range(4, 16) for s in range(4000, 4010)]
+    for G in graphs:
+        table = angles.lp_table(G)
+        for face in candidate_outer_faces(G):
+            H = reembed_with_outer_face(G, face)
+            ref = _angle_lp_rows(H, _inner_corners(H))
+            lp = angles.angle_lp(table, H.outer_face)
+            assert lp.tau == ref.tau
+            for got, want in ((lp.A, ref.A), (lp.b, ref.b), (lp.c, ref.c)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+
 def test_a_realization_is_a_feasible_point_of_the_lp():
     """The generating points' own angles, with t their smallest slack, meet
     every row of the standard-form LP."""
     for n, seed in CASES[:12]:
         points, H = random_instance(n, seed)
-        cs = angles.corners(H)
-        lp = angles.angle_lp(H, cs)
+        cs = _inner_corners(H)
+        lp = angles.angle_lp(angles.lp_table(H), H.outer_face)
         alpha = _corner_angles(cs, points) / math.pi
         hull = set(H.outer_face)
         slacks = [1 - alpha[cs.at_vertex[v]].sum() for v in sorted(hull)]
@@ -51,17 +111,23 @@ def test_a_realization_is_a_feasible_point_of_the_lp():
 
 
 def test_t_star_agrees_with_linprog():
+    """The interior-point method ends at a feasible point whose t matches
+    linprog's optimum."""
     optimize = pytest.importorskip("scipy.optimize")
     for G in _lp_graphs():
+        table = angles.lp_table(G)
         for face in candidate_outer_faces(G):
-            H = reembed_with_outer_face(G, face)
-            cs = angles.corners(H)
-            lp = angles.angle_lp(H, cs)
+            lp = angles.angle_lp(table, face)
             ref = optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None),
                                    method="highs")
             assert ref.status == 0
-            res = angles.solve_angle_lp(H, cs)
+            x, converged = angles.interior_point(lp.A, lp.b, lp.c)
+            assert converged
+            assert np.abs(lp.A @ x - lp.b).max() <= 1e-8 * (1 + np.abs(lp.b).max())
+            assert x.min() >= -1e-9
+            res = angles.solve_angle_lp(table, face)
             assert res.converged
+            assert res.t_star == x[lp.tau] - 1
             assert abs(res.t_star - (ref.x[lp.tau] - 1)) < 1e-6
 
 
@@ -71,8 +137,8 @@ def test_volume_maximum_lays_out_every_face_with_its_angles(G):
     """At Rivin's maximum the law-of-sines lengths agree across faces, so the
     breadth-first layout reproduces the angles of every face, also of faces
     it never placed from, and keeps each face counterclockwise."""
-    cs = angles.corners(G)
-    lp = angles.solve_angle_lp(G, cs)
+    cs = _inner_corners(G)
+    lp = angles.solve_angle_lp(angles.lp_table(G), G.outer_face)
     assert lp.t_star > 0
     x = angles.maximise_volume(cs, lp.angles)
     assert x is not None and np.all(x > 0)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dtrealize import angles, constraints, oracle, realizer, solver
+from dtrealize import angles, constraints, oracle, plane_graph, realizer, solver
 from dtrealize.constraints import (STENCIL, build_constsqu, constsqu_stencil, evaluate,
                                    repair_radii, satisfied_exact)
 from dtrealize.geometry import circumcenter, dist_sq, pt
@@ -475,6 +475,22 @@ def test_kleetope_stops_at_the_angle_lp_on_every_face():
         assert d["solver_status"] == "ANGLE_LP"
         assert d["t_star"] < 0
         assert d["t_star"] == pytest.approx(-1 / 12, abs=1e-6)
+
+
+def test_kleetope_faces_are_derived_once_per_call(monkeypatch):
+    """The 18 re-embeddings take the graph's face orbits; none walks them again."""
+    G = bipyramid_kleetope()
+    walks = []
+    real = plane_graph.faces_from_rotation
+
+    def counted(rotation):
+        walks.append(1)
+        return real(rotation)
+
+    monkeypatch.setattr(plane_graph, "faces_from_rotation", counted)
+    res = realize(G, RealizeConfig(time_budget=2))
+    assert res.status == "UNKNOWN" and len(res.diagnostics) == 18
+    assert len(walks) == 1
 
 
 def test_realize_runs_no_base_system(monkeypatch):

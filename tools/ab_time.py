@@ -1,0 +1,118 @@
+"""Interleaved timing of two checkouts on one benchmark workload, in one process.
+
+Usage: python3 tools/ab_time.py ROOT_A ROOT_B WORKLOAD ROUNDS
+
+Imports ``dtrealize`` from ``ROOT_A/src`` and ``ROOT_B/src`` under the package
+names ``dtrealize_a`` and ``dtrealize_b``. For each side it loads
+``perfbench/workloads.py`` (read, never written) against that side's package
+and builds the workload's inputs once, with seed 1. Each round then times one
+whole pass over the inputs per side, A first on even rounds and B first on
+odd ones, so both sides see the same spells of host speed.
+
+Prints each side's median pass time, the median and quartiles of the paired
+per-round ratio B/A, and in how many rounds the two sides' outputs had equal
+status, diagnostics repr and certificate JSON. The host runs between 1.0x and
+1.8x of its best speed (perfbench/README.md); a ratio measured this way sizes
+a gain before the benchmark's own runs confirm it.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import pkgutil
+import statistics
+import sys
+import time
+from pathlib import Path
+
+SEED = 1
+
+
+def load_package(root: Path, name: str):
+    """``root/src/dtrealize`` and all its modules, imported as package ``name``."""
+    src = root / "src" / "dtrealize"
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for info in pkgutil.iter_modules([str(src)]):
+        importlib.import_module(f"{name}.{info.name}")
+    return package
+
+
+def load_workloads(bench: Path, name: str, tag: str):
+    """``bench/workloads.py`` imported as ``workloads_<tag>``, with its
+    ``dtrealize`` imports bound to the package ``name``."""
+    aliases = {"dtrealize" + key[len(name):]: module for key, module in sys.modules.items()
+               if key == name or key.startswith(name + ".")}
+    # the side's own copy of perfbench/exact.py, which workloads imports
+    saved = {key: sys.modules.get(key) for key in [*aliases, "exact"]}
+    sys.path.insert(0, str(bench))
+    try:
+        sys.modules.update(aliases)
+        sys.modules.pop("exact", None)
+        spec = importlib.util.spec_from_file_location(f"workloads_{tag}", bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(str(bench))
+        for key, module in saved.items():
+            if module is None:
+                sys.modules.pop(key, None)
+            else:
+                sys.modules[key] = module
+    return workloads
+
+
+def timed_pass(side) -> tuple[float, list[tuple]]:
+    """One pass over the side's inputs: seconds, and per input the status,
+    diagnostics repr and certificate JSON."""
+    workload, inputs, formats = side
+    outputs = []
+    start = time.perf_counter()
+    for inp in inputs:
+        outputs.append(workload.run(inp))
+    seconds = time.perf_counter() - start
+    return seconds, [(r.status, repr(r.diagnostics),
+                      None if r.certificate is None else formats.certificate_to_json(r.certificate))
+                     for r in outputs]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 4:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    root_a, root_b, name, rounds = Path(argv[0]), Path(argv[1]), argv[2], int(argv[3])
+    sides = []
+    for tag, root in (("a", root_a), ("b", root_b)):
+        package = load_package(root, f"dtrealize_{tag}")
+        workloads = load_workloads(root / "perfbench", package.__name__, tag)
+        workload = workloads.WORKLOADS[name]
+        sides.append((workload, workload.build(SEED), package.formats))
+    times: tuple[list[float], list[float]] = ([], [])
+    equal = {"status": 0, "diagnostics": 0, "certificate": 0}
+    for round_index in range(rounds):
+        order = (0, 1) if round_index % 2 == 0 else (1, 0)
+        outputs = [None, None]
+        for i in order:
+            seconds, outputs[i] = timed_pass(sides[i])
+            times[i].append(seconds)
+        for k, field in enumerate(equal):
+            equal[field] += all(a[k] == b[k] for a, b in zip(*outputs))
+    ratios = [b / a for a, b in zip(*times)]
+    print(f"{name}: {rounds} rounds, {len(sides[0][1])} inputs a pass")
+    print(f"A median pass {statistics.median(times[0]) * 1e3:.2f} ms  ({root_a})")
+    print(f"B median pass {statistics.median(times[1]) * 1e3:.2f} ms  ({root_b})")
+    if rounds >= 2:
+        q1, q2, q3 = statistics.quantiles(ratios, n=4)
+        print(f"B/A paired ratio: median {q2:.3f}, quartiles {q1:.3f} {q3:.3f}")
+    for field, count in equal.items():
+        print(f"{field} equal in {count} of {rounds} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
