@@ -13,7 +13,12 @@ has triangle angles that satisfy, in units of pi and with some t > 0:
   1 (the edge is locally Delaunay).
 
 ``solve_angle_lp`` maximises t (capped at 1/4) by Mehrotra's method on the LP
-that ``angle_lp`` cuts from one per-graph ``lp_table``. From a point with t > 0,
+that ``angle_lp`` cuts from one per-graph ``lp_table``. ``FaceLPs`` gives the
+results for all candidate outer faces of a graph: the first face's LP is
+solved alone, the LPs of the faces after it (a maximal planar graph has 2n - 4
+faces, all with LPs of one shape) in stacked runs of ``interior_points``,
+which make one set of numpy calls per iteration for a whole chunk of faces.
+``LP_STACK_BYTES`` bounds the matrices of one chunk. From a point with t > 0,
 ``maximise_volume`` holds each edge's opposite-angle sum fixed and maximises
 Rivin's volume, the sum of Lobachevsky functions of the angles (Rivin, Ann.
 Math. 139, 1994); at the maximum, the law-of-sines edge lengths agree across
@@ -23,6 +28,7 @@ search, nothing here is trusted: the placement only seeds the ConstSqu solve.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -39,6 +45,12 @@ LP_TOL = 1e-9
 # a degenerate optimum (t is attained by many rows at once) they go singular
 LP_REGULARIZATION = 1e-14
 LP_MAX_ITERATIONS = 200
+# the most bytes of LP matrices one stacked interior-point run holds (FaceLPs),
+# a memory bound: a run's arrays peak at about 4x its matrices. On the
+# Kleetope it gives runs of 5-6 faces: one realize call peaks at 0.96 MB
+# (tracemalloc), against 2.5 MB with all 17 faces after the first in one run,
+# whose LPs also take 12 % longer; runs of 3 take 22 % longer
+LP_STACK_BYTES = 2 ** 18
 # Newton stops once no angle moves by more than this many radians
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITERATIONS = 100
@@ -138,7 +150,8 @@ def angle_lp(table: LPTable, face: Sequence[int]) -> AngleLP:
         rows[j], cols[3 * j:3 * j + 3] = False, False
     r = table.r.copy()
     r[hull] = 1.0
-    A = table.A[np.ix_(rows, cols)]
+    # columns first, then rows: a third of the time np.ix_ takes for this array
+    A = table.A[:, cols][rows]
     tau = 3 * (nf - (j is not None))
     # the m + k of each row: its corners, and k = 1 exactly where it has a slack
     A[:, tau] = A.sum(axis=1)
@@ -206,6 +219,96 @@ def interior_point(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndar
     return x, False
 
 
+def _step_lengths(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """``step_length`` of ``interior_point`` per lane of column stacks (k, n, 1):
+    -1 / min(dv / v) clipped to at most 1."""
+    return -1.0 / np.minimum((dv / v).min(axis=1, keepdims=True), -1.0)
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per lane of column stacks (k, n, 1), the dot product u @ v, shape (k, 1, 1)."""
+    return u.transpose(0, 2, 1) @ v
+
+
+def _interior_points(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The body of ``interior_points``; b and c are column stacks (k, m, 1) and (k, n, 1)."""
+    k, m, n = A.shape
+    AT = A.transpose(0, 2, 1)
+    AAT = A @ AT
+    x = AT @ np.linalg.solve(AAT, b)
+    y = np.linalg.solve(AAT, A @ c)
+    s = c - AT @ y
+    x += np.maximum(-1.5 * x.min(axis=1, keepdims=True), 0.0)
+    s += np.maximum(-1.5 * s.min(axis=1, keepdims=True), 0.0)
+    xs = _dots(x, s)
+    x += 0.5 * xs / s.sum(axis=1, keepdims=True)
+    s += 0.5 * xs / x.sum(axis=1, keepdims=True)
+    b_tol = LP_TOL * (1.0 + np.abs(b).max(axis=1, keepdims=True))
+    c_tol = LP_TOL * (1.0 + np.abs(c).max(axis=1, keepdims=True))
+    out, converged = np.empty((k, n)), np.zeros(k, dtype=bool)
+    lanes = np.arange(k)
+    for _ in range(LP_MAX_ITERATIONS):
+        rc = AT @ y + s - c
+        mu = _dots(x, s) / n
+        done = (mu <= LP_TOL).ravel()
+        # the residual tests only matter once a lane's gap is small
+        if done.any():
+            done &= ((np.abs(A @ x - b).max(axis=1, keepdims=True) <= b_tol)
+                     & (np.abs(rc).max(axis=1, keepdims=True) <= c_tol)).ravel()
+        if done.any():
+            out[lanes[done]] = x[done, :, 0]
+            converged[lanes[done]] = True
+            if done.all():
+                return out, converged
+            # a lane that has met the test leaves the stack
+            keep = ~done
+            lanes, A, b, c, x, y, s, rc, mu, b_tol, c_tol = (
+                v[keep] for v in (lanes, A, b, c, x, y, s, rc, mu, b_tol, c_tol))
+            AT = A.transpose(0, 2, 1)
+        d = x / s
+        M = (A * d.transpose(0, 2, 1)) @ AT
+        diagonal = M.reshape(len(lanes), -1)[:, ::m + 1]
+        diagonal += LP_REGULARIZATION * diagonal.max(axis=1, keepdims=True)
+        rhs = b - A @ (d * rc)
+        ds = -rc - AT @ np.linalg.solve(M, rhs)
+        dx = -x - d * ds
+        ap, ad = _step_lengths(x, dx), _step_lengths(s, ds)
+        mu_aff = _dots(x + ap * dx, s + ad * ds) / n
+        # float_power is C pow, as numpy's scalar ** is; array ** may round otherwise
+        sigma = np.float_power(mu_aff / mu, 3)
+        w = (dx * ds - sigma * mu) / s
+        dy = np.linalg.solve(M, rhs + A @ w)
+        ds = -rc - AT @ dy
+        dx = -x - w - d * ds
+        ap, ad = 0.995 * _step_lengths(x, dx), 0.995 * _step_lengths(s, ds)
+        x = x + ap * dx
+        y = y + ad * dy
+        s = s + ad * ds
+    out[lanes] = x[:, :, 0]
+    return out, converged
+
+
+def interior_points(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``interior_point`` on a stack of k LPs of one shape: A (k, m, n), b (k, m)
+    and c (k, n).
+
+    Each iteration makes one set of numpy calls for all lanes still running,
+    with the same start, step rules and tolerances as ``interior_point``; a
+    lane stops once it meets the stopping test. Per lane it makes the
+    floating-point operations ``interior_point`` makes (dot products as
+    matrix products, the cube in sigma as C ``pow``), so a lane's result does
+    not depend on the other lanes. Returns the last primal iterates (k, n)
+    and, per lane, whether it met ``LP_TOL``. If a stacked solve raises
+    ``LinAlgError``, every lane is solved again by ``interior_point``, and
+    ends as it would.
+    """
+    try:
+        return _interior_points(A, b[:, :, None], c[:, :, None])
+    except np.linalg.LinAlgError:
+        runs = [interior_point(*lp) for lp in zip(A, b, c)]
+        return np.array([x for x, _ in runs]), np.array([ok for _, ok in runs])
+
+
 @dataclass(frozen=True)
 class AngleLPResult:
     t_star: float             # the LP optimum, in units of pi
@@ -213,11 +316,59 @@ class AngleLPResult:
     converged: bool
 
 
+def _lp_result(x: np.ndarray, tau: int, converged: bool) -> AngleLPResult:
+    t = float(x[tau]) - 1.0
+    return AngleLPResult(t, x[:tau] + t, bool(converged))
+
+
 def solve_angle_lp(table: LPTable, face: Sequence[int]) -> AngleLPResult:
     lp = angle_lp(table, face)
     x, converged = interior_point(lp.A, lp.b, lp.c)
-    t = float(x[lp.tau]) - 1.0
-    return AngleLPResult(t, x[:lp.tau] + t, converged)
+    return _lp_result(x, lp.tau, converged)
+
+
+class FaceLPs:
+    """The angle LP results of one graph's candidate outer faces ``faces``
+    (``candidate_outer_faces`` order), each solved when first asked for.
+
+    ``self[0]`` comes from ``solve_angle_lp``, as a call that succeeds on its
+    first face has always computed it. The faces after it, which only a
+    maximal planar graph has, all give LPs of one shape; they are solved by
+    ``interior_points`` in chunks of balanced size, a whole chunk when one of
+    its faces is first asked for. A chunk's stacked LP matrices take at most
+    ``LP_STACK_BYTES``, counting each as the size of ``table``'s matrix, which
+    every LP is cut from.
+    """
+
+    def __init__(self, table: LPTable, faces: Sequence[Sequence[int]]):
+        self._table = table
+        self._faces = faces
+        rest = len(faces) - 1
+        chunks = -(-rest // max(1, LP_STACK_BYTES // table.A.nbytes))
+        # the end of each chunk of faces 1.., sizes differing by at most one
+        self._ends = [1 + rest * (i + 1) // chunks for i in range(chunks)]
+        self._results: dict[int, AngleLPResult] = {}
+
+    def __getitem__(self, k: int) -> AngleLPResult:
+        if k not in self._results:
+            if k == 0:
+                self._results[0] = solve_angle_lp(self._table, self._faces[0])
+            else:
+                i = bisect.bisect_right(self._ends, k)
+                self._solve(self._ends[i - 1] if i else 1, self._ends[i])
+        return self._results[k]
+
+    def _solve(self, start: int, end: int) -> None:
+        """Solve faces start..end - 1 in one stacked run, each LP cut into its lane."""
+        for i, k in enumerate(range(start, end)):
+            lp = angle_lp(self._table, self._faces[k])
+            if i == 0:
+                A = np.empty((end - start, *lp.A.shape))
+                b, c = np.empty((end - start, *lp.b.shape)), np.empty((end - start, *lp.c.shape))
+            A[i], b[i], c[i] = lp.A, lp.b, lp.c
+        x, converged = interior_points(A, b, c)
+        for i, k in enumerate(range(start, end)):
+            self._results[k] = _lp_result(x[i], lp.tau, converged[i])
 
 
 def _volume_constraints(cs: Corners) -> np.ndarray:

@@ -128,6 +128,14 @@ class PlaneTriangulation:
     def _faces(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, faces_from_rotation(self.rotation)))
 
+    @cached_property
+    def _face_index(self) -> dict[tuple[int, ...], int]:
+        """The position in ``_faces`` of each face, keyed by its canonical cycle
+        in both orientations; a cycle that is itself a face maps to that face."""
+        index = {_canon_cycle(f[::-1]): i for i, f in enumerate(self._faces)}
+        index.update((_canon_cycle(f), i) for i, f in enumerate(self._faces))
+        return index
+
     @property
     def faces(self) -> list[list[int]]:
         """All face cycles including the outer one."""
@@ -209,6 +217,12 @@ def validate_triangulation(G: PlaneTriangulation) -> ValidationReport:
     return ValidationReport(not v, tuple(v))
 
 
+def _face_position(G: PlaneTriangulation, cycle: Sequence[int]) -> int | None:
+    """The position in ``G.faces`` of the face ``cycle`` bounds, in either
+    orientation, or None when it bounds none."""
+    return G._face_index.get(_canon_cycle(cycle)) if len(cycle) else None
+
+
 def candidate_outer_faces(G: PlaneTriangulation) -> list[list[int]]:
     """Outer faces worth trying for realization.
 
@@ -219,23 +233,28 @@ def candidate_outer_faces(G: PlaneTriangulation) -> list[list[int]]:
     if len(G.outer_face) >= 4:
         return [list(G.outer_face)]
     faces = G.faces
-    out = [f for f in faces if _same_cycle(f, G.outer_face)]
-    out += [f for f in faces if not _same_cycle(f, G.outer_face)]
-    return out
+    k = _face_position(G, G.outer_face)
+    if k is None or not _same_cycle(faces[k], G.outer_face):
+        return faces
+    return [faces.pop(k)] + faces
 
 
 def reembed_with_outer_face(G: PlaneTriangulation, face: Sequence[int]) -> PlaneTriangulation:
     """Same rotation system, new outer face (maximal planar graphs only).
 
-    Re-rooting leaves the face orbits of the rotation system unchanged, so the
-    result takes G's derived faces, and only the designated outer cycle moves.
+    ``face`` may be given in either orientation; the new outer face is G's
+    face cycle. Re-rooting leaves the face orbits of the rotation system
+    unchanged, so the result takes G's derived faces and their index, and only
+    the designated outer cycle moves.
     """
-    for f in G._faces:
-        if _same_cycle(f, face) or _same_cycle(f, list(reversed(face))):
-            if _same_cycle(f, G.outer_face):
-                return G
-            H = PlaneTriangulation(G.n, G.rotation, f)
-            # cached_property reads the instance dict before computing
-            H.__dict__["_faces"] = G._faces
-            return H
-    raise FaceNotFound(f"{list(face)} is not a face of the triangulation")
+    k = _face_position(G, face)
+    if k is None:
+        raise FaceNotFound(f"{list(face)} is not a face of the triangulation")
+    f = G._faces[k]
+    if _same_cycle(f, G.outer_face):
+        return G
+    H = PlaneTriangulation(G.n, G.rotation, f)
+    # cached_property reads the instance dict before computing
+    H.__dict__["_faces"] = G._faces
+    H.__dict__["_face_index"] = G._face_index
+    return H

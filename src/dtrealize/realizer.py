@@ -43,9 +43,12 @@ class RealizeConfig:
     most one stage that is not interrupted once started:
 
     - the build of the graph's angle LP table, before the first face;
-    - one face's angle LP, Newton step and layout, then its system build and
-      solve start-up (compiling the system and building its start
-      assignment);
+    - one chunk of the angle LPs of the faces after the first, solved
+      together when the first face of the chunk is reached (at most
+      ``angles.LP_STACK_BYTES`` of LP matrices, 5 to 6 of the Kleetope's 17);
+    - one face's angle LP (the first face's, or its result from its chunk),
+      Newton step and layout, then its system build and solve start-up
+      (compiling the system and building its start assignment);
     - one rounding candidate's radius fit and exact gate, with its at most 4
       certify calls.
     """
@@ -210,15 +213,15 @@ def _rescale_warm(pts: list[tuple[float, float]], r: float) -> list[tuple[float,
 
 
 def _angle_warm_start(H: PlaneTriangulation,
-                      table: angles.LPTable) -> tuple[list[tuple[float, float]] | None, dict]:
-    """Stage-1 placement from the angles: the angle LP (cut from ``table``),
-    Rivin's volume maximisation, the face-by-face layout, then the upscale.
+                      lp: angles.AngleLPResult) -> tuple[list[tuple[float, float]] | None, dict]:
+    """Stage-1 placement from the angles: from the angle LP result ``lp`` of
+    H's outer face, Rivin's volume maximisation, the face-by-face layout, then
+    the upscale.
 
     Returns the placement, or None with the diagnostics of the stage that
     stopped: the LP optimum t* (units of pi) is not above ``T_STAR_MIN``,
     Newton did not converge, or the layout does not realize H in floats.
     """
-    lp = angles.solve_angle_lp(table, H.outer_face)
     if not (lp.converged and lp.t_star > T_STAR_MIN):
         return None, {"solver_status": "ANGLE_LP", "t_star": lp.t_star}
     cs = angles.corners(H.n, H.inner_faces())
@@ -273,8 +276,9 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             diagnostics=tuple((v.rule, v.message) for v in report.violations))
 
     candidates = candidate_outer_faces(G)
-    # every candidate face's angle LP is cut from this one table
-    table = angles.lp_table(G) if warm_points is None else None
+    # every candidate face's angle LP is cut from one table; the faces after
+    # the first are solved in stacked runs
+    lps = angles.FaceLPs(angles.lp_table(G), candidates) if warm_points is None else None
     solver_cfg = config.solver
     diagnostics = []
     for k, face in enumerate(candidates):
@@ -288,7 +292,7 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             pts = [(float(x), float(y)) for x, y in warm_points]
             warm = _rescale_warm(pts, _float_radius(H, pts))
         else:
-            warm, stopped = _angle_warm_start(H, table)
+            warm, stopped = _angle_warm_start(H, lps[k])
             if warm is None:
                 diagnostics.append({"outer_face": list(H.outer_face), **stopped})
                 continue

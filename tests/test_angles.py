@@ -131,6 +131,67 @@ def test_t_star_agrees_with_linprog():
             assert abs(res.t_star - (ref.x[lp.tau] - 1)) < 1e-6
 
 
+def _stacks():
+    """The LPs of every candidate outer face of ``_lp_graphs()``, one stack
+    (A, b, c) per shape, with each lane's tau. A stack can mix graphs, and
+    then its lanes stop at different iterations."""
+    by_shape = {}
+    for G in _lp_graphs():
+        table = angles.lp_table(G)
+        for face in candidate_outer_faces(G):
+            lp = angles.angle_lp(table, face)
+            by_shape.setdefault(lp.A.shape, []).append(lp)
+    for lps in by_shape.values():
+        yield tuple(np.stack([getattr(lp, f) for lp in lps]) for f in "Abc"), [lp.tau for lp in lps]
+
+
+def test_every_lane_agrees_with_interior_point():
+    """A stacked run ends each lane where ``interior_point`` ends its LP: the
+    same convergence, t* and angles."""
+    for stack, taus in _stacks():
+        xs, converged = angles.interior_points(*stack)
+        for lp, tau, x, ok in zip(zip(*stack), taus, xs, converged):
+            ref, ref_ok = angles.interior_point(*lp)
+            assert ok == ref_ok
+            assert abs(x[tau] - ref[tau]) <= 1e-12
+            assert np.abs((x[:tau] + x[tau]) - (ref[:tau] + ref[tau])).max() <= 1e-9
+
+
+def test_a_lane_does_not_depend_on_its_chunk():
+    """Each LP gives the same bits solved alone (k = 1) as inside a stack,
+    also next to lanes that stop at other iterations."""
+    for (A, b, c), _ in _stacks():
+        xs, converged = angles.interior_points(A, b, c)
+        for i in range(len(A)):
+            x, ok = angles.interior_points(A[i:i + 1], b[i:i + 1], c[i:i + 1])
+            assert np.array_equal(x[0], xs[i]) and ok[0] == converged[i]
+
+
+@pytest.mark.parametrize("failing_call", [0, 5])
+def test_a_failed_stacked_solve_falls_back_to_interior_point(monkeypatch, failing_call):
+    """A LinAlgError in a stacked solve, at the start or part way through,
+    makes every lane of the run end as ``interior_point`` ends it."""
+    G = bipyramid_kleetope()
+    table, faces = angles.lp_table(G), candidate_outer_faces(G)
+    want = [angles.solve_angle_lp(table, face) for face in faces]
+    solve, stacked_calls = np.linalg.solve, []
+
+    def failing(a, b):
+        if a.ndim == 3:
+            stacked_calls.append(a.shape)
+            if len(stacked_calls) > failing_call:
+                raise np.linalg.LinAlgError("forced")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    lps = angles.FaceLPs(table, faces)
+    for k, ref in enumerate(want):
+        got = lps[k]
+        assert got.converged == ref.converged and got.t_star == ref.t_star
+        assert np.array_equal(got.angles, ref.angles)
+    assert stacked_calls
+
+
 @pytest.mark.parametrize("G", [random_instance(12, 1008)[1], random_instance(9, 4007)[1],
                                fan_triangulation(8)], ids=["random12", "random9", "fan8"])
 def test_volume_maximum_lays_out_every_face_with_its_angles(G):

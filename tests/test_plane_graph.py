@@ -171,5 +171,9 @@ def test_reembed_with_outer_face():
     assert H.rotation == G.rotation
     assert _same_cycle(H.outer_face, other)
     assert validate_triangulation(H).ok
-    with pytest.raises(FaceNotFound):
-        reembed_with_outer_face(G, [1, 2, 4, 3])
+    # the reversed cycle names the same face, kept in G's orientation
+    assert reembed_with_outer_face(G, other[::-1]).outer_face == H.outer_face
+    assert reembed_with_outer_face(G, list(reversed(K4_OUTER))) is G
+    for cycle in ([1, 2, 4, 3], [1, 2, 5], [1, 2], []):
+        with pytest.raises(FaceNotFound):
+            reembed_with_outer_face(G, cycle)

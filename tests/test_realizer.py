@@ -384,13 +384,13 @@ def test_tight_budget_on_a_large_input():
 def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
     # every face of the Kleetope stops at its angle LP within milliseconds;
     # at 10 ms per face, a 0.05 s budget runs out part way through the 18
-    solve_angle_lp = angles.solve_angle_lp
+    lp_of_face = angles.FaceLPs.__getitem__
 
-    def slow(*args):
+    def slow(self, k):
         time.sleep(0.01)
-        return solve_angle_lp(*args)
+        return lp_of_face(self, k)
 
-    monkeypatch.setattr(angles, "solve_angle_lp", slow)
+    monkeypatch.setattr(angles.FaceLPs, "__getitem__", slow)
     G = bipyramid_kleetope()
     res, elapsed = _timed_realize(G, 0.05)
     assert res.status == "UNKNOWN"
@@ -398,6 +398,33 @@ def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
     assert len(res.diagnostics) == len(candidate_outer_faces(G)) == 18
     skipped = [d for d in res.diagnostics if d["solver_status"] == "DEADLINE"]
     assert skipped and all(d.keys() == {"outer_face", "solver_status"} for d in skipped)
+
+
+@pytest.mark.parametrize("graph", [k4, bipyramid_kleetope], ids=["k4", "kleetope"])
+def test_faces_after_the_first_are_solved_in_stacked_runs(monkeypatch, graph):
+    """A call that succeeds on its first face makes no stacked LP run; the
+    Kleetope solves its first face alone and the other 17 in chunks."""
+    calls = {"interior_point": 0, "interior_points": 0}
+
+    def counted(name):
+        real = getattr(angles, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(angles, name, counted(name))
+    G = graph()
+    res = realize(G)
+    if graph is k4:
+        assert res.status == "REALIZED"
+        assert calls == {"interior_point": 1, "interior_points": 0}
+    else:
+        chunk = angles.LP_STACK_BYTES // angles.lp_table(G).A.nbytes
+        assert res.status == "UNKNOWN"
+        assert calls == {"interior_point": 1, "interior_points": -(-17 // chunk)}
 
 
 def test_certify_failure_is_not_reported_as_a_gate_failure(monkeypatch):

@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dtrealize.angles import lp_table
+from dtrealize.angles import lp_table, solve_angle_lp
 from dtrealize.constraints import STENCIL, Constraint, ConstraintSystem, StencilSystem, \
     build_const, build_constsqu, constsqu_stencil
 from dtrealize.instances import fan_triangulation, random_instance
@@ -231,7 +231,7 @@ def test_solve_checks_a_satisfied_start_once(monkeypatch):
     the stencil groups and no row evaluation: the check that accepts it also
     gives its min_margin."""
     G = fan_triangulation(6)
-    warm, _ = _angle_warm_start(G, lp_table(G))
+    warm, _ = _angle_warm_start(G, solve_angle_lp(lp_table(G), G.outer_face))
     system = constsqu_stencil(G)
     start = initialize(G, warm)
     vec = np.asarray([start[v] for v in system.variables])

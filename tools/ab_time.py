@@ -11,7 +11,9 @@ odd ones, so both sides see the same spells of host speed.
 
 Prints each side's median pass time, the median and quartiles of the paired
 per-round ratio B/A, and in how many rounds the two sides' outputs had equal
-status, diagnostics repr and certificate JSON. The host runs between 1.0x and
+status, diagnostics repr and certificate JSON. When diagnostics differ, it
+also prints the largest absolute difference between their float fields, or
+that a field other than a float differs (a stage or status changed). The host runs between 1.0x and
 1.8x of its best speed (perfbench/README.md); a ratio measured this way sizes
 a gain before the benchmark's own runs confirm it.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import math
 import pkgutil
 import statistics
 import sys
@@ -67,9 +70,24 @@ def load_workloads(bench: Path, name: str, tag: str):
     return workloads
 
 
+def float_drift(a, b) -> float:
+    """The largest absolute difference between the float fields of two
+    diagnostics of one shape; inf when a field other than a float differs."""
+    if isinstance(a, float) and isinstance(b, float):
+        if a == b or math.isnan(a) and math.isnan(b):
+            return 0.0
+        d = abs(a - b)
+        return math.inf if math.isnan(d) else d
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return max((float_drift(a[key], b[key]) for key in a), default=0.0)
+    if isinstance(a, (list, tuple)) and type(a) is type(b) and len(a) == len(b):
+        return max((float_drift(u, v) for u, v in zip(a, b)), default=0.0)
+    return 0.0 if a == b else math.inf
+
+
 def timed_pass(side) -> tuple[float, list[tuple]]:
     """One pass over the side's inputs: seconds, and per input the status,
-    diagnostics repr and certificate JSON."""
+    diagnostics repr, certificate JSON and the diagnostics themselves."""
     workload, inputs, formats = side
     outputs = []
     start = time.perf_counter()
@@ -77,7 +95,8 @@ def timed_pass(side) -> tuple[float, list[tuple]]:
         outputs.append(workload.run(inp))
     seconds = time.perf_counter() - start
     return seconds, [(r.status, repr(r.diagnostics),
-                      None if r.certificate is None else formats.certificate_to_json(r.certificate))
+                      None if r.certificate is None else formats.certificate_to_json(r.certificate),
+                      r.diagnostics)
                      for r in outputs]
 
 
@@ -94,6 +113,7 @@ def main(argv: list[str]) -> int:
         sides.append((workload, workload.build(SEED), package.formats))
     times: tuple[list[float], list[float]] = ([], [])
     equal = {"status": 0, "diagnostics": 0, "certificate": 0}
+    drift = 0.0
     for round_index in range(rounds):
         order = (0, 1) if round_index % 2 == 0 else (1, 0)
         outputs = [None, None]
@@ -102,6 +122,7 @@ def main(argv: list[str]) -> int:
             times[i].append(seconds)
         for k, field in enumerate(equal):
             equal[field] += all(a[k] == b[k] for a, b in zip(*outputs))
+        drift = max([drift] + [float_drift(a[3], b[3]) for a, b in zip(*outputs) if a[1] != b[1]])
     ratios = [b / a for a, b in zip(*times)]
     print(f"{name}: {rounds} rounds, {len(sides[0][1])} inputs a pass")
     print(f"A median pass {statistics.median(times[0]) * 1e3:.2f} ms  ({root_a})")
@@ -111,6 +132,9 @@ def main(argv: list[str]) -> int:
         print(f"B/A paired ratio: median {q2:.3f}, quartiles {q1:.3f} {q3:.3f}")
     for field, count in equal.items():
         print(f"{field} equal in {count} of {rounds} rounds")
+    if equal["diagnostics"] < rounds:
+        print("unequal diagnostics: " + ("a field other than a float differs" if drift == math.inf
+                                         else f"largest float difference {drift:.3g}"))
     return 0
 
 
