@@ -45,12 +45,12 @@ LP_TOL = 1e-9
 # a degenerate optimum (t is attained by many rows at once) they go singular
 LP_REGULARIZATION = 1e-14
 LP_MAX_ITERATIONS = 200
-# the most bytes of LP matrices one stacked interior-point run holds (FaceLPs),
-# a memory bound: a run's arrays peak at about 4x its matrices. On the
-# Kleetope it gives runs of 5-6 faces: one realize call peaks at 0.96 MB
-# (tracemalloc), against 2.5 MB with all 17 faces after the first in one run,
-# whose LPs also take 12 % longer; runs of 3 take 22 % longer
-LP_STACK_BYTES = 2 ** 18
+# the most bytes of LP matrices one stacked run covers (FaceLPs), counting each
+# face as its graph's dense LP table: a memory bound, as a run's arrays take
+# about 1.2 times that. The Kleetope's 17 faces after the first fit one run,
+# whose realize call peaks 0.86 MB above a scalar one (tracemalloc); runs of
+# 9 and 8 take 16 % longer. Graphs from 35 vertices on get one face a run
+LP_STACK_BYTES = 2 ** 20
 # Newton stops once no angle moves by more than this many radians
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITERATIONS = 100
@@ -110,12 +110,15 @@ class LPTable:
     triangular faces, as if every vertex were interior and every edge of two
     faces interior; ``r`` is each row's right-hand side. ``A``'s column
     ``t + 1`` is zero, and each row after the face rows has its slack.
+    ``blocks[i, col]`` is the row of column col's nonzero among the face rows
+    (i = 0), the vertex rows and the cap (1), then the edge rows (2), or -1.
     """
     cs: Corners
     A: np.ndarray
     r: np.ndarray
     face_row: dict[tuple[int, ...], int]
     edge_row: dict[tuple[int, int], int]
+    blocks: np.ndarray
 
 
 def lp_table(G: PlaneTriangulation) -> LPTable:
@@ -125,17 +128,22 @@ def lp_table(G: PlaneTriangulation) -> LPTable:
     rows = [[3 * f, 3 * f + 1, 3 * f + 2] for f in range(nf)]
     rows += [cs.at_vertex[v] for v in range(1, G.n + 1)] + [cs.opposite[e] for e in edges] + [[]]
     A = np.zeros((len(rows), 2 * nf + 1 + len(rows)))
+    blocks = np.full((3, A.shape[1]), -1)
     for i, cols in enumerate(rows):
         A[i, cols] = 1.0
+        blocks[(i >= nf) + (nf + G.n <= i < len(rows) - 1), cols] = i
     A[np.arange(nf, len(rows)), np.arange(3 * nf + 1, A.shape[1])] = 1.0
+    blocks[1, 3 * nf + 1:3 * nf + 1 + G.n] = np.arange(nf, nf + G.n)
+    blocks[2, 3 * nf + 1 + G.n:-1] = np.arange(nf + G.n, len(rows) - 1)
+    blocks[1, -1] = len(rows) - 1
     r = np.array([1.0] * nf + [2.0] * G.n + [1.0] * len(edges) + [T_CAP])
     return LPTable(cs, A, r, {_canon_cycle(f): i for i, f in enumerate(cs.faces)},
-                   {e: i for i, e in enumerate(edges, start=nf + G.n)})
+                   {e: i for i, e in enumerate(edges, start=nf + G.n)}, blocks)
 
 
-def angle_lp(table: LPTable, face: Sequence[int]) -> AngleLP:
-    """The LP of the module docstring for outer face ``face``, cut from ``table``:
-    without the face's row, corners and edge rows, and with hull vertex rows."""
+def _cut(table: LPTable, face: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The rows and columns of ``table`` that the LP of outer face ``face``
+    keeps, the right-hand sides of all rows for it, and its column tau."""
     nf, n = len(table.cs.faces), len(table.cs.at_vertex)
     slack = 2 * nf + 1   # the column of row i's slack is i + slack
     hull = np.array(face) + (nf - 1)
@@ -150,9 +158,15 @@ def angle_lp(table: LPTable, face: Sequence[int]) -> AngleLP:
         rows[j], cols[3 * j:3 * j + 3] = False, False
     r = table.r.copy()
     r[hull] = 1.0
+    return rows, cols, r, 3 * (nf - (j is not None))
+
+
+def angle_lp(table: LPTable, face: Sequence[int]) -> AngleLP:
+    """The LP of the module docstring for outer face ``face``, cut from ``table``:
+    without the face's row, corners and edge rows, and with hull vertex rows."""
+    rows, cols, r, tau = _cut(table, face)
     # columns first, then rows: a third of the time np.ix_ takes for this array
     A = table.A[:, cols][rows]
-    tau = 3 * (nf - (j is not None))
     # the m + k of each row: its corners, and k = 1 exactly where it has a slack
     A[:, tau] = A.sum(axis=1)
     c = np.zeros(A.shape[1])
@@ -219,96 +233,6 @@ def interior_point(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndar
     return x, False
 
 
-def _step_lengths(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """``step_length`` of ``interior_point`` per lane of column stacks (k, n, 1):
-    -1 / min(dv / v) clipped to at most 1."""
-    return -1.0 / np.minimum((dv / v).min(axis=1, keepdims=True), -1.0)
-
-
-def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per lane of column stacks (k, n, 1), the dot product u @ v, shape (k, 1, 1)."""
-    return u.transpose(0, 2, 1) @ v
-
-
-def _interior_points(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The body of ``interior_points``; b and c are column stacks (k, m, 1) and (k, n, 1)."""
-    k, m, n = A.shape
-    AT = A.transpose(0, 2, 1)
-    AAT = A @ AT
-    x = AT @ np.linalg.solve(AAT, b)
-    y = np.linalg.solve(AAT, A @ c)
-    s = c - AT @ y
-    x += np.maximum(-1.5 * x.min(axis=1, keepdims=True), 0.0)
-    s += np.maximum(-1.5 * s.min(axis=1, keepdims=True), 0.0)
-    xs = _dots(x, s)
-    x += 0.5 * xs / s.sum(axis=1, keepdims=True)
-    s += 0.5 * xs / x.sum(axis=1, keepdims=True)
-    b_tol = LP_TOL * (1.0 + np.abs(b).max(axis=1, keepdims=True))
-    c_tol = LP_TOL * (1.0 + np.abs(c).max(axis=1, keepdims=True))
-    out, converged = np.empty((k, n)), np.zeros(k, dtype=bool)
-    lanes = np.arange(k)
-    for _ in range(LP_MAX_ITERATIONS):
-        rc = AT @ y + s - c
-        mu = _dots(x, s) / n
-        done = (mu <= LP_TOL).ravel()
-        # the residual tests only matter once a lane's gap is small
-        if done.any():
-            done &= ((np.abs(A @ x - b).max(axis=1, keepdims=True) <= b_tol)
-                     & (np.abs(rc).max(axis=1, keepdims=True) <= c_tol)).ravel()
-        if done.any():
-            out[lanes[done]] = x[done, :, 0]
-            converged[lanes[done]] = True
-            if done.all():
-                return out, converged
-            # a lane that has met the test leaves the stack
-            keep = ~done
-            lanes, A, b, c, x, y, s, rc, mu, b_tol, c_tol = (
-                v[keep] for v in (lanes, A, b, c, x, y, s, rc, mu, b_tol, c_tol))
-            AT = A.transpose(0, 2, 1)
-        d = x / s
-        M = (A * d.transpose(0, 2, 1)) @ AT
-        diagonal = M.reshape(len(lanes), -1)[:, ::m + 1]
-        diagonal += LP_REGULARIZATION * diagonal.max(axis=1, keepdims=True)
-        rhs = b - A @ (d * rc)
-        ds = -rc - AT @ np.linalg.solve(M, rhs)
-        dx = -x - d * ds
-        ap, ad = _step_lengths(x, dx), _step_lengths(s, ds)
-        mu_aff = _dots(x + ap * dx, s + ad * ds) / n
-        # float_power is C pow, as numpy's scalar ** is; array ** may round otherwise
-        sigma = np.float_power(mu_aff / mu, 3)
-        w = (dx * ds - sigma * mu) / s
-        dy = np.linalg.solve(M, rhs + A @ w)
-        ds = -rc - AT @ dy
-        dx = -x - w - d * ds
-        ap, ad = 0.995 * _step_lengths(x, dx), 0.995 * _step_lengths(s, ds)
-        x = x + ap * dx
-        y = y + ad * dy
-        s = s + ad * ds
-    out[lanes] = x[:, :, 0]
-    return out, converged
-
-
-def interior_points(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``interior_point`` on a stack of k LPs of one shape: A (k, m, n), b (k, m)
-    and c (k, n).
-
-    Each iteration makes one set of numpy calls for all lanes still running,
-    with the same start, step rules and tolerances as ``interior_point``; a
-    lane stops once it meets the stopping test. Per lane it makes the
-    floating-point operations ``interior_point`` makes (dot products as
-    matrix products, the cube in sigma as C ``pow``), so a lane's result does
-    not depend on the other lanes. Returns the last primal iterates (k, n)
-    and, per lane, whether it met ``LP_TOL``. If a stacked solve raises
-    ``LinAlgError``, every lane is solved again by ``interior_point``, and
-    ends as it would.
-    """
-    try:
-        return _interior_points(A, b[:, :, None], c[:, :, None])
-    except np.linalg.LinAlgError:
-        runs = [interior_point(*lp) for lp in zip(A, b, c)]
-        return np.array([x for x, _ in runs]), np.array([ok for _, ok in runs])
-
-
 @dataclass(frozen=True)
 class AngleLPResult:
     t_star: float             # the LP optimum, in units of pi
@@ -327,17 +251,203 @@ def solve_angle_lp(table: LPTable, face: Sequence[int]) -> AngleLPResult:
     return _lp_result(x, lp.tau, converged)
 
 
+def _lane(table: LPTable, face: Sequence[int]) -> tuple:
+    """``angle_lp(table, face)`` as ``solve_angle_lps`` holds it, with its
+    rows in the order faces, vertices, the cap, then edges: each column but
+    tau as its nonzero row and value in each block of rows (faces, vertices
+    and the cap, then edges), both (3, n), where a block without one gives
+    its first row and value 0; then column tau, b, c, tau and the first edge
+    row."""
+    rows, cols, r, tau = _cut(table, face)
+    split = tau // 3 + len(table.cs.at_vertex) + 1
+    lp_row = np.cumsum(rows) - 1
+    lp_row = np.where(lp_row < split - 1, lp_row, lp_row + 1)
+    lp_row[-1] = split - 1
+    t = table.blocks[:, cols]
+    kept = (t >= 0) & rows[t]
+    lane_rows = np.where(kept, lp_row[t], np.array([[0], [tau // 3], [split]]))
+    # the m + k of each row, as angle_lp sums them
+    a = np.bincount(lane_rows[kept], minlength=rows.sum()).astype(float)
+    b = np.empty_like(a)
+    b[lp_row[rows]] = r[rows]
+    c = np.zeros(t.shape[1])
+    c[tau] = -1.0
+    return lane_rows, kept.astype(float), a, b + a, c, tau, split
+
+
+def _step_lengths(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """``step_length`` of ``interior_point`` per lane of stacks (k, n):
+    -1 / min(dv / v) clipped to at most 1."""
+    return -1.0 / np.minimum((dv / v).min(axis=1, keepdims=True), -1.0)
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per lane of stacks (k, n), the dot product u @ v, shape (k, 1)."""
+    return (u * v).sum(axis=1, keepdims=True)
+
+
+def _interior_points(rows: np.ndarray, values: np.ndarray, a: np.ndarray, b: np.ndarray,
+                     c: np.ndarray, tau: int, split: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked Mehrotra run of ``solve_angle_lps``, on its LPs as ``_lane``
+    gives them: the columns but tau as rows and values (k, 3, n), and column
+    tau, a (k, m).
+
+    The normal equations A D A^T y = r are solved as a bordered system with
+    one more unknown, z = d_tau a^T y: the part of A D A^T without column tau
+    is diagonal on the edge rows split.. (E), which are eliminated, leaving
+    rows ..split (K) and z. Every pivot there is large, as each edge row has
+    a basic variable; the cap row, whose slack goes to 0 where t* = 1/4,
+    stays in K. In the layout of the matrix B of that system before the
+    elimination, per lane, B[K + z, K + z] comes first, then B[K + z, E], then
+    the diagonal of B[E, E].
+    """
+    k, m = b.shape
+    n = c.shape[1]
+    s1, e = split + 1, m - split
+    size = s1 * s1 + s1 * e + e
+    # where the product of a column's nonzeros in blocks p and q adds to B
+    index, products = [], []
+    for p, q in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 2), (2, 2)):
+        index.append(rows[:, p] * s1 + rows[:, q] if q < 2 else
+                     s1 * s1 + rows[:, p] * e + rows[:, q] - split if p < 2 else
+                     s1 * s1 + s1 * e + rows[:, q] - split)
+        products.append(values[:, p] * values[:, q])
+    # both index stacks point into the lanes' rows of one flat array
+    lane = np.arange(k)[:, None, None]
+    index, products = np.stack(index, axis=1) + size * lane, np.stack(products, axis=1)
+    rows = rows + m * lane
+    diagonal = np.r_[0:s1 * split:s1 + 1, s1 * s1 + s1 * e:size]
+
+    def A_dot(v: np.ndarray) -> np.ndarray:
+        return (np.bincount(rows.ravel(), (values * v[:, None]).ravel(), v.size // n * m)
+                .reshape(-1, m) + a * v[:, tau:tau + 1])
+
+    def AT_dot(v: np.ndarray) -> np.ndarray:
+        out = (values * v.ravel()[rows]).sum(axis=1)
+        out[:, tau] = _dots(a, v)[:, 0]
+        return out
+
+    def bordered(d: np.ndarray, shift: bool) -> tuple[np.ndarray, ...]:
+        """B, with E eliminated: S = B[K + z, K + z] - B[K + z, E] B[E, E]^-1 B[E, K + z],
+        with G = B[K + z, E] B[E, E]^-1, B[K + z, E] and the diagonal h of B[E, E]."""
+        lanes = len(d)
+        B = np.bincount(index.ravel(), (products * d[:, None]).ravel(),
+                        lanes * size).reshape(lanes, size)
+        # column tau, in the border
+        B[:, split:s1 * split:s1] = B[:, s1 * split:s1 * s1 - 1] = a[:, :split]
+        B[:, s1 * s1 + split * e:s1 * s1 + s1 * e] = a[:, split:]
+        B[:, s1 * s1 - 1] = -1.0 / d[:, tau]
+        if shift:
+            # interior_point's shift: relative to the largest diagonal entry of A D A^T
+            B[:, diagonal] += LP_REGULARIZATION * (B[:, diagonal] + d[:, tau:tau + 1] * a ** 2).max(
+                axis=1, keepdims=True)
+        KE, h = B[:, s1 * s1:-e].reshape(lanes, s1, e), B[:, -e:, None]
+        G = KE / h.transpose(0, 2, 1)
+        S = B[:, :s1 * s1].reshape(lanes, s1, s1)
+        S -= G @ KE.transpose(0, 2, 1)
+        return S, G, KE, h
+
+    def solve(system: tuple[np.ndarray, ...], r: np.ndarray) -> np.ndarray:
+        """y for A D A^T y = r, r (k, m, q)."""
+        S, G, KE, h = system
+        r_E = r[:, split:]
+        rhs = -(G @ r_E)
+        rhs[:, :split] += r[:, :split]
+        yz = np.linalg.solve(S, rhs)
+        return np.concatenate([yz[:, :split], (r_E - KE.transpose(0, 2, 1) @ yz) / h], axis=1)
+
+    xy = solve(bordered(np.ones((k, n)), False), np.stack([b, A_dot(c)], axis=2))
+    x, y = AT_dot(xy[:, :, 0]), xy[:, :, 1]
+    s = c - AT_dot(y)
+    x += np.maximum(-1.5 * x.min(axis=1, keepdims=True), 0.0)
+    s += np.maximum(-1.5 * s.min(axis=1, keepdims=True), 0.0)
+    xs = _dots(x, s)
+    x += 0.5 * xs / s.sum(axis=1, keepdims=True)
+    s += 0.5 * xs / x.sum(axis=1, keepdims=True)
+    b_tol = LP_TOL * (1.0 + np.abs(b).max(axis=1, keepdims=True))
+    c_tol = LP_TOL * (1.0 + np.abs(c).max(axis=1, keepdims=True))
+    out, converged = np.empty((k, n)), np.zeros(k, dtype=bool)
+    lanes = np.arange(k)
+    for _ in range(LP_MAX_ITERATIONS):
+        rc = AT_dot(y) + s - c
+        mu = _dots(x, s) / n
+        done = (mu <= LP_TOL).ravel()
+        # the residual tests only matter once a lane's gap is small
+        if done.any():
+            done &= ((np.abs(A_dot(x) - b).max(axis=1, keepdims=True) <= b_tol)
+                     & (np.abs(rc).max(axis=1, keepdims=True) <= c_tol)).ravel()
+        if done.any():
+            out[lanes[done]] = x[done]
+            converged[lanes[done]] = True
+            if done.all():
+                return out, converged
+            # a lane that has met the test leaves the stack
+            keep = ~done
+            lanes, rows, values, index, products, a, b, c, x, y, s, rc, mu, b_tol, c_tol = (
+                v[keep] for v in (lanes, rows, values, index, products, a, b, c, x, y, s, rc, mu,
+                                  b_tol, c_tol))
+            moved = (np.arange(len(lanes)) - np.flatnonzero(keep))[:, None, None]
+            rows, index = rows + m * moved, index + size * moved
+        d = x / s
+        system = bordered(d, True)
+        rhs = b - A_dot(d * rc)
+        ds = -rc - AT_dot(solve(system, rhs[:, :, None])[:, :, 0])
+        dx = -x - d * ds
+        ap, ad = _step_lengths(x, dx), _step_lengths(s, ds)
+        mu_aff = _dots(x + ap * dx, s + ad * ds) / n
+        sigma = (mu_aff / mu) ** 3
+        w = (dx * ds - sigma * mu) / s
+        dy = solve(system, (rhs + A_dot(w))[:, :, None])[:, :, 0]
+        # freed before the next iteration builds its own
+        del system
+        ds = -rc - AT_dot(dy)
+        dx = -x - w - d * ds
+        ap, ad = 0.995 * _step_lengths(x, dx), 0.995 * _step_lengths(s, ds)
+        x = x + ap * dx
+        y = y + ad * dy
+        s = s + ad * ds
+    out[lanes] = x
+    return out, converged
+
+
+def solve_angle_lps(table: LPTable, faces: Sequence[Sequence[int]]) -> list[AngleLPResult]:
+    """``solve_angle_lp`` for each of ``faces``, whose LPs must have one
+    layout (shape, tau and first edge row), by ``interior_point``'s method
+    on them stacked: each iteration makes one set of numpy calls for all
+    lanes still running, with the same start, step rules and tolerances, and
+    a lane stops once it meets the stopping test.
+
+    The LPs are cut sparse from ``table``, and their normal equations solved
+    through their structure: every column but tau has at most one nonzero in
+    each block of rows (faces, vertices and the cap, then edges), so A D A^T
+    without tau sums from the nonzeros, its diagonal block on the edge rows
+    is eliminated, and tau's rank-one part is kept as one more unknown. Each
+    solve is one LU of size 30 on the Kleetope, against ``interior_point``'s
+    53. The iterates are ``interior_point``'s up to rounding, and a
+    lane's result does not depend on the other lanes. A failed stacked solve
+    raises ``LinAlgError``.
+    """
+    lanes = [_lane(table, face) for face in faces]
+    if len({(lane[0].shape, lane[3].shape, lane[5:]) for lane in lanes}) > 1:
+        raise ValueError("the faces' LPs differ in layout")
+    tau, split = lanes[0][5:]
+    stacks = [np.array(v) for v in list(zip(*lanes))[:5]]
+    del lanes
+    x, converged = _interior_points(*stacks, tau, split)
+    return [_lp_result(xi, tau, ok) for xi, ok in zip(x, converged)]
+
+
 class FaceLPs:
     """The angle LP results of one graph's candidate outer faces ``faces``
     (``candidate_outer_faces`` order), each solved when first asked for.
 
-    ``self[0]`` comes from ``solve_angle_lp``, as a call that succeeds on its
-    first face has always computed it. The faces after it, which only a
-    maximal planar graph has, all give LPs of one shape; they are solved by
-    ``interior_points`` in chunks of balanced size, a whole chunk when one of
-    its faces is first asked for. A chunk's stacked LP matrices take at most
-    ``LP_STACK_BYTES``, counting each as the size of ``table``'s matrix, which
-    every LP is cut from.
+    The first face is a chunk of its own, as a call that succeeds on it needs
+    nothing more; the faces after it, which only a maximal planar graph has,
+    all give LPs of one layout and go in chunks of balanced size. A chunk is
+    solved whole when one of its faces is first asked for: alone by
+    ``solve_angle_lp``, or stacked by ``solve_angle_lps``. A chunk's stacked
+    LP matrices take at most ``LP_STACK_BYTES``, counting each as the size of
+    ``table``'s matrix, which every LP is cut from.
     """
 
     def __init__(self, table: LPTable, faces: Sequence[Sequence[int]]):
@@ -345,30 +455,29 @@ class FaceLPs:
         self._faces = faces
         rest = len(faces) - 1
         chunks = -(-rest // max(1, LP_STACK_BYTES // table.A.nbytes))
-        # the end of each chunk of faces 1.., sizes differing by at most one
-        self._ends = [1 + rest * (i + 1) // chunks for i in range(chunks)]
+        # the start of each chunk, then the end; the sizes after the first differ by at most one
+        self._bounds = [0, 1] + [1 + rest * i // chunks for i in range(1, chunks + 1)]
         self._results: dict[int, AngleLPResult] = {}
 
     def __getitem__(self, k: int) -> AngleLPResult:
         if k not in self._results:
-            if k == 0:
-                self._results[0] = solve_angle_lp(self._table, self._faces[0])
-            else:
-                i = bisect.bisect_right(self._ends, k)
-                self._solve(self._ends[i - 1] if i else 1, self._ends[i])
+            i = bisect.bisect_right(self._bounds, k)
+            self._solve(self._bounds[i - 1], self._bounds[i])
         return self._results[k]
 
     def _solve(self, start: int, end: int) -> None:
-        """Solve faces start..end - 1 in one stacked run, each LP cut into its lane."""
-        for i, k in enumerate(range(start, end)):
-            lp = angle_lp(self._table, self._faces[k])
-            if i == 0:
-                A = np.empty((end - start, *lp.A.shape))
-                b, c = np.empty((end - start, *lp.b.shape)), np.empty((end - start, *lp.c.shape))
-            A[i], b[i], c[i] = lp.A, lp.b, lp.c
-        x, converged = interior_points(A, b, c)
-        for i, k in enumerate(range(start, end)):
-            self._results[k] = _lp_result(x[i], lp.tau, converged[i])
+        """Solve faces start..end - 1: alone, or in one stacked run, again
+        face by face if a stacked solve fails."""
+        if end - start > 1:
+            try:
+                results = solve_angle_lps(self._table, self._faces[start:end])
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                self._results.update(zip(range(start, end), results))
+                return
+        for k in range(start, end):
+            self._results[k] = solve_angle_lp(self._table, self._faces[k])
 
 
 def _volume_constraints(cs: Corners) -> np.ndarray:

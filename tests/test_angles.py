@@ -131,46 +131,97 @@ def test_t_star_agrees_with_linprog():
             assert abs(res.t_star - (ref.x[lp.tau] - 1)) < 1e-6
 
 
-def _stacks():
-    """The LPs of every candidate outer face of ``_lp_graphs()``, one stack
-    (A, b, c) per shape, with each lane's tau. A stack can mix graphs, and
-    then its lanes stop at different iterations."""
-    by_shape = {}
+def test_every_face_solved_stacked_agrees_with_solve_angle_lp():
+    """``solve_angle_lps`` on all candidate outer faces of a graph ends each
+    where ``solve_angle_lp`` ends it: the same convergence, t* within 1e-12
+    and angles within 1e-9 on a maximal planar graph, whose faces after the
+    first ``FaceLPs`` stacks. A graph with one candidate face is never
+    stacked; its degenerate optima (t* = 1/4 at the cap, fans) still agree
+    within ``LP_TOL``."""
     for G in _lp_graphs():
+        table, faces = angles.lp_table(G), candidate_outer_faces(G)
+        t_tol, angle_tol = (1e-12, 1e-9) if len(faces) > 1 else (angles.LP_TOL, angles.LP_TOL)
+        for face, got in zip(faces, angles.solve_angle_lps(table, faces), strict=True):
+            ref = angles.solve_angle_lp(table, face)
+            assert got.converged == ref.converged
+            assert abs(got.t_star - ref.t_star) <= t_tol
+            assert np.abs(got.angles - ref.angles).max() <= angle_tol
+
+
+def test_stacked_faces_must_share_a_layout():
+    G = random_instance(9, 4007)[1]
+    H = bipyramid_kleetope()
+    table = angles.lp_table(H)
+    face = candidate_outer_faces(H)[0]
+    assert len(angles.solve_angle_lps(table, [face])) == 1
+    with pytest.raises(ValueError):
+        angles.solve_angle_lps(angles.lp_table(G), candidate_outer_faces(G) + [[1, 2, 3]])
+
+
+def test_a_lane_is_its_lp_held_sparse():
+    """``_lane`` holds exactly ``angle_lp``'s LP, the cap row moved before
+    the edge rows: each column but tau as one nonzero per block of rows, then
+    column tau, b and c."""
+    graphs = _lp_graphs() + [random_instance(n, s)[1] for n in range(4, 16) for s in range(4000, 4003)]
+    for G in graphs:
         table = angles.lp_table(G)
         for face in candidate_outer_faces(G):
             lp = angles.angle_lp(table, face)
-            by_shape.setdefault(lp.A.shape, []).append(lp)
-    for lps in by_shape.values():
-        yield tuple(np.stack([getattr(lp, f) for lp in lps]) for f in "Abc"), [lp.tau for lp in lps]
+            rows, values, a, b, c, tau, split = angles._lane(table, face)
+            A = np.zeros_like(lp.A)
+            for block in range(3):
+                A[rows[block], np.arange(A.shape[1])] += values[block]
+            A[:, tau] = a
+            assert tau == lp.tau
+            # the cap row, last in angle_lp, comes before the edge rows
+            order = np.r_[:split - 1, len(A) - 1, split - 1:len(A) - 1]
+            for got, want in ((A, lp.A[order]), (b, lp.b[order]), (c, lp.c)):
+                assert np.array_equal(got, want)
 
 
-def test_every_lane_agrees_with_interior_point():
-    """A stacked run ends each lane where ``interior_point`` ends its LP: the
-    same convergence, t* and angles."""
-    for stack, taus in _stacks():
-        xs, converged = angles.interior_points(*stack)
-        for lp, tau, x, ok in zip(zip(*stack), taus, xs, converged):
-            ref, ref_ok = angles.interior_point(*lp)
-            assert ok == ref_ok
-            assert abs(x[tau] - ref[tau]) <= 1e-12
-            assert np.abs((x[:tau] + x[tau]) - (ref[:tau] + ref[tau])).max() <= 1e-9
+def _stacks():
+    """The lanes of every candidate outer face of ``_lp_graphs()``, one stack
+    per layout, as ``_interior_points`` takes them, with each lane's LP. A
+    stack can mix graphs, and then its lanes stop at different iterations."""
+    by_layout = {}
+    for G in _lp_graphs():
+        table = angles.lp_table(G)
+        for face in candidate_outer_faces(G):
+            lane = angles._lane(table, face)
+            key = (lane[0].shape, lane[3].shape, lane[5:])
+            by_layout.setdefault(key, []).append((lane, angles.angle_lp(table, face)))
+    for (_, _, (tau, split)), lanes in by_layout.items():
+        stack = [np.array(v) for v in list(zip(*(lane for lane, _ in lanes)))[:5]]
+        yield stack, tau, split, [lp for _, lp in lanes]
 
 
-def test_a_lane_does_not_depend_on_its_chunk():
+def test_a_lane_does_not_depend_on_its_stack(monkeypatch):
     """Each LP gives the same bits solved alone (k = 1) as inside a stack,
-    also next to lanes that stop at other iterations."""
-    for (A, b, c), _ in _stacks():
-        xs, converged = angles.interior_points(A, b, c)
-        for i in range(len(A)):
-            x, ok = angles.interior_points(A[i:i + 1], b[i:i + 1], c[i:i + 1])
+    also next to lanes of other graphs that stop at other iterations, and
+    converges where ``interior_point`` does."""
+    solve, lanes_per_solve = np.linalg.solve, []
+
+    def counted(a, b):
+        lanes_per_solve.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    shrank = False
+    for stack, tau, split, lps in _stacks():
+        lanes_per_solve.clear()
+        xs, converged = angles._interior_points(*stack, tau, split)
+        shrank |= len(set(lanes_per_solve)) > 1
+        for i, lp in enumerate(lps):
+            x, ok = angles._interior_points(*(v[i:i + 1] for v in stack), tau, split)
             assert np.array_equal(x[0], xs[i]) and ok[0] == converged[i]
+            assert converged[i] == angles.interior_point(lp.A, lp.b, lp.c)[1]
+    assert shrank
 
 
 @pytest.mark.parametrize("failing_call", [0, 5])
-def test_a_failed_stacked_solve_falls_back_to_interior_point(monkeypatch, failing_call):
+def test_a_failed_stacked_solve_falls_back_to_solve_angle_lp(monkeypatch, failing_call):
     """A LinAlgError in a stacked solve, at the start or part way through,
-    makes every lane of the run end as ``interior_point`` ends it."""
+    makes every face of the run end as ``solve_angle_lp`` ends it."""
     G = bipyramid_kleetope()
     table, faces = angles.lp_table(G), candidate_outer_faces(G)
     want = [angles.solve_angle_lp(table, face) for face in faces]

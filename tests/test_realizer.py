@@ -400,31 +400,35 @@ def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
     assert skipped and all(d.keys() == {"outer_face", "solver_status"} for d in skipped)
 
 
-@pytest.mark.parametrize("graph", [k4, bipyramid_kleetope], ids=["k4", "kleetope"])
-def test_faces_after_the_first_are_solved_in_stacked_runs(monkeypatch, graph):
+@pytest.mark.parametrize("graph, stack_bytes, calls", [
+    (k4, None, {"solve_angle_lp": 1, "solve_angle_lps": 0}),
+    (bipyramid_kleetope, None, {"solve_angle_lp": 1, "solve_angle_lps": 1}),
+    (bipyramid_kleetope, 16, {"solve_angle_lp": 1, "solve_angle_lps": 2}),
+    (bipyramid_kleetope, 1, {"solve_angle_lp": 18, "solve_angle_lps": 0}),
+], ids=["k4", "kleetope", "kleetope-runs-of-16", "kleetope-runs-of-1"])
+def test_faces_after_the_first_are_solved_in_stacked_runs(monkeypatch, graph, stack_bytes, calls):
     """A call that succeeds on its first face makes no stacked LP run; the
-    Kleetope solves its first face alone and the other 17 in chunks."""
-    calls = {"interior_point": 0, "interior_points": 0}
+    Kleetope solves its first face alone and the other 17 in runs of at most
+    ``LP_STACK_BYTES`` (one, at its value; 9 and 8 when it allows 16 faces),
+    and a run of one face is solved alone."""
+    counted_calls = dict.fromkeys(calls, 0)
 
     def counted(name):
         real = getattr(angles, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            counted_calls[name] += 1
             return real(*args)
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(angles, name, counted(name))
     G = graph()
+    if stack_bytes is not None:
+        monkeypatch.setattr(angles, "LP_STACK_BYTES", stack_bytes * angles.lp_table(G).A.nbytes)
     res = realize(G)
-    if graph is k4:
-        assert res.status == "REALIZED"
-        assert calls == {"interior_point": 1, "interior_points": 0}
-    else:
-        chunk = angles.LP_STACK_BYTES // angles.lp_table(G).A.nbytes
-        assert res.status == "UNKNOWN"
-        assert calls == {"interior_point": 1, "interior_points": -(-17 // chunk)}
+    assert res.status == ("REALIZED" if graph is k4 else "UNKNOWN")
+    assert counted_calls == calls
 
 
 def test_certify_failure_is_not_reported_as_a_gate_failure(monkeypatch):
