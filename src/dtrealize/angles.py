@@ -16,9 +16,11 @@ has triangle angles that satisfy, in units of pi and with some t > 0:
 that ``angle_lp`` cuts from one per-graph ``lp_table``. ``FaceLPs`` gives the
 results for all candidate outer faces of a graph: the first face's LP is
 solved alone, the LPs of the faces after it (a maximal planar graph has 2n - 4
-faces, all with LPs of one shape) in stacked runs of ``interior_points``,
-which make one set of numpy calls per iteration for a whole chunk of faces.
-``LP_STACK_BYTES`` bounds the matrices of one chunk. From a point with t > 0,
+faces, all with LPs of one layout) in chunks by ``solve_angle_lps``, which
+runs the same method on a chunk stacked, one set of numpy calls per
+iteration, and solves its normal equations through the LPs' sparsity: one
+LU of size 30 instead of 53 on the 11-vertex Kleetope. ``LP_STACK_BYTES``
+bounds a chunk. From a point with t > 0,
 ``maximise_volume`` holds each edge's opposite-angle sum fixed and maximises
 Rivin's volume, the sum of Lobachevsky functions of the angles (Rivin, Ann.
 Math. 139, 1994); at the maximum, the law-of-sines edge lengths agree across
@@ -47,9 +49,9 @@ LP_REGULARIZATION = 1e-14
 LP_MAX_ITERATIONS = 200
 # the most bytes of LP matrices one stacked run covers (FaceLPs), counting each
 # face as its graph's dense LP table: a memory bound, as a run's arrays take
-# about 1.2 times that. The Kleetope's 17 faces after the first fit one run,
-# whose realize call peaks 0.86 MB above a scalar one (tracemalloc); runs of
-# 9 and 8 take 16 % longer. Graphs from 35 vertices on get one face a run
+# about as much. The Kleetope's 17 faces after the first fit one run, whose
+# realize call peaks 0.69 MB above a scalar one (tracemalloc; runs of 9 and
+# 8: 0.34 MB, and 18 % longer). Graphs from 35 vertices on get one face a run
 LP_STACK_BYTES = 2 ** 20
 # Newton stops once no angle moves by more than this many radians
 NEWTON_TOL = 1e-10
@@ -253,11 +255,11 @@ def solve_angle_lp(table: LPTable, face: Sequence[int]) -> AngleLPResult:
 
 def _lane(table: LPTable, face: Sequence[int]) -> tuple:
     """``angle_lp(table, face)`` as ``solve_angle_lps`` holds it, with its
-    rows in the order faces, vertices, the cap, then edges: each column but
-    tau as its nonzero row and value in each block of rows (faces, vertices
-    and the cap, then edges), both (3, n), where a block without one gives
-    its first row and value 0; then column tau, b, c, tau and the first edge
-    row."""
+    rows in the order faces, vertices, the cap, then edges: for each column
+    but tau and each block of rows (faces, vertices and the cap, then edges),
+    the row of its nonzero, which is 1, and whether it has one, both (3, n),
+    where a block without one gives its first row; then column tau, b, c, tau
+    and the first edge row."""
     rows, cols, r, tau = _cut(table, face)
     split = tau // 3 + len(table.cs.at_vertex) + 1
     lp_row = np.cumsum(rows) - 1
@@ -272,7 +274,7 @@ def _lane(table: LPTable, face: Sequence[int]) -> tuple:
     b[lp_row[rows]] = r[rows]
     c = np.zeros(t.shape[1])
     c[tau] = -1.0
-    return lane_rows, kept.astype(float), a, b + a, c, tau, split
+    return lane_rows, kept, a, b + a, c, tau, split
 
 
 def _step_lengths(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -286,11 +288,11 @@ def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u * v).sum(axis=1, keepdims=True)
 
 
-def _interior_points(rows: np.ndarray, values: np.ndarray, a: np.ndarray, b: np.ndarray,
+def _interior_points(rows: np.ndarray, nonzero: np.ndarray, a: np.ndarray, b: np.ndarray,
                      c: np.ndarray, tau: int, split: int) -> tuple[np.ndarray, np.ndarray]:
     """The stacked Mehrotra run of ``solve_angle_lps``, on its LPs as ``_lane``
-    gives them: the columns but tau as rows and values (k, 3, n), and column
-    tau, a (k, m).
+    gives them: the columns but tau as rows and nonzero flags (k, 3, n), and
+    column tau, a (k, m).
 
     The normal equations A D A^T y = r are solved as a bordered system with
     one more unknown, z = d_tau a^T y: the part of A D A^T without column tau
@@ -305,33 +307,33 @@ def _interior_points(rows: np.ndarray, values: np.ndarray, a: np.ndarray, b: np.
     n = c.shape[1]
     s1, e = split + 1, m - split
     size = s1 * s1 + s1 * e + e
-    # where the product of a column's nonzeros in blocks p and q adds to B
-    index, products = [], []
+    # where a column with nonzeros in blocks p and q adds to B
+    index, both = [], []
     for p, q in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 2), (2, 2)):
         index.append(rows[:, p] * s1 + rows[:, q] if q < 2 else
                      s1 * s1 + rows[:, p] * e + rows[:, q] - split if p < 2 else
                      s1 * s1 + s1 * e + rows[:, q] - split)
-        products.append(values[:, p] * values[:, q])
-    # both index stacks point into the lanes' rows of one flat array
+        both.append(nonzero[:, p] * nonzero[:, q])
+    # the index stacks point into one flat array, each lane after the one before
     lane = np.arange(k)[:, None, None]
-    index, products = np.stack(index, axis=1) + size * lane, np.stack(products, axis=1)
+    index, both = np.stack(index, axis=1) + size * lane, np.stack(both, axis=1)
     rows = rows + m * lane
     diagonal = np.r_[0:s1 * split:s1 + 1, s1 * s1 + s1 * e:size]
 
     def A_dot(v: np.ndarray) -> np.ndarray:
-        return (np.bincount(rows.ravel(), (values * v[:, None]).ravel(), v.size // n * m)
+        return (np.bincount(rows.ravel(), (nonzero * v[:, None]).ravel(), v.size // n * m)
                 .reshape(-1, m) + a * v[:, tau:tau + 1])
 
     def AT_dot(v: np.ndarray) -> np.ndarray:
-        out = (values * v.ravel()[rows]).sum(axis=1)
+        out = (nonzero * v.ravel()[rows]).sum(axis=1)
         out[:, tau] = _dots(a, v)[:, 0]
         return out
 
     def bordered(d: np.ndarray, shift: bool) -> tuple[np.ndarray, ...]:
         """B, with E eliminated: S = B[K + z, K + z] - B[K + z, E] B[E, E]^-1 B[E, K + z],
-        with G = B[K + z, E] B[E, E]^-1, B[K + z, E] and the diagonal h of B[E, E]."""
+        with B[K + z, E] and the diagonal h of B[E, E]."""
         lanes = len(d)
-        B = np.bincount(index.ravel(), (products * d[:, None]).ravel(),
+        B = np.bincount(index.ravel(), (both * d[:, None]).ravel(),
                         lanes * size).reshape(lanes, size)
         # column tau, in the border
         B[:, split:s1 * split:s1] = B[:, s1 * split:s1 * s1 - 1] = a[:, :split]
@@ -342,16 +344,15 @@ def _interior_points(rows: np.ndarray, values: np.ndarray, a: np.ndarray, b: np.
             B[:, diagonal] += LP_REGULARIZATION * (B[:, diagonal] + d[:, tau:tau + 1] * a ** 2).max(
                 axis=1, keepdims=True)
         KE, h = B[:, s1 * s1:-e].reshape(lanes, s1, e), B[:, -e:, None]
-        G = KE / h.transpose(0, 2, 1)
         S = B[:, :s1 * s1].reshape(lanes, s1, s1)
-        S -= G @ KE.transpose(0, 2, 1)
-        return S, G, KE, h
+        S -= (KE / h.transpose(0, 2, 1)) @ KE.transpose(0, 2, 1)
+        return S, KE, h
 
     def solve(system: tuple[np.ndarray, ...], r: np.ndarray) -> np.ndarray:
         """y for A D A^T y = r, r (k, m, q)."""
-        S, G, KE, h = system
+        S, KE, h = system
         r_E = r[:, split:]
-        rhs = -(G @ r_E)
+        rhs = -(KE @ (r_E / h))
         rhs[:, :split] += r[:, :split]
         yz = np.linalg.solve(S, rhs)
         return np.concatenate([yz[:, :split], (r_E - KE.transpose(0, 2, 1) @ yz) / h], axis=1)
@@ -383,8 +384,8 @@ def _interior_points(rows: np.ndarray, values: np.ndarray, a: np.ndarray, b: np.
                 return out, converged
             # a lane that has met the test leaves the stack
             keep = ~done
-            lanes, rows, values, index, products, a, b, c, x, y, s, rc, mu, b_tol, c_tol = (
-                v[keep] for v in (lanes, rows, values, index, products, a, b, c, x, y, s, rc, mu,
+            lanes, rows, nonzero, index, both, a, b, c, x, y, s, rc, mu, b_tol, c_tol = (
+                v[keep] for v in (lanes, rows, nonzero, index, both, a, b, c, x, y, s, rc, mu,
                                   b_tol, c_tol))
             moved = (np.arange(len(lanes)) - np.flatnonzero(keep))[:, None, None]
             rows, index = rows + m * moved, index + size * moved

@@ -45,7 +45,7 @@ class RealizeConfig:
     - the build of the graph's angle LP table, before the first face;
     - one chunk of the angle LPs of the faces after the first, solved
       together when the first face of the chunk is reached (at most
-      ``angles.LP_STACK_BYTES`` of LP matrices, 5 to 6 of the Kleetope's 17);
+      ``angles.LP_STACK_BYTES`` of LP tables: all 17 of the Kleetope's);
     - one face's angle LP (the first face's, or its result from its chunk),
       Newton step and layout, then its system build and solve start-up
       (compiling the system and building its start assignment);
