@@ -33,6 +33,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,15 +113,27 @@ class LPTable:
     triangular faces, as if every vertex were interior and every edge of two
     faces interior; ``r`` is each row's right-hand side. ``A``'s column
     ``t + 1`` is zero, and each row after the face rows has its slack.
-    ``blocks[i, col]`` is the row of column col's nonzero among the face rows
-    (i = 0), the vertex rows and the cap (1), then the edge rows (2), or -1.
     """
     cs: Corners
     A: np.ndarray
     r: np.ndarray
     face_row: dict[tuple[int, ...], int]
     edge_row: dict[tuple[int, int], int]
-    blocks: np.ndarray
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """``blocks[i, col]``: the row of column col's nonzero among the face
+        rows (i = 0), the vertex rows and the cap (1), then the edge rows (2),
+        or -1; a column has at most one in each."""
+        nf, m = len(self.cs.faces), len(self.A)
+        edges = m - len(self.edge_row) - 1
+        out = np.full((3, self.A.shape[1]), -1)
+        for i, (lo, hi) in enumerate(((0, nf), (nf, edges), (edges, m - 1))):
+            nonzero = self.A[lo:hi] != 0
+            out[i] = np.where(nonzero.any(axis=0), lo + nonzero.argmax(axis=0), -1)
+        # the cap's slack
+        out[1, -1] = m - 1
+        return out
 
 
 def lp_table(G: PlaneTriangulation) -> LPTable:
@@ -130,17 +143,12 @@ def lp_table(G: PlaneTriangulation) -> LPTable:
     rows = [[3 * f, 3 * f + 1, 3 * f + 2] for f in range(nf)]
     rows += [cs.at_vertex[v] for v in range(1, G.n + 1)] + [cs.opposite[e] for e in edges] + [[]]
     A = np.zeros((len(rows), 2 * nf + 1 + len(rows)))
-    blocks = np.full((3, A.shape[1]), -1)
     for i, cols in enumerate(rows):
         A[i, cols] = 1.0
-        blocks[(i >= nf) + (nf + G.n <= i < len(rows) - 1), cols] = i
     A[np.arange(nf, len(rows)), np.arange(3 * nf + 1, A.shape[1])] = 1.0
-    blocks[1, 3 * nf + 1:3 * nf + 1 + G.n] = np.arange(nf, nf + G.n)
-    blocks[2, 3 * nf + 1 + G.n:-1] = np.arange(nf + G.n, len(rows) - 1)
-    blocks[1, -1] = len(rows) - 1
     r = np.array([1.0] * nf + [2.0] * G.n + [1.0] * len(edges) + [T_CAP])
     return LPTable(cs, A, r, {_canon_cycle(f): i for i, f in enumerate(cs.faces)},
-                   {e: i for i, e in enumerate(edges, start=nf + G.n)}, blocks)
+                   {e: i for i, e in enumerate(edges, start=nf + G.n)})
 
 
 def _cut(table: LPTable, face: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -341,8 +349,8 @@ def _interior_points(rows: np.ndarray, nonzero: np.ndarray, a: np.ndarray, b: np
         B[:, s1 * s1 - 1] = -1.0 / d[:, tau]
         if shift:
             # interior_point's shift: relative to the largest diagonal entry of A D A^T
-            B[:, diagonal] += LP_REGULARIZATION * (B[:, diagonal] + d[:, tau:tau + 1] * a ** 2).max(
-                axis=1, keepdims=True)
+            largest = (B[:, diagonal] + d[:, tau:tau + 1] * a ** 2).max(axis=1, keepdims=True)
+            B[:, diagonal] += LP_REGULARIZATION * largest
         KE, h = B[:, s1 * s1:-e].reshape(lanes, s1, e), B[:, -e:, None]
         S = B[:, :s1 * s1].reshape(lanes, s1, s1)
         S -= (KE / h.transpose(0, 2, 1)) @ KE.transpose(0, 2, 1)

@@ -161,8 +161,8 @@ def test_a_lane_is_its_lp_held_sparse():
     """``_lane`` holds exactly ``angle_lp``'s LP, the cap row moved before
     the edge rows: each column but tau as one nonzero per block of rows, then
     column tau, b and c."""
-    graphs = _lp_graphs() + [random_instance(n, s)[1] for n in range(4, 16) for s in range(4000, 4003)]
-    for G in graphs:
+    graphs = [random_instance(n, s)[1] for n in range(4, 16) for s in range(4000, 4003)]
+    for G in _lp_graphs() + graphs:
         table = angles.lp_table(G)
         for face in candidate_outer_faces(G):
             lp = angles.angle_lp(table, face)
