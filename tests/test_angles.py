@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dtrealize import angles
+from dtrealize import angles, lp_stacks
 from dtrealize.instances import fan_triangulation, random_instance
 from dtrealize.plane_graph import candidate_outer_faces, reembed_with_outer_face
 
@@ -141,7 +141,7 @@ def test_every_face_solved_stacked_agrees_with_solve_angle_lp():
     for G in _lp_graphs():
         table, faces = angles.lp_table(G), candidate_outer_faces(G)
         t_tol, angle_tol = (1e-12, 1e-9) if len(faces) > 1 else (angles.LP_TOL, angles.LP_TOL)
-        for face, got in zip(faces, angles.solve_angle_lps(table, faces), strict=True):
+        for face, got in zip(faces, lp_stacks.solve_angle_lps(table, faces), strict=True):
             ref = angles.solve_angle_lp(table, face)
             assert got.converged == ref.converged
             assert abs(got.t_star - ref.t_star) <= t_tol
@@ -154,7 +154,7 @@ def test_stacked_faces_must_share_a_layout():
     G = random_instance(9, 4007)[1]
     assert len(G.outer_face) > 3
     with pytest.raises(ValueError):
-        angles.solve_angle_lps(angles.lp_table(G), [G.outer_face, G.inner_faces()[0]])
+        lp_stacks.solve_angle_lps(angles.lp_table(G), [G.outer_face, G.inner_faces()[0]])
 
 
 def test_a_lane_is_its_lp_held_sparse():
@@ -166,7 +166,8 @@ def test_a_lane_is_its_lp_held_sparse():
         table = angles.lp_table(G)
         for face in candidate_outer_faces(G):
             lp = angles.angle_lp(table, face)
-            rows, values, a, b, c, tau, split = angles._lane(table, face)
+            lane = lp_stacks._lane(table, lp_stacks._blocks(table), face)
+            rows, values, a, b, c, tau, split = lane
             A = np.zeros_like(lp.A)
             for block in range(3):
                 A[rows[block], np.arange(A.shape[1])] += values[block]
@@ -186,7 +187,7 @@ def _stacks():
     for G in _lp_graphs():
         table = angles.lp_table(G)
         for face in candidate_outer_faces(G):
-            lane = angles._lane(table, face)
+            lane = lp_stacks._lane(table, lp_stacks._blocks(table), face)
             key = (lane[0].shape, lane[3].shape, lane[5:])
             by_layout.setdefault(key, []).append((lane, angles.angle_lp(table, face)))
     for (_, _, (tau, split)), lanes in by_layout.items():
@@ -208,10 +209,10 @@ def test_a_lane_does_not_depend_on_its_stack(monkeypatch):
     shrank = False
     for stack, tau, split, lps in _stacks():
         lanes_per_solve.clear()
-        xs, converged = angles._interior_points(*stack, tau, split)
+        xs, converged = lp_stacks._interior_points(*stack, tau, split)
         shrank |= len(set(lanes_per_solve)) > 1
         for i, lp in enumerate(lps):
-            x, ok = angles._interior_points(*(v[i:i + 1] for v in stack), tau, split)
+            x, ok = lp_stacks._interior_points(*(v[i:i + 1] for v in stack), tau, split)
             assert np.array_equal(x[0], xs[i]) and ok[0] == converged[i]
             assert converged[i] == angles.interior_point(lp.A, lp.b, lp.c)[1]
     assert shrank

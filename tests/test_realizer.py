@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dtrealize import angles, constraints, oracle, plane_graph, realizer, solver
+from dtrealize import angles, constraints, lp_stacks, oracle, plane_graph, realizer, solver
 from dtrealize.constraints import (STENCIL, build_constsqu, constsqu_stencil, evaluate,
                                    repair_radii, satisfied_exact)
 from dtrealize.geometry import circumcenter, dist_sq, pt
@@ -413,16 +413,16 @@ def test_faces_after_the_first_are_solved_in_stacked_runs(monkeypatch, graph, st
     and a run of one face is solved alone."""
     counted_calls = dict.fromkeys(calls, 0)
 
-    def counted(name):
-        real = getattr(angles, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args):
             counted_calls[name] += 1
             return real(*args)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(angles, name, counted(name))
+    counted(angles, "solve_angle_lp")
+    counted(lp_stacks, "solve_angle_lps")
     G = graph()
     if stack_bytes is not None:
         monkeypatch.setattr(angles, "LP_STACK_BYTES", stack_bytes * angles.lp_table(G).A.nbytes)
