@@ -253,9 +253,9 @@ class FaceLPs:
     nothing more; the faces after it, which only a maximal planar graph has,
     all give LPs of one layout and go in chunks of balanced size. A chunk is
     solved whole when one of its faces is first asked for: alone by
-    ``solve_angle_lp``, or stacked by ``lp_stacks.solve_angle_lps``. A chunk's stacked
-    LP matrices take at most ``LP_STACK_BYTES``, counting each as the size of
-    ``table``'s matrix, which every LP is cut from.
+    ``solve_angle_lp``, or stacked by ``lp_stacks.solve_angle_lps``. A
+    chunk's stacked LP matrices take at most ``LP_STACK_BYTES``, counting
+    each as the size of ``table``'s matrix, which every LP is cut from.
     """
 
     def __init__(self, table: LPTable, faces: Sequence[Sequence[int]]):

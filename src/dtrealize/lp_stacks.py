@@ -202,10 +202,10 @@ def solve_angle_lps(table: LPTable, faces: Sequence[Sequence[int]]) -> list[Angl
     each block of rows (faces, vertices and the cap, then edges), so A D A^T
     without tau sums from the nonzeros, its diagonal block on the edge rows
     is eliminated, and tau's rank-one part is kept as one more unknown. Each
-    solve is one LU of size 30 on the Kleetope, against the dense
-    53. The iterates are ``angles.interior_point``'s up to rounding, and a
-    lane's result does not depend on the other lanes. A failed stacked solve
-    raises ``LinAlgError``.
+    solve is one LU of size 30 on the Kleetope, against 53 for the dense
+    normal matrix. The iterates are ``angles.interior_point``'s up to
+    rounding, and a lane's result does not depend on the other lanes. A
+    failed stacked solve raises ``LinAlgError``.
     """
     blocks = _blocks(table)
     lanes = [_lane(table, blocks, face) for face in faces]
