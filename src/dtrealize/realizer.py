@@ -14,10 +14,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import angles, oracle
-from .constraints import VarId, constsqu_stencil, repair_radii, satisfied_exact
+from .constraints import (StencilSystem, VarId, constsqu_stencil, repair_radii,
+                          satisfied_exact)
 # perfbench/tracing.py wraps these names; realize() calls neither
 from .constraints import build_const, build_constsqu  # noqa: F401
 from .formats import RealizationCertificate
@@ -38,9 +39,9 @@ class RealizeConfig:
     one face leaves unused passes to the next; the ConstSqu solve stops at the
     end of the share. A face that would start after the deadline is listed in
     the diagnostics with ``solver_status`` ``"DEADLINE"`` and not searched,
-    and no rounding candidate starts after it. The deadline is checked
-    between stages and at every solver step, so a call can overrun it by at
-    most one stage that is not interrupted once started:
+    and no certify call starts after it. The deadline is checked between
+    stages and at every solver step, so a call can overrun it by at most one
+    stage that is not interrupted once started:
 
     - the build of the graph's angle LP table, before the first face;
     - one chunk of the angle LPs of the faces after the first, solved
@@ -49,8 +50,9 @@ class RealizeConfig:
     - one face's angle LP (the first face's, or its result from its chunk),
       Newton step and layout, then its system build and solve start-up
       (compiling the system and building its start assignment);
-    - one rounding candidate's radius fit and exact gate, with its at most 4
-      certify calls.
+    - one certify call, then the draw of the next candidate: a jitter, or the
+      radius fit and exact gate of each rounding candidate up to the next one
+      that passes.
     """
     solver: SolverConfig = field(default_factory=SolverConfig)
     time_budget: float | None = None
@@ -235,8 +237,26 @@ def _angle_warm_start(H: PlaneTriangulation,
     return _rescale_warm(pts, r), {}
 
 
-def _points_from_values(values: dict[VarId, Fraction], n: int) -> list[RatPoint]:
-    return [RatPoint(values[("px", i)], values[("py", i)]) for i in range(1, n + 1)]
+def _grid_candidates(system: StencilSystem, assignment: dict[VarId, float], n: int, seed: int
+                     ) -> Iterator[tuple[dict[VarId, Fraction], list[tuple[int, int]]]]:
+    """The integer points to certify, each with its exact assignment: per
+    rounding of ``assignment`` that passes the radius fit and the exact gate,
+    its points, then 3 seeded jitters of them, each drawn when taken."""
+    for exact in round_candidates(assignment):
+        exact = repair_radii(system, exact)
+        if not satisfied_exact(system, exact):
+            continue
+        points = [RatPoint(exact["px", i], exact["py", i]) for i in range(1, n + 1)]
+        yield exact, scale_to_integers(points)
+        # the exact solution tolerates any half-box perturbation, so a failed
+        # certification (typically an incidental collinearity or
+        # cocircularity the system does not forbid) is retried under small
+        # seeded rational jitters
+        rng = random.Random(seed)
+        for _ in range(3):
+            yield exact, scale_to_integers([
+                RatPoint(p.x + Fraction(rng.randrange(-499, 500), 1999),
+                         p.y + Fraction(rng.randrange(-499, 500), 1999)) for p in points])
 
 
 def _realize_small(G: PlaneTriangulation) -> RealizationResult:
@@ -279,59 +299,39 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
     # every candidate face's angle LP is cut from one table; the faces after
     # the first are solved in stacked runs
     lps = angles.FaceLPs(angles.lp_table(G), candidates) if warm_points is None else None
-    solver_cfg = config.solver
     diagnostics = []
     for k, face in enumerate(candidates):
         H = reembed_with_outer_face(G, face)
+        record = {"outer_face": list(H.outer_face)}
         now = time.monotonic()
         if now > deadline:
-            diagnostics.append({"outer_face": list(H.outer_face), "solver_status": "DEADLINE"})
-            continue
-        share = (deadline - now) / (len(candidates) - k)
-        if warm_points is not None:
+            warm = None
+            record["solver_status"] = "DEADLINE"
+        elif warm_points is None:
+            warm, stopped = _angle_warm_start(H, lps[k])
+            record.update(stopped)
+        else:
             pts = [(float(x), float(y)) for x, y in warm_points]
             warm = _rescale_warm(pts, _float_radius(H, pts))
-        else:
-            warm, stopped = _angle_warm_start(H, lps[k])
-            if warm is None:
-                diagnostics.append({"outer_face": list(H.outer_face), **stopped})
-                continue
-        system = constsqu_stencil(H)
-        outcome = solve(system, solver_cfg, G=H, initial_points=warm, deadline=now + share)
-        attempt = {"outer_face": list(H.outer_face), "solver_status": outcome.status,
-                   "min_margin": outcome.min_margin}
-        if outcome.status != "SATISFIED_FLOAT":
-            diagnostics.append(attempt)
-            continue
-        for exact in round_candidates(outcome.assignment):
-            if time.monotonic() > deadline:
-                break
-            exact = repair_radii(system, exact)
-            if not satisfied_exact(system, exact):
-                continue
-            rat_points = _points_from_values(exact, G.n)
-            # the exact solution tolerates any half-box perturbation, so a
-            # failed certification (typically an incidental collinearity or
-            # cocircularity the system does not forbid) is retried under
-            # small seeded rational jitters, each drawn only once the trial
-            # before it has failed
-            rng = random.Random(solver_cfg.seed)
-            for trial_index in range(4):
-                trial = rat_points if trial_index == 0 else [
-                    RatPoint(p.x + Fraction(rng.randrange(-499, 500), 1999),
-                             p.y + Fraction(rng.randrange(-499, 500), 1999))
-                    for p in rat_points]
-                int_points = scale_to_integers(trial)
-                cert = certify(H, H.outer_face, int_points)
+        if warm is not None:
+            system = constsqu_stencil(H)
+            outcome = solve(system, config.solver, G=H, initial_points=warm,
+                            deadline=now + (deadline - now) / (len(candidates) - k))
+            record.update(solver_status=outcome.status, min_margin=outcome.min_margin)
+        if record["solver_status"] == "SATISFIED_FLOAT":
+            for exact, points in _grid_candidates(system, outcome.assignment, G.n,
+                                                  config.solver.seed):
+                if time.monotonic() > deadline:
+                    break
+                cert = certify(H, H.outer_face, points)
                 if cert.ok:
                     certificate = RealizationCertificate(
-                        tuple(int_points), tuple(H.outer_face),
-                        cert.witness_centers, cert.transcript)
-                    return RealizationResult("REALIZED", certificate,
-                                             tuple(diagnostics),
+                        tuple(points), tuple(H.outer_face), cert.witness_centers,
+                        cert.transcript)
+                    return RealizationResult("REALIZED", certificate, tuple(diagnostics),
                                              exact_assignment=exact)
-                attempt["certify_fail"] = cert.failed_step
-        if "certify_fail" not in attempt:  # no candidate passed the exact gate
-            attempt["note"] = "no rounded candidate satisfied the exact system"
-        diagnostics.append(attempt)
+                record["certify_fail"] = cert.failed_step
+            if "certify_fail" not in record:  # no candidate passed the exact gate
+                record["note"] = "no rounded candidate satisfied the exact system"
+        diagnostics.append(record)
     return RealizationResult("UNKNOWN", diagnostics=tuple(diagnostics))

@@ -179,8 +179,8 @@ class CompiledSystem:
 
 def initialize(G: PlaneTriangulation,
                points: Sequence[tuple[float, float]]) -> dict[VarId, float]:
-    """Starting ConstSqu assignment: ``points``, scaled up until no two are
-    closer than 10 stencil units, plus witness centers and radii.
+    """Starting ConstSqu assignment: ``points`` as they are, plus witness
+    centers and radii.
 
     Raises ValueError when a coordinate is not finite or two points coincide.
     """
@@ -188,13 +188,8 @@ def initialize(G: PlaneTriangulation,
     if not all(math.isfinite(c) for p in pts for c in p):
         raise ValueError("start points must have finite coordinates")
 
-    mind = min(math.dist(pts[i], pts[j])
-               for i in range(len(pts)) for j in range(i + 1, len(pts)))
-    if mind == 0:
+    if len(set(pts)) < len(pts):
         raise ValueError("start points must be distinct")
-    if mind < 10.0:
-        s = 10.0 / mind
-        pts = [(x * s, y * s) for x, y in pts]
 
     values: dict[VarId, float] = {}
     for i, (x, y) in enumerate(pts, start=1):
@@ -222,9 +217,10 @@ def solve(system: StencilSystem, config: SolverConfig, G: PlaneTriangulation,
     """Deterministic penalty descent on ConstSqu from ``initialize(G,
     initial_points)``, with seeded restarts.
 
-    Strict rows are pushed past ``MARGIN``. ``deadline`` is a
-    ``time.monotonic()`` instant after which no further descent step or
-    restart begins.
+    The start points are not rescaled against the unit stencil; realize()
+    scales its own starts so that no two are closer than 12. Strict rows are
+    pushed past ``MARGIN``. ``deadline`` is a ``time.monotonic()`` instant
+    after which no further descent step or restart begins.
     """
     values = initialize(G, initial_points)
     start = np.asarray([values[v] for v in system.variables], dtype=np.float64)

@@ -431,6 +431,62 @@ def test_faces_after_the_first_are_solved_in_stacked_runs(monkeypatch, graph, st
     assert counted_calls == calls
 
 
+def test_no_certify_call_starts_after_the_deadline(monkeypatch):
+    """A certify call that outlasts the budget is the last one: the jitters
+    of its rounding candidate are not certified."""
+    calls = []
+
+    def slow_reject(G, f_star, points):
+        calls.append(points)
+        time.sleep(0.6)
+        return realizer.CertifyResult(False, (), "EDGE_MISMATCH", "forced")
+
+    monkeypatch.setattr(realizer, "certify", slow_reject)
+    res = realize(fan_triangulation(6), RealizeConfig(time_budget=0.5))
+    assert res.status == "UNKNOWN"
+    assert len(calls) == 1
+    (attempt,) = res.diagnostics
+    assert attempt["certify_fail"] == "EDGE_MISMATCH"
+
+
+def test_grid_candidates_come_per_rounding_then_its_jitters(monkeypatch):
+    """With every certify call rejected, fan 6 certifies each of its 3
+    roundings that pass the exact gate, then 3 jitters of it; the RNG is
+    reseeded per rounding, so each rounding is jittered by the same offsets."""
+    gated, scaled, certified = [], [], []
+    real_gate, real_scale = realizer.satisfied_exact, realizer.scale_to_integers
+
+    def gate(system, values):
+        ok = real_gate(system, values)
+        if ok:
+            gated.append([(values["px", i], values["py", i]) for i in range(1, 7)])
+        return ok
+
+    def scale(points):
+        scaled.append([(p.x, p.y) for p in points])
+        return real_scale(points)
+
+    def reject(G, f_star, points):
+        certified.append(points)
+        return realizer.CertifyResult(False, (), "EDGE_MISMATCH", "forced")
+
+    monkeypatch.setattr(realizer, "satisfied_exact", gate)
+    monkeypatch.setattr(realizer, "scale_to_integers", scale)
+    monkeypatch.setattr(realizer, "certify", reject)
+    res = realize(fan_triangulation(6))
+    assert res.status == "UNKNOWN"
+    assert len(gated) == 3 and len(scaled) == len(certified) == 12
+    assert certified == [real_scale([pt(x, y) for x, y in points]) for points in scaled]
+    offsets = [[[(x - gx, y - gy) for (x, y), (gx, gy) in zip(scaled[4 * g + t], gated[g])]
+                for t in range(4)] for g in range(3)]
+    for group in offsets:
+        assert all(d == (0, 0) for d in group[0])
+        for jitter in group[1:]:
+            assert any(d != (0, 0) for d in jitter)
+            assert all(max(map(abs, d)) < Fraction(1, 4) for d in jitter)
+    assert offsets[0] == offsets[1] == offsets[2]
+
+
 def test_certify_failure_is_not_reported_as_a_gate_failure(monkeypatch):
     def reject(G, f_star, points):
         return realizer.CertifyResult(False, (), "EDGE_MISMATCH", "forced")
@@ -445,9 +501,10 @@ def test_certify_failure_is_not_reported_as_a_gate_failure(monkeypatch):
 
 
 def test_exhausted_solve_is_reported_with_its_margin():
-    """Warm points on one circle (float radius <= 0, so they are only scaled
-    up by initialize) leave ConstSqu unsatisfied, and no step may run."""
-    hexagon = [(math.sin(k * math.pi / 3), math.cos(k * math.pi / 3)) for k in range(6)]
+    """Warm points on one circle (float radius <= 0, so they are not scaled)
+    leave ConstSqu unsatisfied, and no step may run."""
+    hexagon = [(10 * math.sin(k * math.pi / 3), 10 * math.cos(k * math.pi / 3))
+               for k in range(6)]
     config = RealizeConfig(solver=solver.SolverConfig(max_iterations=0, restarts=0))
     res = realize(fan_triangulation(6), config, warm_points=hexagon)
     assert res.status == "UNKNOWN" and res.certificate is None

@@ -38,11 +38,18 @@ def test_every_patched_name_resolves(tracing):
 
 
 def test_installed_wraps_and_restores(tracing):
+    """Fan 7's first trial is cocircular and its first jitter certifies: two
+    certify calls on one drawn rounding candidate."""
     originals = [(mod, attr, getattr(mod, attr)) for mod, attr in _patched(tracing)]
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         assert all(getattr(mod, attr) is not fn for mod, attr, fn in originals)
-        assert realizer.realize(fan_triangulation(6)).status == "REALIZED"
+        assert realizer.realize(fan_triangulation(7)).status == "REALIZED"
     assert all(getattr(mod, attr) is fn for mod, attr, fn in originals)
-    names = {s.name for s in tracer.spans}
-    assert {"realizer.realize", "realizer.repair_radii", "realizer.certify"} <= names
+    names = [s.name for s in tracer.spans]
+    assert "realizer.realize" in names
+    assert names.count("realizer.certify") == 2
+    assert names.count("realizer.repair_radii") == 1
+    assert sum(bool(s.attrs.get("drawn")) for s in tracer.spans
+               if s.name == "realizer.round_candidates") == 1
+
