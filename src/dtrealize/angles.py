@@ -16,11 +16,11 @@ has triangle angles that satisfy, in units of pi and with some t > 0:
 that ``angle_lp`` cuts from one per-graph ``lp_table``. ``FaceLPs`` gives the
 results for all candidate outer faces of a graph: the first face's LP is
 solved alone, the LPs of the faces after it (a maximal planar graph has 2n - 4
-faces, all with LPs of one layout) in chunks by ``lp_stacks.solve_angle_lps``,
-which runs the same method on a chunk stacked, one set of numpy calls per
-iteration, and solves its normal equations through the LPs' sparsity: one
-LU of size 30 instead of 53 on the 11-vertex Kleetope. ``LP_STACK_BYTES``
-bounds a chunk. From a point with t > 0,
+faces, all with LPs of one layout) in runs by ``lp_stacks.solve_angle_lps``,
+which runs the same method on a run stacked, one set of numpy calls per
+iteration, and solves its normal equations through the LPs' sparsity: two
+LUs of size 30 per iteration instead of 53 on the 11-vertex Kleetope.
+``LP_STACK_BYTES`` bounds a run's arrays. From a point with t > 0,
 ``maximise_volume`` holds each edge's opposite-angle sum fixed and maximises
 Rivin's volume, the sum of Lobachevsky functions of the angles (Rivin, Ann.
 Math. 139, 1994); at the maximum, the law-of-sines edge lengths agree across
@@ -47,11 +47,10 @@ LP_TOL = 1e-9
 # a degenerate optimum (t is attained by many rows at once) they go singular
 LP_REGULARIZATION = 1e-14
 LP_MAX_ITERATIONS = 200
-# the most bytes of LP matrices one stacked run covers (FaceLPs), counting each
-# face as its graph's dense LP table: a memory bound, as a run's arrays take
-# about as much. The Kleetope's 17 faces after the first fit one run, whose
-# realize call peaks 0.69 MB above a scalar one (tracemalloc; runs of 9 and
-# 8: 0.34 MB, and 18 % longer). Graphs from 35 vertices on get one face a run
+# the most bytes one stacked run's arrays take (FaceLPs), counted per face by
+# lp_stacks.lane_bytes: 54 KB a face on the 11-vertex Kleetope, whose 17 faces
+# after the first fit one run (its realize call peaks at 0.91 MB, tracemalloc),
+# 0.34 MB at n = 29 (three a run) and 2.6 MB at n = 83 (one a run)
 LP_STACK_BYTES = 2 ** 20
 # Newton stops once no angle moves by more than this many radians
 NEWTON_TOL = 1e-10
@@ -135,37 +134,53 @@ def lp_table(G: PlaneTriangulation) -> LPTable:
                    {e: i for i, e in enumerate(edges, start=nf + G.n)})
 
 
-def _cut(table: LPTable, face: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The rows and columns of ``table`` that the LP of outer face ``face``
-    keeps, the right-hand sides of all rows for it, and its column tau."""
+def _cut(table: LPTable, faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, ...]:
+    """The rows and columns of ``table`` that the LP of each outer face in
+    ``faces`` keeps, the right-hand sides of all rows for it, and its column
+    tau: masks and right-hand sides (k, rows or columns), tau (k,)."""
     nf, n = len(table.cs.faces), len(table.cs.at_vertex)
     slack = 2 * nf + 1   # the column of row i's slack is i + slack
-    hull = np.array(face) + (nf - 1)
-    edges = [table.edge_row.get((min(u, w), max(u, w))) for u, w in zip(face, face[1:] + face[:1])]
-    dropped = np.array([i for i in edges if i is not None], dtype=int)
-    rows, cols = np.ones(len(table.A), bool), np.ones(table.A.shape[1], bool)
-    cols[nf + slack:nf + n + slack] = False
-    cols[hull + slack] = True
-    rows[dropped], cols[dropped + slack] = False, False
-    j = table.face_row.get(_canon_cycle(face))
-    if j is not None:
-        rows[j], cols[3 * j:3 * j + 3] = False, False
-    r = table.r.copy()
-    r[hull] = 1.0
-    return rows, cols, r, 3 * (nf - (j is not None))
+    k = len(faces)
+    # per face: its hull vertex rows, its edge rows and its own row, if any
+    of_hull, hull, of_edge, edge, of_own, own = [], [], [], [], [], []
+    for f, face in enumerate(faces):
+        for u, w in zip(face, face[1:] + face[:1]):
+            of_hull.append(f)
+            hull.append(u + nf - 1)
+            i = table.edge_row.get((u, w) if u < w else (w, u))
+            if i is not None:
+                of_edge.append(f)
+                edge.append(i)
+        j = table.face_row.get(_canon_cycle(face))
+        if j is not None:
+            of_own.append(f)
+            own.append(j)
+    of_hull, hull, of_edge, edge, of_own, own = (
+        np.array(v, dtype=int) for v in (of_hull, hull, of_edge, edge, of_own, own))
+    rows, cols = np.ones((k, len(table.A)), bool), np.ones((k, table.A.shape[1]), bool)
+    cols[:, nf + slack:nf + n + slack] = False
+    cols[of_hull, hull + slack] = True
+    rows[of_edge, edge], cols[of_edge, edge + slack] = False, False
+    rows[of_own, own] = False
+    cols[of_own[:, None], 3 * own[:, None] + np.arange(3)] = False
+    r = np.tile(table.r, (k, 1))
+    r[of_hull, hull] = 1.0
+    tau = np.full(k, 3 * nf)
+    tau[of_own] -= 3
+    return rows, cols, r, tau
 
 
 def angle_lp(table: LPTable, face: Sequence[int]) -> AngleLP:
     """The LP of the module docstring for outer face ``face``, cut from ``table``:
     without the face's row, corners and edge rows, and with hull vertex rows."""
-    rows, cols, r, tau = _cut(table, face)
+    rows, cols, r, tau = (v[0] for v in _cut(table, [face]))
     # columns first, then rows: a third of the time np.ix_ takes for this array
     A = table.A[:, cols][rows]
     # the m + k of each row: its corners, and k = 1 exactly where it has a slack
     A[:, tau] = A.sum(axis=1)
     c = np.zeros(A.shape[1])
     c[tau] = -1.0
-    return AngleLP(A, r[rows] + A[:, tau], c, tau)
+    return AngleLP(A, r[rows] + A[:, tau], c, int(tau))
 
 
 def interior_point(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -234,61 +249,65 @@ class AngleLPResult:
     converged: bool
 
 
-def _lp_result(x: np.ndarray, tau: int, converged: bool) -> AngleLPResult:
-    t = float(x[tau]) - 1.0
-    return AngleLPResult(t, x[:tau] + t, bool(converged))
+def _lp_results(x: np.ndarray, tau: int, converged: Sequence[bool]) -> list[AngleLPResult]:
+    """The results of LPs with column tau from their last iterates x (k, n)."""
+    t = x[:, tau] - 1.0
+    return [AngleLPResult(float(ti), angles, bool(ok))
+            for ti, angles, ok in zip(t, x[:, :tau] + t[:, None], converged)]
 
 
 def solve_angle_lp(table: LPTable, face: Sequence[int]) -> AngleLPResult:
     lp = angle_lp(table, face)
     x, converged = interior_point(lp.A, lp.b, lp.c)
-    return _lp_result(x, lp.tau, converged)
+    return _lp_results(x[None], lp.tau, [converged])[0]
 
 
 class FaceLPs:
     """The angle LP results of one graph's candidate outer faces ``faces``
     (``candidate_outer_faces`` order), each solved when first asked for.
 
-    The first face is a chunk of its own, as a call that succeeds on it needs
-    nothing more; the faces after it, which only a maximal planar graph has,
-    all give LPs of one layout and go in chunks of balanced size. A chunk is
-    solved whole when one of its faces is first asked for: alone by
-    ``solve_angle_lp``, or stacked by ``lp_stacks.solve_angle_lps``. A
-    chunk's stacked LP matrices take at most ``LP_STACK_BYTES``, counting
-    each as the size of ``table``'s matrix, which every LP is cut from.
+    The first face is solved alone by ``solve_angle_lp``, as a call that
+    succeeds on it needs nothing more. The faces after it, which only a
+    maximal planar graph has, all give LPs of one layout; they go to
+    ``lp_stacks.solve_angle_lps`` in runs of balanced size, each of at most
+    ``LP_STACK_BYTES`` of the structured run's arrays (``lp_stacks.lane_bytes``
+    per face), and a run is solved whole when one of its faces is first asked
+    for; again face by face by ``solve_angle_lp`` if a stacked solve fails.
     """
 
     def __init__(self, table: LPTable, faces: Sequence[Sequence[int]]):
         self._table = table
         self._faces = faces
-        rest = len(faces) - 1
-        chunks = -(-rest // max(1, LP_STACK_BYTES // table.A.nbytes))
-        # the start of each chunk, then the end; the sizes after the first differ by at most one
-        self._bounds = [0, 1] + [1 + rest * i // chunks for i in range(1, chunks + 1)]
+        # the start of each run of the faces after the first, then the end; set on first use
+        self._bounds: list[int] = []
         self._results: dict[int, AngleLPResult] = {}
 
     def __getitem__(self, k: int) -> AngleLPResult:
         if k not in self._results:
-            i = bisect.bisect_right(self._bounds, k)
-            self._solve(self._bounds[i - 1], self._bounds[i])
+            if k == 0:
+                self._results[0] = solve_angle_lp(self._table, self._faces[0])
+            else:
+                self._solve_run(k)
         return self._results[k]
 
-    def _solve(self, start: int, end: int) -> None:
-        """Solve faces start..end - 1: alone, or in one stacked run, again
-        face by face if a stacked solve fails."""
-        if end - start > 1:
-            # loaded by the first chunk of several faces: a call that succeeds
-            # on its first face never needs it
-            from . import lp_stacks
-            try:
-                results = lp_stacks.solve_angle_lps(self._table, self._faces[start:end])
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                self._results.update(zip(range(start, end), results))
-                return
-        for k in range(start, end):
-            self._results[k] = solve_angle_lp(self._table, self._faces[k])
+    def _solve_run(self, k: int) -> None:
+        """Solve the run of faces that holds face k > 0."""
+        # loaded by the first face after the first: a call that succeeds on
+        # its first face never needs it
+        from . import lp_stacks
+        if not self._bounds:
+            rest = len(self._faces) - 1
+            per_run = LP_STACK_BYTES // lp_stacks.lane_bytes(self._table, self._faces[1])
+            runs = -(-rest // max(1, per_run))
+            # the sizes differ by at most one
+            self._bounds = [1 + rest * i // runs for i in range(runs + 1)]
+        i = bisect.bisect_right(self._bounds, k)
+        faces = self._faces[self._bounds[i - 1]:self._bounds[i]]
+        try:
+            results = lp_stacks.solve_angle_lps(self._table, faces)
+        except np.linalg.LinAlgError:
+            results = [solve_angle_lp(self._table, face) for face in faces]
+        self._results.update(zip(range(self._bounds[i - 1], self._bounds[i]), results))
 
 
 def _volume_constraints(cs: Corners) -> np.ndarray:

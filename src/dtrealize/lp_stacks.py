@@ -3,7 +3,8 @@
 ``solve_angle_lps`` runs the Mehrotra method of ``angles.interior_point`` on
 the LPs of several faces at once, one set of numpy calls per iteration, and
 solves their normal equations through the LPs' sparsity. ``angles.FaceLPs``
-uses it for the faces after the first of a maximal planar graph, and loads
+sends it every face after the first of a maximal planar graph, in runs of at
+most ``angles.LP_STACK_BYTES`` of the arrays ``lane_bytes`` counts, and loads
 this module only then.
 """
 
@@ -14,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .angles import (LP_MAX_ITERATIONS, LP_REGULARIZATION, LP_TOL, AngleLPResult, LPTable, _cut,
-                     _lp_result)
+                     _lp_results)
 
 
 def _blocks(table: LPTable) -> np.ndarray:
@@ -32,130 +33,159 @@ def _blocks(table: LPTable) -> np.ndarray:
     return out
 
 
-def _lane(table: LPTable, blocks: np.ndarray, face: Sequence[int]) -> tuple:
-    """``angle_lp(table, face)`` as ``solve_angle_lps`` holds it, with its
-    rows in the order faces, vertices, the cap, then edges: for each column
-    but tau and each block of rows (faces, vertices and the cap, then edges),
-    the row of its nonzero, which is 1, and whether it has one, both (3, n),
-    where a block without one gives its first row; then column tau, b, c, tau
-    and the first edge row."""
-    rows, cols, r, tau = _cut(table, face)
+def _lanes(table: LPTable, faces: Sequence[Sequence[int]]) -> tuple:
+    """``angle_lp(table, face)`` for each of ``faces`` as ``solve_angle_lps``
+    holds it, with its rows in the order faces, vertices, the cap, then
+    edges: for each column but tau and each block of rows (faces, vertices
+    and the cap, then edges), the row of its nonzero, which is 1, and whether
+    it has one, both (k, 3, n), where a block without one gives an arbitrary
+    row; then column tau and b, both (k, m), tau and the first edge row.
+    Raises ``ValueError`` unless the LPs have one layout: shape, tau and
+    first edge row."""
+    rows, cols, r, tau = _cut(table, faces)
+    m, n = rows.sum(axis=1), cols.sum(axis=1)
+    if (m != m[0]).any() or (n != n[0]).any() or (tau != tau[0]).any():
+        raise ValueError("the faces' LPs differ in layout")
+    k, m, n, tau = len(faces), int(m[0]), int(n[0]), int(tau[0])
     split = tau // 3 + len(table.cs.at_vertex) + 1
-    lp_row = np.cumsum(rows) - 1
-    lp_row = np.where(lp_row < split - 1, lp_row, lp_row + 1)
-    lp_row[-1] = split - 1
-    t = blocks[:, cols]
-    kept = (t >= 0) & rows[t]
-    lane_rows = np.where(kept, lp_row[t], np.array([[0], [tau // 3], [split]]))
+    lane = np.arange(k)[:, None]
+    # the table row of each LP row, the cap (last in the table) moved before the edges
+    order = np.concatenate([np.arange(split - 1), [m - 1], np.arange(split - 1, m - 1)])
+    table_row = np.nonzero(rows)[1].reshape(k, m)[:, order]
+    lp_row = np.full(rows.shape, -1)
+    lp_row[lane, table_row] = np.arange(m)
+    t = _blocks(table)[:, np.nonzero(cols)[1].reshape(k, n)].transpose(1, 0, 2)
+    lane_rows = lp_row[lane[:, :, None], t]
+    kept = (t >= 0) & (lane_rows >= 0)
     # the m + k of each row, as angle_lp sums them
-    a = np.bincount(lane_rows[kept], minlength=rows.sum()).astype(float)
-    b = np.empty_like(a)
-    b[lp_row[rows]] = r[rows]
-    c = np.zeros(t.shape[1])
-    c[tau] = -1.0
-    return lane_rows, kept, a, b + a, c, tau, split
+    a = np.bincount((lane[:, :, None] * m + lane_rows)[kept], minlength=k * m).reshape(k, m)
+    return lane_rows, kept, a.astype(float), r[lane, table_row] + a, tau, split
 
 
-def _step_lengths(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """``step_length`` of ``angles.interior_point`` per lane of stacks (k, n):
-    -1 / min(dv / v) clipped to at most 1."""
-    return -1.0 / np.minimum((dv / v).min(axis=1, keepdims=True), -1.0)
+def lane_bytes(table: LPTable, face: Sequence[int]) -> int:
+    """About the bytes one lane of the LP of ``face`` takes in a run of
+    ``solve_angle_lps``: three matrices over the rows K + z (``KK``, ``S``
+    and a temporary; see ``_interior_points``), ``F`` and ``F^T``, and twenty
+    vectors over its rows and columns for its index arrays, iterates and
+    temporaries. On the Kleetope that is 54 KB, where a run's tracemalloc
+    peak grows by about 50 KB a lane."""
+    rows, cols, _, tau = _cut(table, [face])
+    m, n = int(rows.sum()), int(cols.sum())
+    s1 = int(tau[0]) // 3 + len(table.cs.at_vertex) + 2
+    e = m - s1 + 1
+    return 8 * (3 * s1 * s1 + 2 * s1 * e + 20 * (m + n))
 
 
-def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per lane of stacks (k, n), the dot product u @ v, shape (k, 1)."""
-    return (u * v).sum(axis=1, keepdims=True)
-
-
-def _interior_points(rows: np.ndarray, nonzero: np.ndarray, a: np.ndarray, b: np.ndarray,
-                     c: np.ndarray, tau: int, split: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked Mehrotra run of ``solve_angle_lps``, on its LPs as ``_lane``
-    gives them: the columns but tau as rows and nonzero flags (k, 3, n), and
-    column tau, a (k, m).
+def _interior_points(rows: np.ndarray, kept: np.ndarray, a: np.ndarray, b: np.ndarray, tau: int,
+                     split: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked Mehrotra run of ``solve_angle_lps``, on LPs of one layout as
+    ``_lanes`` gives them.
 
     The normal equations A D A^T y = r are solved as a bordered system with
     one more unknown, z = d_tau a^T y: the part of A D A^T without column tau
-    is diagonal on the edge rows split.. (E), which are eliminated, leaving
-    rows ..split (K) and z. Every pivot there is large, as each edge row has
-    a basic variable; the cap row, whose slack goes to 0 where t* = 1/4,
-    stays in K. In the layout of the matrix B of that system before the
-    elimination, per lane, B[K + z, K + z] comes first, then B[K + z, E], then
-    the diagonal of B[E, E].
+    is diagonal (h) on the edge rows split.. (E), which are eliminated,
+    leaving rows ..split (K) and z. Every pivot there is large, as each edge
+    row has a basic variable; the cap row, whose slack goes to 0 where
+    t* = 1/4, stays in K. With KK and KE the blocks of the bordered system on
+    K + z and on K + z and E, and F = KE h^-1/2, a solve is one LU of
+    S = KK - F F^T. A column but tau meets a face row and a vertex row at
+    its corner, and a row and an edge row at the one corner of that row
+    opposite the edge, so every entry of KK off its diagonal and of F is one
+    column's d (times h^-1/2 in F), written in place into buffers kept for
+    the run; KK's border, column tau's a on K, is written once.
     """
     k, m = b.shape
-    n = c.shape[1]
+    n = rows.shape[2]
     s1, e = split + 1, m - split
-    size = s1 * s1 + s1 * e + e
-    # where a column with nonzeros in blocks p and q adds to B
-    index, both = [], []
-    for p, q in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 2), (2, 2)):
-        index.append(rows[:, p] * s1 + rows[:, q] if q < 2 else
-                     s1 * s1 + rows[:, p] * e + rows[:, q] - split if p < 2 else
-                     s1 * s1 + s1 * e + rows[:, q] - split)
-        both.append(nonzero[:, p] * nonzero[:, q])
-    # the index stacks point into one flat array, each lane after the one before
-    lane = np.arange(k)[:, None, None]
-    index, both = np.stack(index, axis=1) + size * lane, np.stack(both, axis=1)
-    rows = rows + m * lane
-    diagonal = np.r_[0:s1 * split:s1 + 1, s1 * s1 + s1 * e:size]
+    lane = np.arange(k)[:, None]
+    column = np.broadcast_to(np.arange(n), kept.shape)
+    # each nonzero of A but in column tau, lane by lane, as flat indices into
+    # the stacks (k, m) and (k, n); LPs of one layout have as many of each kind
+    # (a corner with a face and a vertex row, or with an edge row) per lane
+    nz_rows, nz_cols = rows[kept].reshape(k, -1) + m * lane, column[kept].reshape(k, -1) + n * lane
+    face_vertex = kept[:, 0] & kept[:, 1]
+    p, q = rows[:, 0][face_vertex].reshape(k, -1), rows[:, 1][face_vertex].reshape(k, -1)
+    kk_pos = np.hstack([p * s1 + q, q * s1 + p]) + s1 * s1 * lane
+    kk_src = np.tile(column[:, 0][face_vertex].reshape(k, -1), 2) + n * lane
+    ke_pos, ke_src, ke_edge = [], [], []
+    for block in (0, 1):
+        with_edge = kept[:, block] & kept[:, 2]
+        ke_pos.append(rows[:, block][with_edge].reshape(k, -1))
+        ke_edge.append(rows[:, 2][with_edge].reshape(k, -1) - split)
+        ke_src.append(column[:, 0][with_edge].reshape(k, -1))
+    ke_pos, ke_src, ke_edge = np.hstack(ke_pos), np.hstack(ke_src) + n * lane, np.hstack(ke_edge)
+    # positions in the stacks of F (k, s1, e) and of its transpose, then of the diagonal on E
+    ke_pos, ke_pos_t, ke_edge = (ke_pos * e + ke_edge + s1 * e * lane,
+                                 ke_edge * s1 + ke_pos + s1 * e * lane, ke_edge + e * lane)
+    KK, F, Ft = np.zeros((k, s1, s1)), np.zeros((k, s1, e)), np.zeros((k, e, s1))
+    KK[:, :split, split] = KK[:, split, :split] = a[:, :split]
+    a_squared = a * a
+    c = np.zeros(n)
+    c[tau] = -1.0
 
     def A_dot(v: np.ndarray) -> np.ndarray:
-        return (np.bincount(rows.ravel(), (nonzero * v[:, None]).ravel(), v.size // n * m)
+        return (np.bincount(nz_rows.ravel(), v.ravel()[nz_cols.ravel()], len(v) * m)
                 .reshape(-1, m) + a * v[:, tau:tau + 1])
 
     def AT_dot(v: np.ndarray) -> np.ndarray:
-        out = (nonzero * v.ravel()[rows]).sum(axis=1)
-        out[:, tau] = _dots(a, v)[:, 0]
+        entries = v.ravel()[nz_rows.ravel()]
+        out = np.bincount(nz_cols.ravel(), entries, len(v) * n).reshape(-1, n)
+        # column tau's a counts each row's other nonzeros, so a^T v sums the entries
+        out[:, tau] = entries.reshape(len(v), -1).sum(axis=1)
         return out
 
     def bordered(d: np.ndarray, shift: bool) -> tuple[np.ndarray, ...]:
-        """B, with E eliminated: S = B[K + z, K + z] - B[K + z, E] B[E, E]^-1 B[E, K + z],
-        with B[K + z, E] and the diagonal h of B[E, E]."""
-        lanes = len(d)
-        B = np.bincount(index.ravel(), (both * d[:, None]).ravel(),
-                        lanes * size).reshape(lanes, size)
-        # column tau, in the border
-        B[:, split:s1 * split:s1] = B[:, s1 * split:s1 * s1 - 1] = a[:, :split]
-        B[:, s1 * s1 + split * e:s1 * s1 + s1 * e] = a[:, split:]
-        B[:, s1 * s1 - 1] = -1.0 / d[:, tau]
+        """S, F, F^T and h^-1/2 (k, e, 1) for d."""
+        diagonal = np.bincount(nz_rows.ravel(), d.ravel()[nz_cols.ravel()],
+                               len(d) * m).reshape(-1, m)
         if shift:
             # angles.interior_point's shift: relative to the largest diagonal entry of A D A^T
-            largest = (B[:, diagonal] + d[:, tau:tau + 1] * a ** 2).max(axis=1, keepdims=True)
-            B[:, diagonal] += LP_REGULARIZATION * largest
-        KE, h = B[:, s1 * s1:-e].reshape(lanes, s1, e), B[:, -e:, None]
-        S = B[:, :s1 * s1].reshape(lanes, s1, s1)
-        S -= (KE / h.transpose(0, 2, 1)) @ KE.transpose(0, 2, 1)
-        return S, KE, h
+            largest = (diagonal + d[:, tau:tau + 1] * a_squared).max(axis=1, keepdims=True)
+            diagonal += LP_REGULARIZATION * largest
+        root = 1.0 / np.sqrt(diagonal[:, split:])
+        flat = KK.reshape(len(d), -1)
+        flat[:, :split * (s1 + 1):s1 + 1] = diagonal[:, :split]
+        flat[:, -1] = -1.0 / d[:, tau]
+        flat.ravel()[kk_pos.ravel()] = d.ravel()[kk_src.ravel()]
+        values = d.ravel()[ke_src.ravel()] * root.ravel()[ke_edge.ravel()]
+        F.ravel()[ke_pos.ravel()] = Ft.ravel()[ke_pos_t.ravel()] = values
+        F[:, split] = Ft[:, :, split] = a[:, split:] * root
+        S = F @ Ft
+        return np.subtract(KK, S, out=S), F, Ft, root[..., None]
 
     def solve(system: tuple[np.ndarray, ...], r: np.ndarray) -> np.ndarray:
         """y for A D A^T y = r, r (k, m, q)."""
-        S, KE, h = system
-        r_E = r[:, split:]
-        rhs = -(KE @ (r_E / h))
+        S, F, Ft, root = system
+        r_E = r[:, split:] * root
+        rhs = -(F @ r_E)
         rhs[:, :split] += r[:, :split]
         yz = np.linalg.solve(S, rhs)
-        return np.concatenate([yz[:, :split], (r_E - KE.transpose(0, 2, 1) @ yz) / h], axis=1)
+        return np.concatenate([yz[:, :split], root * (r_E - Ft @ yz)], axis=1)
 
-    xy = solve(bordered(np.ones((k, n)), False), np.stack([b, A_dot(c)], axis=2))
+    # A c = -a, as c is -1 at tau and 0 elsewhere
+    xy = solve(bordered(np.ones((k, n)), False), np.stack([b, -a], axis=2))
     x, y = AT_dot(xy[:, :, 0]), xy[:, :, 1]
     s = c - AT_dot(y)
     x += np.maximum(-1.5 * x.min(axis=1, keepdims=True), 0.0)
     s += np.maximum(-1.5 * s.min(axis=1, keepdims=True), 0.0)
-    xs = _dots(x, s)
+    xs = _dots(x, s)[:, None]
     x += 0.5 * xs / s.sum(axis=1, keepdims=True)
     s += 0.5 * xs / x.sum(axis=1, keepdims=True)
-    b_tol = LP_TOL * (1.0 + np.abs(b).max(axis=1, keepdims=True))
-    c_tol = LP_TOL * (1.0 + np.abs(c).max(axis=1, keepdims=True))
+    # x and s as one stack (k, 2, n), so that each step rule runs once for both
+    v = np.stack([x, s], axis=1)
+    b_tol = LP_TOL * (1.0 + np.abs(b).max(axis=1))
+    c_tol = LP_TOL * (1.0 + np.abs(c).max())
     out, converged = np.empty((k, n)), np.zeros(k, dtype=bool)
     lanes = np.arange(k)
     for _ in range(LP_MAX_ITERATIONS):
+        x, s = v[:, 0], v[:, 1]
         rc = AT_dot(y) + s - c
         mu = _dots(x, s) / n
-        done = (mu <= LP_TOL).ravel()
+        done = mu <= LP_TOL
         # the residual tests only matter once a lane's gap is small
         if done.any():
-            done &= ((np.abs(A_dot(x) - b).max(axis=1, keepdims=True) <= b_tol)
-                     & (np.abs(rc).max(axis=1, keepdims=True) <= c_tol)).ravel()
+            done &= ((np.abs(A_dot(x) - b).max(axis=1) <= b_tol)
+                     & (np.abs(rc).max(axis=1) <= c_tol))
         if done.any():
             out[lanes[done]] = x[done]
             converged[lanes[done]] = True
@@ -163,31 +193,48 @@ def _interior_points(rows: np.ndarray, nonzero: np.ndarray, a: np.ndarray, b: np
                 return out, converged
             # a lane that has met the test leaves the stack
             keep = ~done
-            lanes, rows, nonzero, index, both, a, b, c, x, y, s, rc, mu, b_tol, c_tol = (
-                v[keep] for v in (lanes, rows, nonzero, index, both, a, b, c, x, y, s, rc, mu,
-                                  b_tol, c_tol))
-            moved = (np.arange(len(lanes)) - np.flatnonzero(keep))[:, None, None]
-            rows, index = rows + m * moved, index + size * moved
+            lanes, a, a_squared, b, v, y, rc, mu, b_tol, KK, F, Ft = (
+                w[keep] for w in (lanes, a, a_squared, b, v, y, rc, mu, b_tol, KK, F, Ft))
+            moved = (np.arange(len(lanes)) - np.flatnonzero(keep))[:, None]
+            nz_rows, nz_cols, kk_pos, kk_src, ke_pos, ke_pos_t, ke_src, ke_edge = (
+                w[keep] + stride * moved for w, stride in (
+                    (nz_rows, m), (nz_cols, n), (kk_pos, s1 * s1), (kk_src, n), (ke_pos, s1 * e),
+                    (ke_pos_t, s1 * e), (ke_src, n), (ke_edge, e)))
+            x, s = v[:, 0], v[:, 1]
         d = x / s
         system = bordered(d, True)
         rhs = b - A_dot(d * rc)
-        ds = -rc - AT_dot(solve(system, rhs[:, :, None])[:, :, 0])
-        dx = -x - d * ds
-        ap, ad = _step_lengths(x, dx), _step_lengths(s, ds)
-        mu_aff = _dots(x + ap * dx, s + ad * ds) / n
-        sigma = (mu_aff / mu) ** 3
-        w = (dx * ds - sigma * mu) / s
+        dv = np.empty_like(v)
+        dx, ds = dv[:, 0], dv[:, 1]
+        np.subtract(-rc, AT_dot(solve(system, rhs[:, :, None])[:, :, 0]), out=ds)
+        minus_x = -x
+        np.subtract(minus_x, d * ds, out=dx)
+        step = _step_lengths(v, dv)
+        after = v + step * dv
+        mu_aff = _dots(after[:, 0], after[:, 1]) / n
+        sigma_mu = ((mu_aff / mu) ** 3 * mu)[:, None]
+        w = (dx * ds - sigma_mu) / s
         dy = solve(system, (rhs + A_dot(w))[:, :, None])[:, :, 0]
         # freed before the next iteration builds its own
         del system
-        ds = -rc - AT_dot(dy)
-        dx = -x - w - d * ds
-        ap, ad = 0.995 * _step_lengths(x, dx), 0.995 * _step_lengths(s, ds)
-        x = x + ap * dx
-        y = y + ad * dy
-        s = s + ad * ds
-    out[lanes] = x
+        np.subtract(-rc, AT_dot(dy), out=ds)
+        np.subtract(minus_x - w, d * ds, out=dx)
+        step = 0.995 * _step_lengths(v, dv)
+        v = v + step * dv
+        y = y + step[:, 1] * dy
+    out[lanes] = v[:, 0]
     return out, converged
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per lane of stacks (k, n), the dot product u @ v, shape (k,)."""
+    return (u[:, None] @ v[:, :, None])[:, 0, 0]
+
+
+def _step_lengths(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """``step_length`` of ``angles.interior_point`` per lane and row of
+    stacks (k, 2, n): -1 / min(dv / v) clipped to at most 1, shape (k, 2, 1)."""
+    return -1.0 / np.minimum((dv / v).min(axis=2, keepdims=True), -1.0)
 
 
 def solve_angle_lps(table: LPTable, faces: Sequence[Sequence[int]]) -> list[AngleLPResult]:
@@ -207,12 +254,6 @@ def solve_angle_lps(table: LPTable, faces: Sequence[Sequence[int]]) -> list[Angl
     rounding, and a lane's result does not depend on the other lanes. A
     failed stacked solve raises ``LinAlgError``.
     """
-    blocks = _blocks(table)
-    lanes = [_lane(table, blocks, face) for face in faces]
-    if len({(lane[0].shape, lane[3].shape, lane[5:]) for lane in lanes}) > 1:
-        raise ValueError("the faces' LPs differ in layout")
-    tau, split = lanes[0][5:]
-    stacks = [np.array(v) for v in list(zip(*lanes))[:5]]
-    del lanes
-    x, converged = _interior_points(*stacks, tau, split)
-    return [_lp_result(xi, tau, ok) for xi, ok in zip(x, converged)]
+    rows, kept, a, b, tau, split = _lanes(table, faces)
+    x, converged = _interior_points(rows, kept, a, b, tau, split)
+    return _lp_results(x, tau, converged)

@@ -44,10 +44,11 @@ class RealizeConfig:
     stage that is not interrupted once started:
 
     - the build of the graph's angle LP table, before the first face;
-    - one chunk of the angle LPs of the faces after the first, solved
-      together when the first face of the chunk is reached (at most
-      ``angles.LP_STACK_BYTES`` of LP tables: all 17 of the Kleetope's);
-    - one face's angle LP (the first face's, or its result from its chunk),
+    - one run of the angle LPs of the faces after the first, solved
+      together when the first face of the run is reached (at most
+      ``angles.LP_STACK_BYTES`` of the stacked solver's arrays: all 17 of the
+      Kleetope's);
+    - one face's angle LP (the first face's, or its result from its run),
       Newton step and layout, then its system build and solve start-up
       (compiling the system and building its start assignment);
     - one certify call, then the draw of the next candidate: a jitter, or the

@@ -131,6 +131,24 @@ def test_t_star_agrees_with_linprog():
             assert abs(res.t_star - (ref.x[lp.tau] - 1)) < 1e-6
 
 
+@pytest.mark.parametrize("levels", [1, 2], ids=["kleetope", "kleetope2"])
+def test_face_lps_agree_with_linprog_on_every_face(levels):
+    """Every candidate outer face of the Kleetope (18 faces) and of its
+    Kleetope (n = 29, 54 faces), solved through ``FaceLPs`` (the first face
+    alone, the others in stacked runs), has t* within 1e-6 of linprog's."""
+    optimize = pytest.importorskip("scipy.optimize")
+    G = bipyramid_kleetope(levels)
+    table, faces = angles.lp_table(G), candidate_outer_faces(G)
+    assert len(faces) == (18, 54)[levels - 1]
+    lps = angles.FaceLPs(table, faces)
+    for k, face in enumerate(faces):
+        lp = angles.angle_lp(table, face)
+        ref = optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert lps[k].converged
+        assert abs(lps[k].t_star - (ref.x[lp.tau] - 1)) < 1e-6
+
+
 def test_every_face_solved_stacked_agrees_with_solve_angle_lp():
     """``solve_angle_lps`` on all candidate outer faces of a graph ends each
     where ``solve_angle_lp`` ends it: the same convergence, t* within 1e-12
@@ -158,24 +176,24 @@ def test_stacked_faces_must_share_a_layout():
 
 
 def test_a_lane_is_its_lp_held_sparse():
-    """``_lane`` holds exactly ``angle_lp``'s LP, the cap row moved before
-    the edge rows: each column but tau as one nonzero per block of rows, then
-    column tau, b and c."""
+    """``_lanes`` holds exactly ``angle_lp``'s LP of each face, the cap row
+    moved before the edge rows: each column but tau as one nonzero per block
+    of rows, then column tau and b; ``_interior_points`` takes c as -1 at
+    tau and 0 elsewhere, as ``angle_lp`` gives it."""
     graphs = [random_instance(n, s)[1] for n in range(4, 16) for s in range(4000, 4003)]
     for G in _lp_graphs() + graphs:
-        table = angles.lp_table(G)
-        for face in candidate_outer_faces(G):
+        table, faces = angles.lp_table(G), candidate_outer_faces(G)
+        rows, values, a, b, tau, split = lp_stacks._lanes(table, faces)
+        for i, face in enumerate(faces):
             lp = angles.angle_lp(table, face)
-            lane = lp_stacks._lane(table, lp_stacks._blocks(table), face)
-            rows, values, a, b, c, tau, split = lane
             A = np.zeros_like(lp.A)
             for block in range(3):
-                A[rows[block], np.arange(A.shape[1])] += values[block]
-            A[:, tau] = a
-            assert tau == lp.tau
+                A[rows[i, block], np.arange(A.shape[1])] += values[i, block]
+            A[:, tau] = a[i]
+            assert tau == lp.tau and np.array_equal(lp.c, -np.eye(len(lp.c))[tau])
             # the cap row, last in angle_lp, comes before the edge rows
             order = np.r_[:split - 1, len(A) - 1, split - 1:len(A) - 1]
-            for got, want in ((A, lp.A[order]), (b, lp.b[order]), (c, lp.c)):
+            for got, want in ((A, lp.A[order]), (b[i], lp.b[order])):
                 assert np.array_equal(got, want)
 
 
@@ -185,14 +203,13 @@ def _stacks():
     stack can mix graphs, and then its lanes stop at different iterations."""
     by_layout = {}
     for G in _lp_graphs():
-        table = angles.lp_table(G)
-        for face in candidate_outer_faces(G):
-            lane = lp_stacks._lane(table, lp_stacks._blocks(table), face)
-            key = (lane[0].shape, lane[3].shape, lane[5:])
-            by_layout.setdefault(key, []).append((lane, angles.angle_lp(table, face)))
-    for (_, _, (tau, split)), lanes in by_layout.items():
-        stack = [np.array(v) for v in list(zip(*(lane for lane, _ in lanes)))[:5]]
-        yield stack, tau, split, [lp for _, lp in lanes]
+        table, faces = angles.lp_table(G), candidate_outer_faces(G)
+        *stack, tau, split = lp_stacks._lanes(table, faces)
+        key = (stack[0].shape[1:], stack[2].shape[1], tau, split)
+        by_layout.setdefault(key, []).append((stack, [angles.angle_lp(table, f) for f in faces]))
+    for (_, _, tau, split), parts in by_layout.items():
+        stack = [np.concatenate(v) for v in zip(*(part for part, _ in parts))]
+        yield stack, tau, split, [lp for _, lps in parts for lp in lps]
 
 
 def test_a_lane_does_not_depend_on_its_stack(monkeypatch):

@@ -1,8 +1,12 @@
 """End-to-end realization and the exact certifier."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -336,15 +340,18 @@ def test_realize_respects_time_budget():
     assert res.status in ("REALIZED", "UNKNOWN")
 
 
-def bipyramid_kleetope():
-    """The triangular bipyramid with a vertex stacked in each of its 6 faces.
+def bipyramid_kleetope(levels=1):
+    """The triangular bipyramid with a vertex stacked in each of its 6 faces,
+    ``levels`` times over.
 
-    n = 11 with 18 faces; removing the 5 bipyramid vertices leaves 6
-    components, so it is not 1-tough and (Dillencourt) not Delaunay-realizable.
+    One level gives n = 11 with 18 faces; removing the 5 bipyramid vertices
+    leaves 6 components, so it is not 1-tough and (Dillencourt) not
+    Delaunay-realizable. Two give n = 29 with 54 faces.
     """
-    bipyramid = ((4, 1, 2), (4, 2, 3), (4, 3, 1), (5, 2, 1), (5, 3, 2), (5, 1, 3))
-    faces = [t for k, (x, y, z) in enumerate(bipyramid, start=6)
-             for t in ((x, y, k), (y, z, k), (z, x, k))]
+    n, faces = 5, [(4, 1, 2), (4, 2, 3), (4, 3, 1), (5, 2, 1), (5, 3, 2), (5, 1, 3)]
+    for _ in range(levels):
+        n, faces = n + len(faces), [t for k, (x, y, z) in enumerate(faces, start=n + 1)
+                                    for t in ((x, y, k), (y, z, k), (z, x, k))]
     # face (u, v, w) puts w right after u in the rotation at v
     succ = {}
     for u, v, w in faces:
@@ -356,7 +363,7 @@ def bipyramid_kleetope():
         while len(ring) < len(nxt):
             ring.append(nxt[ring[-1]])
         rotation[v] = ring
-    return build_triangulation(11, rotation, faces[0])
+    return build_triangulation(n, rotation, faces[0])
 
 
 def _timed_realize(G, budget):
@@ -404,13 +411,13 @@ def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
     (k4, None, {"solve_angle_lp": 1, "solve_angle_lps": 0}),
     (bipyramid_kleetope, None, {"solve_angle_lp": 1, "solve_angle_lps": 1}),
     (bipyramid_kleetope, 16, {"solve_angle_lp": 1, "solve_angle_lps": 2}),
-    (bipyramid_kleetope, 1, {"solve_angle_lp": 18, "solve_angle_lps": 0}),
+    (bipyramid_kleetope, 1, {"solve_angle_lp": 1, "solve_angle_lps": 17}),
 ], ids=["k4", "kleetope", "kleetope-runs-of-16", "kleetope-runs-of-1"])
 def test_faces_after_the_first_are_solved_in_stacked_runs(monkeypatch, graph, stack_bytes, calls):
     """A call that succeeds on its first face makes no stacked LP run; the
-    Kleetope solves its first face alone and the other 17 in runs of at most
-    ``LP_STACK_BYTES`` (one, at its value; 9 and 8 when it allows 16 faces),
-    and a run of one face is solved alone."""
+    Kleetope solves its first face alone and the other 17 in stacked runs of
+    at most ``LP_STACK_BYTES`` (one, at its value; 9 and 8 when it allows 16
+    faces; 17 when it allows one), counted in ``lp_stacks.lane_bytes``."""
     counted_calls = dict.fromkeys(calls, 0)
 
     def counted(module, name):
@@ -425,10 +432,33 @@ def test_faces_after_the_first_are_solved_in_stacked_runs(monkeypatch, graph, st
     counted(lp_stacks, "solve_angle_lps")
     G = graph()
     if stack_bytes is not None:
-        monkeypatch.setattr(angles, "LP_STACK_BYTES", stack_bytes * angles.lp_table(G).A.nbytes)
+        table = angles.lp_table(G)
+        lane = lp_stacks.lane_bytes(table, candidate_outer_faces(G)[1])
+        monkeypatch.setattr(angles, "LP_STACK_BYTES", stack_bytes * lane)
     res = realize(G)
     assert res.status == ("REALIZED" if graph is k4 else "UNKNOWN")
     assert counted_calls == calls
+
+
+def test_a_call_that_succeeds_on_its_first_face_never_loads_lp_stacks():
+    """``lp_stacks`` is loaded only for the faces after the first, so a
+    realize call that succeeds on its first face, on a graph with one
+    candidate face or on a maximal planar one, never imports it (run in a
+    fresh interpreter, as the tests themselves load it)."""
+    code = (
+        "import sys\n"
+        "from dtrealize.instances import random_instance\n"
+        "from dtrealize.plane_graph import build_triangulation, candidate_outer_faces\n"
+        "from dtrealize.realizer import realize\n"
+        f"k4 = build_triangulation(4, {K4_ROT!r}, (1, 3, 2))\n"
+        "for G in (random_instance(7, 1003)[1], k4):\n"
+        "    print(realize(G).status, len(candidate_outer_faces(G)))\n"
+        "print('dtrealize.lp_stacks' in sys.modules)\n")
+    src = str(Path(realizer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120, check=True).stdout.split()
+    assert out == ["REALIZED", "1", "REALIZED", "4", "False"]
 
 
 def test_no_certify_call_starts_after_the_deadline(monkeypatch):
