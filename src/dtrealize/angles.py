@@ -12,15 +12,18 @@ has triangle angles that satisfy, in units of pi and with some t > 0:
 - for each interior edge, the two angles opposite it, plus t, sum to at most
   1 (the edge is locally Delaunay).
 
-``solve_angle_lp`` maximises t (capped at 1/4) by Mehrotra's method on the LP
-that ``angle_lp`` cuts from one per-graph ``lp_table``. ``FaceLPs`` gives the
-results for all candidate outer faces of a graph: the first face's LP is
-solved alone, the LPs of the faces after it (a maximal planar graph has 2n - 4
-faces, all with LPs of one layout) in runs by ``lp_stacks.solve_angle_lps``,
-which runs the same method on a run stacked, one set of numpy calls per
-iteration, and solves its normal equations through the LPs' sparsity: two
-LUs of size 30 per iteration instead of 53 on the 11-vertex Kleetope.
-``LP_STACK_BYTES`` bounds a run's arrays. From a point with t > 0,
+``lp_table`` holds the LP rows of all of a graph's triangular faces by their
+structure, each column's row in each block of rows, and ``_cut`` turns
+candidate outer faces into their LPs in that sparse form. ``solve_angle_lp``
+maximises t (capped at 1/4) by Mehrotra's method on the dense LP that
+``angle_lp`` assembles from it. ``face_lps`` yields the results for all
+candidate outer faces of a graph: the first face's LP is solved alone, the
+LPs of the faces after it (a maximal planar graph has 2n - 4 faces, all with
+LPs of one layout) in runs by ``lp_stacks.solve_angle_lps``, which runs the
+same method on a run stacked, one set of numpy calls per iteration, and
+solves its normal equations through the LPs' sparsity: two LUs of size 30
+per iteration instead of 53 on the 11-vertex Kleetope. ``LP_STACK_BYTES``
+bounds a run's arrays. From a point with t > 0,
 ``maximise_volume`` holds each edge's opposite-angle sum fixed and maximises
 Rivin's volume, the sum of Lobachevsky functions of the angles (Rivin, Ann.
 Math. 139, 1994); at the maximum, the law-of-sines edge lengths agree across
@@ -30,10 +33,9 @@ search, nothing here is trusted: the placement only seeds the ConstSqu solve.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,7 +49,7 @@ LP_TOL = 1e-9
 # a degenerate optimum (t is attained by many rows at once) they go singular
 LP_REGULARIZATION = 1e-14
 LP_MAX_ITERATIONS = 200
-# the most bytes one stacked run's arrays take (FaceLPs), counted per face by
+# the most bytes one stacked run's arrays take (face_lps), counted per face by
 # lp_stacks.lane_bytes: 54 KB a face on the 11-vertex Kleetope, whose 17 faces
 # after the first fit one run (its realize call peaks at 0.91 MB, tracemalloc),
 # 0.34 MB at n = 29 (three a run) and 2.6 MB at n = 83 (one a run)
@@ -109,11 +111,15 @@ class AngleLP:
 class LPTable:
     """One graph's angle LP rows, over the corners ``cs`` of all its
     triangular faces, as if every vertex were interior and every edge of two
-    faces interior; ``r`` is each row's right-hand side. ``A``'s column
-    ``t + 1`` is zero, and each row after the face rows has its slack.
+    faces interior: the face rows, the vertex rows, the edge rows, then the
+    cap, with right-hand sides ``r``. Its columns are each corner's, then
+    ``t + 1``, then one slack for each row after the face rows; every
+    nonzero is 1, and a column has at most one in each block of rows (faces;
+    vertices and the cap; edges). ``blocks[i, col]`` is that row in block i,
+    or -1 (always for ``t + 1``).
     """
     cs: Corners
-    A: np.ndarray
+    blocks: np.ndarray
     r: np.ndarray
     face_row: dict[tuple[int, ...], int]
     edge_row: dict[tuple[int, int], int]
@@ -122,22 +128,29 @@ class LPTable:
 def lp_table(G: PlaneTriangulation) -> LPTable:
     cs = corners(G.n, [f for f in G.faces if len(f) == 3])
     edges = [e for e in sorted(cs.opposite) if len(cs.opposite[e]) == 2]
-    nf = len(cs.faces)
-    rows = [[3 * f, 3 * f + 1, 3 * f + 2] for f in range(nf)]
-    rows += [cs.at_vertex[v] for v in range(1, G.n + 1)] + [cs.opposite[e] for e in edges] + [[]]
-    A = np.zeros((len(rows), 2 * nf + 1 + len(rows)))
-    for i, cols in enumerate(rows):
-        A[i, cols] = 1.0
-    A[np.arange(nf, len(rows)), np.arange(3 * nf + 1, A.shape[1])] = 1.0
+    nf, m = len(cs.faces), len(cs.faces) + G.n + len(edges) + 1
+    blocks = np.full((3, 2 * nf + 1 + m), -1)
+    blocks[0, :3 * nf] = np.arange(3 * nf) // 3
+    blocks[1, :3 * nf] = np.ravel(cs.faces) + nf - 1
+    for i, e in enumerate(edges, start=nf + G.n):
+        blocks[2, cs.opposite[e]] = i
+    # the slack of row i is column i + 2 nf + 1
+    vertex_rows, edge_rows = np.arange(nf, nf + G.n), np.arange(nf + G.n, m - 1)
+    blocks[1, vertex_rows + 2 * nf + 1] = vertex_rows
+    blocks[2, edge_rows + 2 * nf + 1] = edge_rows
+    blocks[1, -1] = m - 1
     r = np.array([1.0] * nf + [2.0] * G.n + [1.0] * len(edges) + [T_CAP])
-    return LPTable(cs, A, r, {_canon_cycle(f): i for i, f in enumerate(cs.faces)},
+    return LPTable(cs, blocks, r, {_canon_cycle(f): i for i, f in enumerate(cs.faces)},
                    {e: i for i, e in enumerate(edges, start=nf + G.n)})
 
 
-def _cut(table: LPTable, faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, ...]:
-    """The rows and columns of ``table`` that the LP of each outer face in
-    ``faces`` keeps, the right-hand sides of all rows for it, and its column
-    tau: masks and right-hand sides (k, rows or columns), tau (k,)."""
+def _cut(table: LPTable, faces: Sequence[Sequence[int]]) -> tuple:
+    """``angle_lp(table, face)`` for each outer face in ``faces``, held sparse:
+    for each column but tau and each block of rows (faces; vertices and the
+    cap; edges), the LP row of its nonzero, which is 1, and whether it has
+    one, both (k, 3, n), where a block without one gives an arbitrary row;
+    then column tau and b, both (k, m), and tau. Raises ``ValueError``
+    unless the LPs have one layout: shape and tau."""
     nf, n = len(table.cs.faces), len(table.cs.at_vertex)
     slack = 2 * nf + 1   # the column of row i's slack is i + slack
     k = len(faces)
@@ -157,7 +170,7 @@ def _cut(table: LPTable, faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, ..
             own.append(j)
     of_hull, hull, of_edge, edge, of_own, own = (
         np.array(v, dtype=int) for v in (of_hull, hull, of_edge, edge, of_own, own))
-    rows, cols = np.ones((k, len(table.A)), bool), np.ones((k, table.A.shape[1]), bool)
+    rows, cols = np.ones((k, len(table.r)), bool), np.ones((k, table.blocks.shape[1]), bool)
     cols[:, nf + slack:nf + n + slack] = False
     cols[of_hull, hull + slack] = True
     rows[of_edge, edge], cols[of_edge, edge + slack] = False, False
@@ -165,22 +178,31 @@ def _cut(table: LPTable, faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, ..
     cols[of_own[:, None], 3 * own[:, None] + np.arange(3)] = False
     r = np.tile(table.r, (k, 1))
     r[of_hull, hull] = 1.0
-    tau = np.full(k, 3 * nf)
-    tau[of_own] -= 3
-    return rows, cols, r, tau
+    m, n = rows.sum(axis=1), cols.sum(axis=1)
+    # tau is 3 nf, less the 3 corners of the face's own row
+    if len(set(zip(m.tolist(), n.tolist()))) > 1 or 0 < len(own) < k:
+        raise ValueError("the faces' LPs differ in layout")
+    m, n, tau = int(m[0]), int(n[0]), 3 * (nf - (len(own) > 0))
+    lane = np.arange(k)[:, None, None]
+    # each column's table row per block, then that row's place in the LP
+    t = table.blocks[:, np.nonzero(cols)[1].reshape(k, n)].transpose(1, 0, 2)
+    lp_rows = (np.cumsum(rows, axis=1) - 1)[lane, t]
+    kept = (t >= 0) & rows[lane, t]
+    # the m + k of each row: its corners, and k = 1 exactly where it has a slack
+    a = np.bincount((lane * m + lp_rows)[kept], minlength=k * m).reshape(k, m).astype(float)
+    return lp_rows, kept, a, r[rows].reshape(k, m) + a, tau
 
 
 def angle_lp(table: LPTable, face: Sequence[int]) -> AngleLP:
     """The LP of the module docstring for outer face ``face``, cut from ``table``:
     without the face's row, corners and edge rows, and with hull vertex rows."""
-    rows, cols, r, tau = (v[0] for v in _cut(table, [face]))
-    # columns first, then rows: a third of the time np.ix_ takes for this array
-    A = table.A[:, cols][rows]
-    # the m + k of each row: its corners, and k = 1 exactly where it has a slack
-    A[:, tau] = A.sum(axis=1)
+    rows, kept, a, b, tau = _cut(table, [face])
+    A = np.zeros((len(b[0]), rows.shape[2]))
+    A[rows[0][kept[0]], np.nonzero(kept[0])[1]] = 1.0
+    A[:, tau] = a[0]
     c = np.zeros(A.shape[1])
     c[tau] = -1.0
-    return AngleLP(A, r[rows] + A[:, tau], c, int(tau))
+    return AngleLP(A, b[0], c, tau)
 
 
 def interior_point(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -262,52 +284,35 @@ def solve_angle_lp(table: LPTable, face: Sequence[int]) -> AngleLPResult:
     return _lp_results(x[None], lp.tau, [converged])[0]
 
 
-class FaceLPs:
+def face_lps(table: LPTable, faces: Sequence[Sequence[int]]) -> Iterator[AngleLPResult]:
     """The angle LP results of one graph's candidate outer faces ``faces``
-    (``candidate_outer_faces`` order), each solved when first asked for.
+    (``candidate_outer_faces`` order), in that order, each solved when drawn.
 
     The first face is solved alone by ``solve_angle_lp``, as a call that
     succeeds on it needs nothing more. The faces after it, which only a
     maximal planar graph has, all give LPs of one layout; they go to
     ``lp_stacks.solve_angle_lps`` in runs of balanced size, each of at most
     ``LP_STACK_BYTES`` of the structured run's arrays (``lp_stacks.lane_bytes``
-    per face), and a run is solved whole when one of its faces is first asked
-    for; again face by face by ``solve_angle_lp`` if a stacked solve fails.
+    per face), and a run is solved whole when its first face is drawn; again
+    face by face by ``solve_angle_lp`` if a stacked solve fails.
     """
-
-    def __init__(self, table: LPTable, faces: Sequence[Sequence[int]]):
-        self._table = table
-        self._faces = faces
-        # the start of each run of the faces after the first, then the end; set on first use
-        self._bounds: list[int] = []
-        self._results: dict[int, AngleLPResult] = {}
-
-    def __getitem__(self, k: int) -> AngleLPResult:
-        if k not in self._results:
-            if k == 0:
-                self._results[0] = solve_angle_lp(self._table, self._faces[0])
-            else:
-                self._solve_run(k)
-        return self._results[k]
-
-    def _solve_run(self, k: int) -> None:
-        """Solve the run of faces that holds face k > 0."""
-        # loaded by the first face after the first: a call that succeeds on
-        # its first face never needs it
-        from . import lp_stacks
-        if not self._bounds:
-            rest = len(self._faces) - 1
-            per_run = LP_STACK_BYTES // lp_stacks.lane_bytes(self._table, self._faces[1])
-            runs = -(-rest // max(1, per_run))
-            # the sizes differ by at most one
-            self._bounds = [1 + rest * i // runs for i in range(runs + 1)]
-        i = bisect.bisect_right(self._bounds, k)
-        faces = self._faces[self._bounds[i - 1]:self._bounds[i]]
+    yield solve_angle_lp(table, faces[0])
+    rest = len(faces) - 1
+    if not rest:
+        return
+    # loaded by the first face after the first: a call that succeeds on its
+    # first face never needs it
+    from . import lp_stacks
+    per_run = LP_STACK_BYTES // lp_stacks.lane_bytes(table, faces[1])
+    runs = -(-rest // max(1, per_run))
+    for i in range(runs):
+        # the sizes differ by at most one
+        run = faces[1 + rest * i // runs:1 + rest * (i + 1) // runs]
         try:
-            results = lp_stacks.solve_angle_lps(self._table, faces)
+            results = lp_stacks.solve_angle_lps(table, run)
         except np.linalg.LinAlgError:
-            results = [solve_angle_lp(self._table, face) for face in faces]
-        self._results.update(zip(range(self._bounds[i - 1], self._bounds[i]), results))
+            results = [solve_angle_lp(table, face) for face in run]
+        yield from results
 
 
 def _volume_constraints(cs: Corners) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 ``solve_angle_lps`` runs the Mehrotra method of ``angles.interior_point`` on
 the LPs of several faces at once, one set of numpy calls per iteration, and
-solves their normal equations through the LPs' sparsity. ``angles.FaceLPs``
-sends it every face after the first of a maximal planar graph, in runs of at
-most ``angles.LP_STACK_BYTES`` of the arrays ``lane_bytes`` counts, and loads
-this module only then.
+solves their normal equations through the LPs' sparsity. It takes the LPs as
+``angles._cut`` holds them, sparse, and only moves the cap row ahead of the
+edge rows. ``angles.face_lps`` sends it every face after the first of a
+maximal planar graph, in runs of at most ``angles.LP_STACK_BYTES`` of the
+arrays ``lane_bytes`` counts, and loads this module only then.
 """
 
 from __future__ import annotations
@@ -18,48 +19,16 @@ from .angles import (LP_MAX_ITERATIONS, LP_REGULARIZATION, LP_TOL, AngleLPResult
                      _lp_results)
 
 
-def _blocks(table: LPTable) -> np.ndarray:
-    """``_blocks(table)[i, col]``: the row of ``table.A``'s column col's
-    nonzero among the face rows (i = 0), the vertex rows and the cap (1),
-    then the edge rows (2), or -1; a column has at most one in each."""
-    nf, m = len(table.cs.faces), len(table.A)
-    edges = m - len(table.edge_row) - 1
-    out = np.full((3, table.A.shape[1]), -1)
-    for i, (lo, hi) in enumerate(((0, nf), (nf, edges), (edges, m - 1))):
-        nonzero = table.A[lo:hi] != 0
-        out[i] = np.where(nonzero.any(axis=0), lo + nonzero.argmax(axis=0), -1)
-    # the cap's slack
-    out[1, -1] = m - 1
-    return out
-
-
 def _lanes(table: LPTable, faces: Sequence[Sequence[int]]) -> tuple:
-    """``angle_lp(table, face)`` for each of ``faces`` as ``solve_angle_lps``
-    holds it, with its rows in the order faces, vertices, the cap, then
-    edges: for each column but tau and each block of rows (faces, vertices
-    and the cap, then edges), the row of its nonzero, which is 1, and whether
-    it has one, both (k, 3, n), where a block without one gives an arbitrary
-    row; then column tau and b, both (k, m), tau and the first edge row.
-    Raises ``ValueError`` unless the LPs have one layout: shape, tau and
-    first edge row."""
-    rows, cols, r, tau = _cut(table, faces)
-    m, n = rows.sum(axis=1), cols.sum(axis=1)
-    if (m != m[0]).any() or (n != n[0]).any() or (tau != tau[0]).any():
-        raise ValueError("the faces' LPs differ in layout")
-    k, m, n, tau = len(faces), int(m[0]), int(n[0]), int(tau[0])
+    """``angles._cut(table, faces)`` with the cap row, last there, moved
+    before the edge rows, then tau and split, the first edge row. Raises
+    ``ValueError`` unless the LPs have one layout."""
+    rows, kept, a, b, tau = _cut(table, faces)
+    m = a.shape[1]
     split = tau // 3 + len(table.cs.at_vertex) + 1
-    lane = np.arange(k)[:, None]
-    # the table row of each LP row, the cap (last in the table) moved before the edges
-    order = np.concatenate([np.arange(split - 1), [m - 1], np.arange(split - 1, m - 1)])
-    table_row = np.nonzero(rows)[1].reshape(k, m)[:, order]
-    lp_row = np.full(rows.shape, -1)
-    lp_row[lane, table_row] = np.arange(m)
-    t = _blocks(table)[:, np.nonzero(cols)[1].reshape(k, n)].transpose(1, 0, 2)
-    lane_rows = lp_row[lane[:, :, None], t]
-    kept = (t >= 0) & (lane_rows >= 0)
-    # the m + k of each row, as angle_lp sums them
-    a = np.bincount((lane[:, :, None] * m + lane_rows)[kept], minlength=k * m).reshape(k, m)
-    return lane_rows, kept, a.astype(float), r[lane, table_row] + a, tau, split
+    order = np.r_[:split - 1, m - 1, split - 1:m - 1]
+    rows = np.where(rows == m - 1, split - 1, rows + (rows >= split - 1))
+    return rows, kept, a[:, order], b[:, order], tau, split
 
 
 def lane_bytes(table: LPTable, face: Sequence[int]) -> int:
@@ -69,9 +38,9 @@ def lane_bytes(table: LPTable, face: Sequence[int]) -> int:
     vectors over its rows and columns for its index arrays, iterates and
     temporaries. On the Kleetope that is 54 KB, where a run's tracemalloc
     peak grows by about 50 KB a lane."""
-    rows, cols, _, tau = _cut(table, [face])
-    m, n = int(rows.sum()), int(cols.sum())
-    s1 = int(tau[0]) // 3 + len(table.cs.at_vertex) + 2
+    rows, _, a, _, tau = _cut(table, [face])
+    m, n = a.shape[1], rows.shape[2]
+    s1 = tau // 3 + len(table.cs.at_vertex) + 2
     e = m - s1 + 1
     return 8 * (3 * s1 * s1 + 2 * s1 * e + 20 * (m + n))
 

@@ -45,9 +45,9 @@ class RealizeConfig:
 
     - the build of the graph's angle LP table, before the first face;
     - one run of the angle LPs of the faces after the first, solved
-      together when the first face of the run is reached (at most
-      ``angles.LP_STACK_BYTES`` of the stacked solver's arrays: all 17 of the
-      Kleetope's);
+      together when ``angles.face_lps`` draws the first face of the run (at
+      most ``angles.LP_STACK_BYTES`` of the stacked solver's arrays: all 17
+      of the Kleetope's);
     - one face's angle LP (the first face's, or its result from its run),
       Newton step and layout, then its system build and solve start-up
       (compiling the system and building its start assignment);
@@ -298,8 +298,10 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
 
     candidates = candidate_outer_faces(G)
     # every candidate face's angle LP is cut from one table; the faces after
-    # the first are solved in stacked runs
-    lps = angles.FaceLPs(angles.lp_table(G), candidates) if warm_points is None else None
+    # the first are solved in stacked runs. A face is drawn only when it is
+    # searched, and once one is skipped the deadline has passed, so every
+    # later face is skipped too and the stream stays in step
+    lps = angles.face_lps(angles.lp_table(G), candidates) if warm_points is None else None
     diagnostics = []
     for k, face in enumerate(candidates):
         H = reembed_with_outer_face(G, face)
@@ -309,7 +311,7 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             warm = None
             record["solver_status"] = "DEADLINE"
         elif warm_points is None:
-            warm, stopped = _angle_warm_start(H, lps[k])
+            warm, stopped = _angle_warm_start(H, next(lps))
             record.update(stopped)
         else:
             pts = [(float(x), float(y)) for x, y in warm_points]
@@ -320,9 +322,11 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
                             deadline=now + (deadline - now) / (len(candidates) - k))
             record.update(solver_status=outcome.status, min_margin=outcome.min_margin)
         if record["solver_status"] == "SATISFIED_FLOAT":
+            note = "no rounded candidate satisfied the exact system"
             for exact, points in _grid_candidates(system, outcome.assignment, G.n,
                                                   config.solver.seed):
                 if time.monotonic() > deadline:
+                    note = "the deadline passed before a rounded candidate was certified"
                     break
                 cert = certify(H, H.outer_face, points)
                 if cert.ok:
@@ -332,7 +336,7 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
                     return RealizationResult("REALIZED", certificate, tuple(diagnostics),
                                              exact_assignment=exact)
                 record["certify_fail"] = cert.failed_step
-            if "certify_fail" not in record:  # no candidate passed the exact gate
-                record["note"] = "no rounded candidate satisfied the exact system"
+            if "certify_fail" not in record:  # no candidate reached certify
+                record["note"] = note
         diagnostics.append(record)
     return RealizationResult("UNKNOWN", diagnostics=tuple(diagnostics))

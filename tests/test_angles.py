@@ -1,7 +1,9 @@
 """The angle LP, Rivin's volume maximisation and the face-by-face layout."""
 
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +92,26 @@ def test_lp_table_cuts_the_row_by_row_lp():
                 assert np.array_equal(got, want)
 
 
+def test_the_table_grows_linearly():
+    """The table holds each column's row per block, not the rows times
+    columns of a dense matrix: at n = 83 it takes under 0.25 MiB to build
+    (tracemalloc peak), where a dense one took 2.85 MiB."""
+    G = random_instance(83, 1000)[1]
+    tracemalloc.start()
+    try:
+        table = angles.lp_table(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2 ** 20
+    rows = len(table.r)
+    columns = 2 * len(table.cs.faces) + 1 + rows
+    for f in dataclasses.fields(table):
+        value = getattr(table, f.name)
+        if isinstance(value, np.ndarray):
+            assert value.size < rows * columns
+
+
 def test_a_realization_is_a_feasible_point_of_the_lp():
     """The generating points' own angles, with t their smallest slack, meet
     every row of the standard-form LP."""
@@ -134,31 +156,35 @@ def test_t_star_agrees_with_linprog():
 @pytest.mark.parametrize("levels", [1, 2], ids=["kleetope", "kleetope2"])
 def test_face_lps_agree_with_linprog_on_every_face(levels):
     """Every candidate outer face of the Kleetope (18 faces) and of its
-    Kleetope (n = 29, 54 faces), solved through ``FaceLPs`` (the first face
+    Kleetope (n = 29, 54 faces), solved through ``face_lps`` (the first face
     alone, the others in stacked runs), has t* within 1e-6 of linprog's."""
     optimize = pytest.importorskip("scipy.optimize")
     G = bipyramid_kleetope(levels)
     table, faces = angles.lp_table(G), candidate_outer_faces(G)
     assert len(faces) == (18, 54)[levels - 1]
-    lps = angles.FaceLPs(table, faces)
-    for k, face in enumerate(faces):
+    for face, got in zip(faces, angles.face_lps(table, faces), strict=True):
         lp = angles.angle_lp(table, face)
         ref = optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
         assert ref.status == 0
-        assert lps[k].converged
-        assert abs(lps[k].t_star - (ref.x[lp.tau] - 1)) < 1e-6
+        assert got.converged
+        assert abs(got.t_star - (ref.x[lp.tau] - 1)) < 1e-6
 
 
 def test_every_face_solved_stacked_agrees_with_solve_angle_lp():
     """``solve_angle_lps`` on all candidate outer faces of a graph ends each
     where ``solve_angle_lp`` ends it: the same convergence, t* within 1e-12
-    and angles within 1e-9 on a maximal planar graph, whose faces after the
-    first ``FaceLPs`` stacks. A graph with one candidate face is never
-    stacked; its degenerate optima (t* = 1/4 at the cap, fans) still agree
-    within ``LP_TOL``."""
-    for G in _lp_graphs():
+    and angles within a bound that grows with the graph on a maximal planar
+    graph, whose faces after the first ``face_lps`` stacks: 1e-9 up to
+    n = 15, 1e-8 on the Kleetope of the Kleetope (n = 29), where they differ
+    by up to 4.6e-9. A graph with one candidate face is never stacked; its
+    degenerate optima (t* = 1/4 at the cap, fans) still agree within
+    ``LP_TOL``."""
+    for G in _lp_graphs() + [bipyramid_kleetope(2)]:
         table, faces = angles.lp_table(G), candidate_outer_faces(G)
-        t_tol, angle_tol = (1e-12, 1e-9) if len(faces) > 1 else (angles.LP_TOL, angles.LP_TOL)
+        if len(faces) > 1:
+            t_tol, angle_tol = 1e-12, 1e-9 if G.n <= 15 else 1e-8
+        else:
+            t_tol = angle_tol = angles.LP_TOL
         for face, got in zip(faces, lp_stacks.solve_angle_lps(table, faces), strict=True):
             ref = angles.solve_angle_lp(table, face)
             assert got.converged == ref.converged
@@ -252,9 +278,7 @@ def test_a_failed_stacked_solve_falls_back_to_solve_angle_lp(monkeypatch, failin
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", failing)
-    lps = angles.FaceLPs(table, faces)
-    for k, ref in enumerate(want):
-        got = lps[k]
+    for ref, got in zip(want, angles.face_lps(table, faces), strict=True):
         assert got.converged == ref.converged and got.t_star == ref.t_star
         assert np.array_equal(got.angles, ref.angles)
     assert stacked_calls

@@ -391,13 +391,14 @@ def test_tight_budget_on_a_large_input():
 def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
     # every face of the Kleetope stops at its angle LP within milliseconds;
     # at 10 ms per face, a 0.05 s budget runs out part way through the 18
-    lp_of_face = angles.FaceLPs.__getitem__
+    face_lps = angles.face_lps
 
-    def slow(self, k):
-        time.sleep(0.01)
-        return lp_of_face(self, k)
+    def slow(table, faces):
+        for result in face_lps(table, faces):
+            time.sleep(0.01)
+            yield result
 
-    monkeypatch.setattr(angles.FaceLPs, "__getitem__", slow)
+    monkeypatch.setattr(angles, "face_lps", slow)
     G = bipyramid_kleetope()
     res, elapsed = _timed_realize(G, 0.05)
     assert res.status == "UNKNOWN"
@@ -569,6 +570,25 @@ def test_exact_gate_failure_is_noted(monkeypatch):
     (attempt,) = res.diagnostics
     assert attempt["solver_status"] == "SATISFIED_FLOAT" and attempt["min_margin"] > 0
     assert attempt["note"] == "no rounded candidate satisfied the exact system"
+    assert "certify_fail" not in attempt
+
+
+def test_a_deadline_among_the_candidates_is_noted(monkeypatch):
+    """A deadline that passes while a rounded candidate goes through the
+    exact gate stops the face before certify, and the note says so: the
+    gate passed."""
+    gate = realizer.satisfied_exact
+
+    def slow_gate(system, values):
+        time.sleep(0.3)
+        return gate(system, values)
+
+    monkeypatch.setattr(realizer, "satisfied_exact", slow_gate)
+    res = realize(fan_triangulation(6), RealizeConfig(time_budget=0.2))
+    assert res.status == "UNKNOWN"
+    (attempt,) = res.diagnostics
+    assert attempt["solver_status"] == "SATISFIED_FLOAT"
+    assert attempt["note"] == "the deadline passed before a rounded candidate was certified"
     assert "certify_fail" not in attempt
 
 

@@ -1,21 +1,27 @@
-"""Interleaved timing of two checkouts on one benchmark workload, in one process.
+"""Interleaved timing of two checkouts on one benchmark workload, in both load orders.
 
 Usage: python3 tools/ab_time.py ROOT_A ROOT_B WORKLOAD ROUNDS
 
-Imports ``dtrealize`` from ``ROOT_A/src`` and ``ROOT_B/src`` under the package
-names ``dtrealize_a`` and ``dtrealize_b``. For each side it loads
-``perfbench/workloads.py`` (read, never written) against that side's package
-and builds the workload's inputs once, with seed 1. Each round then times one
-whole pass over the inputs per side, A first on even rounds and B first on
-odd ones, so both sides see the same spells of host speed.
+Runs ROUNDS rounds twice, each time in a fresh child process: once with A
+loaded first and once with B loaded first, since the ratio depends on that
+order (what the first side leaves behind, such as the allocator's state,
+can favour one side). A child imports ``dtrealize`` from ``ROOT_A/src`` and
+``ROOT_B/src`` under the package names ``dtrealize_a`` and ``dtrealize_b``.
+For each side it loads ``perfbench/workloads.py`` (read, never written)
+against that side's package and builds the workload's inputs once, with
+seed 1. Each round then times one whole pass over the inputs per side, A
+first on even rounds and B first on odd ones, so both sides see the same
+spells of host speed.
 
-Prints each side's median pass time, the median and quartiles of the paired
-per-round ratio B/A, and in how many rounds the two sides' outputs had equal
-status, diagnostics repr and certificate JSON. When diagnostics differ, it
-also prints the largest absolute difference between their float fields, or
-that a field other than a float differs (a stage or status changed). The host runs between 1.0x and
-1.8x of its best speed (perfbench/README.md); a ratio measured this way sizes
-a gain before the benchmark's own runs confirm it.
+Prints, per load order, each side's median pass time, the median and
+quartiles of the paired per-round ratio B/A, and in how many rounds the two
+sides' outputs had equal status, diagnostics repr and certificate JSON.
+When diagnostics differ, it also prints the largest absolute difference
+between their float fields, or that a field other than a float differs (a
+stage or status changed). The last line gives the median B/A of both
+orders. The host runs between 1.0x and 1.8x of its best speed
+(perfbench/README.md); a ratio measured this way sizes a gain before the
+benchmark's own runs confirm it, and only when both orders show it.
 """
 
 from __future__ import annotations
@@ -23,10 +29,12 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import math
+import multiprocessing
 import pkgutil
 import statistics
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 SEED = 1
@@ -100,17 +108,17 @@ def timed_pass(side) -> tuple[float, list[tuple]]:
                      for r in outputs]
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 4:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    root_a, root_b, name, rounds = Path(argv[0]), Path(argv[1]), argv[2], int(argv[3])
-    sides = []
-    for tag, root in (("a", root_a), ("b", root_b)):
-        package = load_package(root, f"dtrealize_{tag}")
-        workloads = load_workloads(root / "perfbench", package.__name__, tag)
+def measure(roots: tuple[Path, Path], name: str, rounds: int,
+            first: int) -> tuple[list[str], float]:
+    """The timed rounds with side ``first`` (0 for A, 1 for B) loaded first:
+    the report's lines and the median paired ratio B/A."""
+    sides = [None, None]
+    for i in (first, 1 - first):
+        tag = "ab"[i]
+        package = load_package(roots[i], f"dtrealize_{tag}")
+        workloads = load_workloads(roots[i] / "perfbench", package.__name__, tag)
         workload = workloads.WORKLOADS[name]
-        sides.append((workload, workload.build(SEED), package.formats))
+        sides[i] = (workload, workload.build(SEED), package.formats)
     times: tuple[list[float], list[float]] = ([], [])
     equal = {"status": 0, "diagnostics": 0, "certificate": 0}
     drift = 0.0
@@ -124,17 +132,34 @@ def main(argv: list[str]) -> int:
             equal[field] += all(a[k] == b[k] for a, b in zip(*outputs))
         drift = max([drift] + [float_drift(a[3], b[3]) for a, b in zip(*outputs) if a[1] != b[1]])
     ratios = [b / a for a, b in zip(*times)]
-    print(f"{name}: {rounds} rounds, {len(sides[0][1])} inputs a pass")
-    print(f"A median pass {statistics.median(times[0]) * 1e3:.2f} ms  ({root_a})")
-    print(f"B median pass {statistics.median(times[1]) * 1e3:.2f} ms  ({root_b})")
+    lines = [f"{name}: {rounds} rounds, {len(sides[0][1])} inputs a pass",
+             f"A median pass {statistics.median(times[0]) * 1e3:.2f} ms  ({roots[0]})",
+             f"B median pass {statistics.median(times[1]) * 1e3:.2f} ms  ({roots[1]})"]
     if rounds >= 2:
         q1, q2, q3 = statistics.quantiles(ratios, n=4)
-        print(f"B/A paired ratio: median {q2:.3f}, quartiles {q1:.3f} {q3:.3f}")
-    for field, count in equal.items():
-        print(f"{field} equal in {count} of {rounds} rounds")
+        lines.append(f"B/A paired ratio: median {q2:.3f}, quartiles {q1:.3f} {q3:.3f}")
+    lines += [f"{field} equal in {count} of {rounds} rounds" for field, count in equal.items()]
     if equal["diagnostics"] < rounds:
-        print("unequal diagnostics: " + ("a field other than a float differs" if drift == math.inf
-                                         else f"largest float difference {drift:.3g}"))
+        lines.append("unequal diagnostics: " + (
+            "a field other than a float differs" if drift == math.inf
+            else f"largest float difference {drift:.3g}"))
+    return lines, statistics.median(ratios)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 4:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    roots, name, rounds = (Path(argv[0]), Path(argv[1])), argv[2], int(argv[3])
+    medians = []
+    for first in (0, 1):
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as child:
+            lines, median = child.submit(measure, roots, name, rounds, first).result()
+        print(f"{'AB'[first]} loaded first:")
+        print("\n".join("  " + line for line in lines))
+        medians.append(median)
+    print(f"B/A median ratio: {medians[0]:.3f} with A loaded first, "
+          f"{medians[1]:.3f} with B loaded first")
     return 0
 
 
