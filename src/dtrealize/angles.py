@@ -14,16 +14,18 @@ has triangle angles that satisfy, in units of pi and with some t > 0:
 
 ``lp_table`` holds the LP rows of all of a graph's triangular faces by their
 structure, each column's row in each block of rows, and ``_cut`` turns
-candidate outer faces into their LPs in that sparse form. ``solve_angle_lp``
-maximises t (capped at 1/4) by Mehrotra's method on the dense LP that
-``angle_lp`` assembles from it. ``face_lps`` yields the results for all
-candidate outer faces of a graph: the first face's LP is solved alone, the
-LPs of the faces after it (a maximal planar graph has 2n - 4 faces, all with
-LPs of one layout) in runs by ``lp_stacks.solve_angle_lps``, which runs the
-same method on a run stacked, one set of numpy calls per iteration, and
-solves its normal equations through the LPs' sparsity: two LUs of size 30
-per iteration instead of 53 on the 11-vertex Kleetope. ``LP_STACK_BYTES``
-bounds a run's arrays. From a point with t > 0,
+candidate outer faces into their LPs in that sparse form. ``_mehrotra``
+maximises t (capped at 1/4) by Mehrotra's method on k >= 1 LPs of one layout
+at once, one set of numpy calls per iteration, through a backend that holds
+the LPs and solves their normal equations. ``face_lps`` yields the results
+for all candidate outer faces of a graph: the first face's LP is solved
+alone by ``solve_angle_lp`` with the dense backend ``_Dense`` (an LU of
+A D A^T), the LPs of the faces after it (a maximal planar graph has 2n - 4
+faces, all with LPs of one layout) in runs by ``lp_stacks.solve_angle_lps``
+with a backend that eliminates the edge rows first: an LU of size 30 instead
+of 53 on the 11-vertex Kleetope, but slower than the dense one on the small
+LPs most calls solve. ``LP_STACK_BYTES`` bounds a run's arrays. From a point
+with t > 0,
 ``maximise_volume`` holds each edge's opposite-angle sum fixed and maximises
 Rivin's volume, the sum of Lobachevsky functions of the angles (Rivin, Ann.
 Math. 139, 1994); at the maximum, the law-of-sines edge lengths agree across
@@ -89,34 +91,22 @@ def corners(n: int, faces: Iterable[Sequence[int]]) -> Corners:
 
 
 @dataclass(frozen=True)
-class AngleLP:
-    """The angle LP in standard form: minimise ``c @ x`` subject to
-    ``A @ x == b`` and ``x >= 0``.
-
-    A row ``sum(angles) + k t (<=|==) r`` over m corners becomes
-    ``sum(angle - t) + (m + k) (t + 1) (+ slack) == r + m + k``. Rows: each
-    inner face, vertex and interior edge (sorted), then the cap on t.
-    Columns: each corner's ``angle - t``, then ``t + 1`` at ``tau`` (t >= -1
-    holds at the optimum, since a planar straight-line embedding has every
-    angle in (0, 1) and so meets every inequality at t = -1), then one slack
-    per inequality row.
-    """
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    tau: int
-
-
-@dataclass(frozen=True)
 class LPTable:
     """One graph's angle LP rows, over the corners ``cs`` of all its
     triangular faces, as if every vertex were interior and every edge of two
-    faces interior: the face rows, the vertex rows, the edge rows, then the
-    cap, with right-hand sides ``r``. Its columns are each corner's, then
-    ``t + 1``, then one slack for each row after the face rows; every
-    nonzero is 1, and a column has at most one in each block of rows (faces;
-    vertices and the cap; edges). ``blocks[i, col]`` is that row in block i,
-    or -1 (always for ``t + 1``).
+    faces interior: the face rows, the vertex rows, the cap on t, then the
+    edge rows (sorted), with right-hand sides ``r``.
+
+    The LP is in standard form, minimise -t subject to A x = b and x >= 0: a
+    row ``sum(angles) + k t (<=|==) r`` over m corners becomes
+    ``sum(angle - t) + (m + k) (t + 1) (+ slack) == r + m + k``. Its columns
+    are each corner's ``angle - t``, then ``t + 1`` (t >= -1 holds at the
+    optimum, since a planar straight-line embedding has every angle in (0, 1)
+    and so meets every inequality at t = -1), then one slack for each row
+    after the face rows; every nonzero but in column ``t + 1`` is 1, and a
+    column has at most one in each block of rows (faces; vertices and the
+    cap; edges). ``blocks[i, col]`` is that row in block i, or -1 (always for
+    ``t + 1``).
     """
     cs: Corners
     blocks: np.ndarray
@@ -128,29 +118,41 @@ class LPTable:
 def lp_table(G: PlaneTriangulation) -> LPTable:
     cs = corners(G.n, [f for f in G.faces if len(f) == 3])
     edges = [e for e in sorted(cs.opposite) if len(cs.opposite[e]) == 2]
-    nf, m = len(cs.faces), len(cs.faces) + G.n + len(edges) + 1
+    nf, split = len(cs.faces), len(cs.faces) + G.n + 1
+    m = split + len(edges)
     blocks = np.full((3, 2 * nf + 1 + m), -1)
     blocks[0, :3 * nf] = np.arange(3 * nf) // 3
     blocks[1, :3 * nf] = np.ravel(cs.faces) + nf - 1
-    for i, e in enumerate(edges, start=nf + G.n):
+    for i, e in enumerate(edges, start=split):
         blocks[2, cs.opposite[e]] = i
-    # the slack of row i is column i + 2 nf + 1
-    vertex_rows, edge_rows = np.arange(nf, nf + G.n), np.arange(nf + G.n, m - 1)
-    blocks[1, vertex_rows + 2 * nf + 1] = vertex_rows
+    # the slack of row i is column i + 2 nf + 1; block 1 ends with the cap
+    block_1, edge_rows = np.arange(nf, split), np.arange(split, m)
+    blocks[1, block_1 + 2 * nf + 1] = block_1
     blocks[2, edge_rows + 2 * nf + 1] = edge_rows
-    blocks[1, -1] = m - 1
-    r = np.array([1.0] * nf + [2.0] * G.n + [1.0] * len(edges) + [T_CAP])
+    r = np.array([1.0] * nf + [2.0] * G.n + [T_CAP] + [1.0] * len(edges))
     return LPTable(cs, blocks, r, {_canon_cycle(f): i for i, f in enumerate(cs.faces)},
-                   {e: i for i, e in enumerate(edges, start=nf + G.n)})
+                   {e: i for i, e in enumerate(edges, start=split)})
+
+
+def _layout(table: LPTable, face: Sequence[int]) -> tuple[int, int, int, int]:
+    """The shape of the LP of outer face ``face``: its rows m, its columns n,
+    column tau and its first edge row. It is the table's LP without the
+    face's own row, if any, and its three corners, and without the rows of
+    the face's interior edges and their slacks; each face vertex has a slack."""
+    own = _canon_cycle(face) in table.face_row
+    inner = sum((min(u, w), max(u, w)) in table.edge_row for u, w in zip(face, face[1:] + face[:1]))
+    faces, edges = len(table.cs.faces) - own, len(table.edge_row) - inner
+    split = faces + len(table.cs.at_vertex) + 1
+    return split + edges, 3 * faces + 2 + len(face) + edges, 3 * faces, split
 
 
 def _cut(table: LPTable, faces: Sequence[Sequence[int]]) -> tuple:
-    """``angle_lp(table, face)`` for each outer face in ``faces``, held sparse:
-    for each column but tau and each block of rows (faces; vertices and the
-    cap; edges), the LP row of its nonzero, which is 1, and whether it has
-    one, both (k, 3, n), where a block without one gives an arbitrary row;
-    then column tau and b, both (k, m), and tau. Raises ``ValueError``
-    unless the LPs have one layout: shape and tau."""
+    """The LPs of the outer faces ``faces``, held sparse: for each column but
+    tau and each block of rows (faces; vertices and the cap; edges), the LP
+    row of its nonzero, which is 1, and whether it has one, both (k, 3, n),
+    where a block without one gives an arbitrary row; then column tau and b,
+    both (k, m), tau and the first edge row. Raises ``ValueError`` unless the
+    LPs have one layout (``_layout``)."""
     nf, n = len(table.cs.faces), len(table.cs.at_vertex)
     slack = 2 * nf + 1   # the column of row i's slack is i + slack
     k = len(faces)
@@ -178,11 +180,9 @@ def _cut(table: LPTable, faces: Sequence[Sequence[int]]) -> tuple:
     cols[of_own[:, None], 3 * own[:, None] + np.arange(3)] = False
     r = np.tile(table.r, (k, 1))
     r[of_hull, hull] = 1.0
-    m, n = rows.sum(axis=1), cols.sum(axis=1)
-    # tau is 3 nf, less the 3 corners of the face's own row
-    if len(set(zip(m.tolist(), n.tolist()))) > 1 or 0 < len(own) < k:
+    m, n, tau, split = _layout(table, faces[0])
+    if any(_layout(table, face) != (m, n, tau, split) for face in faces[1:]):
         raise ValueError("the faces' LPs differ in layout")
-    m, n, tau = int(m[0]), int(n[0]), 3 * (nf - (len(own) > 0))
     lane = np.arange(k)[:, None, None]
     # each column's table row per block, then that row's place in the LP
     t = table.blocks[:, np.nonzero(cols)[1].reshape(k, n)].transpose(1, 0, 2)
@@ -190,78 +190,131 @@ def _cut(table: LPTable, faces: Sequence[Sequence[int]]) -> tuple:
     kept = (t >= 0) & rows[lane, t]
     # the m + k of each row: its corners, and k = 1 exactly where it has a slack
     a = np.bincount((lane * m + lp_rows)[kept], minlength=k * m).reshape(k, m).astype(float)
-    return lp_rows, kept, a, r[rows].reshape(k, m) + a, tau
+    return lp_rows, kept, a, r[rows].reshape(k, m) + a, tau, split
 
 
-def angle_lp(table: LPTable, face: Sequence[int]) -> AngleLP:
-    """The LP of the module docstring for outer face ``face``, cut from ``table``:
-    without the face's row, corners and edge rows, and with hull vertex rows."""
-    rows, kept, a, b, tau = _cut(table, [face])
-    A = np.zeros((len(b[0]), rows.shape[2]))
-    A[rows[0][kept[0]], np.nonzero(kept[0])[1]] = 1.0
-    A[:, tau] = a[0]
-    c = np.zeros(A.shape[1])
-    c[tau] = -1.0
-    return AngleLP(A, b[0], c, tau)
+class _Dense:
+    """One LP held dense, A (m, n), for ``_mehrotra``: its normal matrix
+    A D A^T is formed as (A d) A^T and solved by LU. As a run of one lane
+    ends when its lane does, it never drops a lane."""
+
+    def __init__(self, rows: np.ndarray, kept: np.ndarray, a: np.ndarray, tau: int):
+        self.n = rows.shape[2]
+        self.A = np.zeros((a.shape[1], self.n))
+        self.A[rows[kept], np.nonzero(kept)[2]] = 1.0
+        self.A[:, tau] = a[0]
+        self.AT = self.A.T
+
+    def A_dot(self, v: np.ndarray) -> np.ndarray:
+        return v @ self.AT
+
+    def AT_dot(self, v: np.ndarray) -> np.ndarray:
+        return v @ self.A
+
+    def form(self, d: np.ndarray, shift: bool) -> np.ndarray:
+        M = (self.A * d) @ self.AT
+        if shift:
+            diagonal = M.ravel()[::len(M) + 1]
+            diagonal += LP_REGULARIZATION * diagonal.max()
+        return M
+
+    def solve(self, M: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(M, r[0])[None]
 
 
-def interior_point(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Mehrotra's predictor-corrector method for min c x, A x = b, x >= 0.
+def _mehrotra(lps, b: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mehrotra's predictor-corrector method (Nocedal and Wright, Numerical
+    Optimization, 14.2) on k LPs of one layout: minimise c x subject to
+    A x = b and x >= 0, where c is -1 at column ``tau`` and 0 elsewhere, b is
+    (k, m) and each A has full row rank.
 
-    A must have full row rank. Returns the last primal iterate and whether
-    it met ``LP_TOL`` (Nocedal and Wright, Numerical Optimization, 14.2).
+    The backend ``lps`` holds the A's, n columns each, and their normal
+    equations A D A^T y = r, D = diag(d), with arrays stacked by lane:
+    ``A_dot(v)`` and ``AT_dot(v)``; ``form(d, shift)``, the system for d,
+    with ``shift`` adding ``LP_REGULARIZATION`` times each lane's largest
+    diagonal entry to its diagonal (at a degenerate optimum, where t is
+    attained by many rows at once, the equations go singular); ``solve(system,
+    r)``; and ``drop(keep)``, which keeps the lanes where ``keep`` holds.
+    Each iteration makes one set of numpy calls for all lanes still running,
+    and a lane leaves once it meets ``LP_TOL`` on its scaled residuals and
+    gap. Returns the last iterates (k, n) and per lane whether it met
+    ``LP_TOL``. A ``LinAlgError`` in an iteration ends a one-lane run with
+    its last iterate, not converged, and is raised from a run of several.
     """
-    m, n = A.shape
-    AT = A.T
-    AAT = A @ AT
-    x = AT @ np.linalg.solve(AAT, b)
-    y = np.linalg.solve(AAT, A @ c)
-    s = c - AT @ y
-    x += max(-1.5 * x.min(), 0.0)
-    s += max(-1.5 * s.min(), 0.0)
-    xs = x @ s
-    x += 0.5 * xs / s.sum()
-    s += 0.5 * xs / x.sum()
-    b_scale = 1.0 + np.abs(b).max()
-    c_scale = 1.0 + np.abs(c).max()
-    diagonal = np.arange(m) * (m + 1)
-
-    def step_length(v: np.ndarray, dv: np.ndarray) -> float:
-        # v > 0 throughout, so the step to the boundary v + a dv = 0 is
-        # -1 / min(dv / v) when that minimum is negative
-        low = float((dv / v).min())
-        return min(1.0, -1.0 / low) if low < 0 else 1.0
-
+    k, n = len(b), lps.n
+    # x and s as one stack (k, 2, n), so that each step rule runs once for both
+    v = np.empty((k, 2, n))
+    x, s = v[:, 0], v[:, 1]
+    c = np.zeros((k, n))
+    c[:, tau] = -1.0
+    system = lps.form(np.ones((k, n)), False)
+    x[:] = lps.AT_dot(lps.solve(system, b))
+    y = lps.solve(system, lps.A_dot(c))
+    del system
+    np.subtract(c, lps.AT_dot(y), out=s)
+    v -= 1.5 * v.min(axis=2, keepdims=True, initial=0.0)
+    xs = np.vecdot(x, s)[:, None]
+    x += 0.5 * xs / s.sum(axis=1, keepdims=True)
+    s += 0.5 * xs / x.sum(axis=1, keepdims=True)
+    b_tol = LP_TOL * (1.0 + np.abs(b).max(axis=1))
+    c_tol = LP_TOL * 2.0   # 1 + max |c|
+    out, converged = np.empty((k, n)), np.zeros(k, dtype=bool)
+    lanes = np.arange(k)
+    dv = np.empty_like(v)
+    dx, ds = dv[:, 0], dv[:, 1]
     for _ in range(LP_MAX_ITERATIONS):
-        rc = AT @ y + s - c
-        mu = x @ s / n
-        if (np.abs(A @ x - b).max() <= LP_TOL * b_scale and np.abs(rc).max() <= LP_TOL * c_scale
-                and mu <= LP_TOL):
-            return x, True
+        x, s = v[:, 0], v[:, 1]
+        # the dual residual A^T y + s - c, negated
+        rd = c - (lps.AT_dot(y) + s)
+        mu = np.vecdot(x, s) / n
+        # the residual tests only matter once a lane's gap is small
+        if mu.min() <= LP_TOL:
+            done = ((mu <= LP_TOL) & (np.abs(lps.A_dot(x) - b).max(axis=1) <= b_tol)
+                    & (np.abs(rd).max(axis=1) <= c_tol))
+            if done.any():
+                out[lanes[done]] = x[done]
+                converged[lanes[done]] = True
+                if done.all():
+                    return out, converged
+                keep = ~done
+                lps.drop(keep)
+                lanes, b, c, v, dv, y, rd, mu, b_tol = (
+                    w[keep] for w in (lanes, b, c, v, dv, y, rd, mu, b_tol))
+                x, s, dx, ds = v[:, 0], v[:, 1], dv[:, 0], dv[:, 1]
         d = x / s
-        M = (A * d) @ AT
-        M.flat[diagonal] += LP_REGULARIZATION * M.flat[diagonal].max()
-        # with r_b = A x - b and r_xs = -x s, the predictor's right-hand side
-        # -r_b - A (r_xs / s + d r_c) is b - A (d r_c); the corrector's adds
-        # A w, and its dx is the predictor's minus w
-        rhs = b - A @ (d * rc)
+        minus_x = -x
         try:
-            ds = -rc - AT @ np.linalg.solve(M, rhs)
-            dx = -x - d * ds
-            ap, ad = step_length(x, dx), step_length(s, ds)
-            mu_aff = (x + ap * dx) @ (s + ad * ds) / n
-            sigma = (mu_aff / mu) ** 3
-            w = (dx * ds - sigma * mu) / s
-            dy = np.linalg.solve(M, rhs + A @ w)
+            system = lps.form(d, True)
+            # with r_b = A x - b and r_xs = -x s, the predictor's right-hand
+            # side -r_b - A (r_xs / s - d rd) is b + A (d rd); the
+            # corrector's adds A w, and its dx is the predictor's minus w
+            rhs = b + lps.A_dot(d * rd)
+            np.subtract(rd, lps.AT_dot(lps.solve(system, rhs)), out=ds)
+            np.subtract(minus_x, d * ds, out=dx)
+            after = v + _step_lengths(v, dv) * dv
+            mu_aff = np.vecdot(after[:, 0], after[:, 1]) / n
+            w = (dx * ds - ((mu_aff / mu) ** 3 * mu)[:, None]) / s
+            dy = lps.solve(system, rhs + lps.A_dot(w))
         except np.linalg.LinAlgError:
+            if k > 1:
+                raise
             break
-        ds = -rc - AT @ dy
-        dx = -x - w - d * ds
-        ap, ad = 0.995 * step_length(x, dx), 0.995 * step_length(s, ds)
-        x = x + ap * dx
-        y = y + ad * dy
-        s = s + ad * ds
-    return x, False
+        # freed before the next iteration forms its own
+        del system
+        np.subtract(rd, lps.AT_dot(dy), out=ds)
+        np.subtract(minus_x - w, d * ds, out=dx)
+        step = 0.995 * _step_lengths(v, dv)
+        v = v + step * dv
+        y = y + step[:, 1] * dy
+    out[lanes] = v[:, 0]
+    return out, converged
+
+
+def _step_lengths(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Per lane and row of stacks (k, 2, n) with v > 0, the step to the
+    boundary v + a dv = 0, -1 / min(dv / v) when that is negative, clipped
+    to at most 1: shape (k, 2, 1)."""
+    return -1.0 / (dv / v).min(axis=2, keepdims=True, initial=-1.0)
 
 
 @dataclass(frozen=True)
@@ -279,9 +332,11 @@ def _lp_results(x: np.ndarray, tau: int, converged: Sequence[bool]) -> list[Angl
 
 
 def solve_angle_lp(table: LPTable, face: Sequence[int]) -> AngleLPResult:
-    lp = angle_lp(table, face)
-    x, converged = interior_point(lp.A, lp.b, lp.c)
-    return _lp_results(x[None], lp.tau, [converged])[0]
+    """The angle LP of outer face ``face``, solved alone by ``_mehrotra``
+    with the dense backend."""
+    rows, kept, a, b, tau, _ = _cut(table, [face])
+    x, converged = _mehrotra(_Dense(rows, kept, a, tau), b, tau)
+    return _lp_results(x, tau, converged)[0]
 
 
 def face_lps(table: LPTable, faces: Sequence[Sequence[int]]) -> Iterator[AngleLPResult]:
@@ -293,8 +348,10 @@ def face_lps(table: LPTable, faces: Sequence[Sequence[int]]) -> Iterator[AngleLP
     maximal planar graph has, all give LPs of one layout; they go to
     ``lp_stacks.solve_angle_lps`` in runs of balanced size, each of at most
     ``LP_STACK_BYTES`` of the structured run's arrays (``lp_stacks.lane_bytes``
-    per face), and a run is solved whole when its first face is drawn; again
-    face by face by ``solve_angle_lp`` if a stacked solve fails.
+    per face), and a run is solved whole when its first face is drawn. A run
+    of several faces whose solve fails is solved again face by face by
+    ``solve_angle_lp``; a one-face run whose iteration fails ends its face
+    with its last iterate, not converged (``_mehrotra``).
     """
     yield solve_angle_lp(table, faces[0])
     rest = len(faces) - 1

@@ -36,9 +36,85 @@ def _inner_corners(H):
     return angles.corners(H.n, H.inner_faces())
 
 
+@dataclasses.dataclass(frozen=True)
+class AngleLP:
+    """An angle LP in standard form: minimise ``c @ x`` subject to
+    ``A @ x == b`` and ``x >= 0``, with t + 1 at column ``tau``."""
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    tau: int
+
+
+def angle_lp(table, face):
+    """The LP of outer face ``face`` as the dense backend holds it, cut from
+    ``table``."""
+    rows, kept, a, b, tau, _ = angles._cut(table, [face])
+    c = np.zeros(rows.shape[2])
+    c[tau] = -1.0
+    return AngleLP(angles._Dense(rows, kept, a, tau).A, b[0], c, tau)
+
+
+def interior_point(A, b, c):
+    """Mehrotra's predictor-corrector method for min c x, A x = b, x >= 0,
+    written out for one dense LP: the reference for ``angles._mehrotra``.
+
+    A must have full row rank. Returns the last primal iterate and whether
+    it met ``LP_TOL`` (Nocedal and Wright, Numerical Optimization, 14.2).
+    """
+    m, n = A.shape
+    AT = A.T
+    AAT = A @ AT
+    x = AT @ np.linalg.solve(AAT, b)
+    y = np.linalg.solve(AAT, A @ c)
+    s = c - AT @ y
+    x += max(-1.5 * x.min(), 0.0)
+    s += max(-1.5 * s.min(), 0.0)
+    xs = x @ s
+    x += 0.5 * xs / s.sum()
+    s += 0.5 * xs / x.sum()
+    b_scale = 1.0 + np.abs(b).max()
+    c_scale = 1.0 + np.abs(c).max()
+    diagonal = np.arange(m) * (m + 1)
+
+    def step_length(v, dv):
+        # v > 0 throughout, so the step to the boundary v + a dv = 0 is
+        # -1 / min(dv / v) when that minimum is negative
+        low = float((dv / v).min())
+        return min(1.0, -1.0 / low) if low < 0 else 1.0
+
+    for _ in range(angles.LP_MAX_ITERATIONS):
+        rc = AT @ y + s - c
+        mu = x @ s / n
+        if (np.abs(A @ x - b).max() <= angles.LP_TOL * b_scale
+                and np.abs(rc).max() <= angles.LP_TOL * c_scale and mu <= angles.LP_TOL):
+            return x, True
+        d = x / s
+        M = (A * d) @ AT
+        M.flat[diagonal] += angles.LP_REGULARIZATION * M.flat[diagonal].max()
+        rhs = b - A @ (d * rc)
+        try:
+            ds = -rc - AT @ np.linalg.solve(M, rhs)
+            dx = -x - d * ds
+            ap, ad = step_length(x, dx), step_length(s, ds)
+            mu_aff = (x + ap * dx) @ (s + ad * ds) / n
+            sigma = (mu_aff / mu) ** 3
+            w = (dx * ds - sigma * mu) / s
+            dy = np.linalg.solve(M, rhs + A @ w)
+        except np.linalg.LinAlgError:
+            break
+        ds = -rc - AT @ dy
+        dx = -x - w - d * ds
+        ap, ad = 0.995 * step_length(x, dx), 0.995 * step_length(s, ds)
+        x = x + ap * dx
+        y = y + ad * dy
+        s = s + ad * ds
+    return x, False
+
+
 def _angle_lp_rows(H, cs):
     """The angle LP of H built row by row, the reference for the LP that
-    ``angles.angle_lp`` cuts from the graph's table.
+    ``angles._cut`` cuts from the graph's table.
 
     A row ``sum(angles) + k t (<=|==) r`` over corners becomes
     ``sum(angle - t) + (m + k) (t + 1) (+ slack) == r + m + k``, where m is
@@ -55,10 +131,10 @@ def _angle_lp_rows(H, cs):
             rows.append((cs.at_vertex[v], 1, 1.0, True))
         else:
             rows.append((cs.at_vertex[v], 0, 2.0, False))
+    rows.append(([], 1, angles.T_CAP, True))
     for e in sorted(cs.opposite):
         if len(cs.opposite[e]) == 2:
             rows.append((cs.opposite[e], 1, 1.0, True))
-    rows.append(([], 1, angles.T_CAP, True))
     n_slack = sum(r[3] for r in rows)
     A = np.zeros((len(rows), n_corners + 1 + n_slack))
     b = np.empty(len(rows))
@@ -72,7 +148,7 @@ def _angle_lp_rows(H, cs):
             slack += 1
     c = np.zeros(A.shape[1])
     c[tau] = -1.0
-    return angles.AngleLP(A, b, c, tau)
+    return AngleLP(A, b, c, tau)
 
 
 def test_lp_table_cuts_the_row_by_row_lp():
@@ -85,7 +161,7 @@ def test_lp_table_cuts_the_row_by_row_lp():
         for face in candidate_outer_faces(G):
             H = reembed_with_outer_face(G, face)
             ref = _angle_lp_rows(H, _inner_corners(H))
-            lp = angles.angle_lp(table, H.outer_face)
+            lp = angle_lp(table, H.outer_face)
             assert lp.tau == ref.tau
             for got, want in ((lp.A, ref.A), (lp.b, ref.b), (lp.c, ref.c)):
                 assert got.dtype == want.dtype
@@ -118,15 +194,16 @@ def test_a_realization_is_a_feasible_point_of_the_lp():
     for n, seed in CASES[:12]:
         points, H = random_instance(n, seed)
         cs = _inner_corners(H)
-        lp = angles.angle_lp(angles.lp_table(H), H.outer_face)
+        lp = angle_lp(angles.lp_table(H), H.outer_face)
         alpha = _corner_angles(cs, points) / math.pi
         hull = set(H.outer_face)
         slacks = [1 - alpha[cs.at_vertex[v]].sum() for v in sorted(hull)]
+        slacks += [angles.T_CAP]
         slacks += [1 - alpha[cs.opposite[e]].sum() for e in sorted(cs.opposite)
                    if len(cs.opposite[e]) == 2]
-        t = min(alpha.min(), *slacks, angles.T_CAP)
+        t = min(alpha.min(), *slacks)
         assert t > 0
-        row_slacks = [s - t for s in slacks] + [angles.T_CAP - t]
+        row_slacks = [s - t for s in slacks]
         x = np.concatenate([alpha - t, [t + 1], row_slacks])
         assert np.all(x >= 0)
         assert np.allclose(lp.A @ x, lp.b, atol=1e-9)
@@ -139,18 +216,36 @@ def test_t_star_agrees_with_linprog():
     for G in _lp_graphs():
         table = angles.lp_table(G)
         for face in candidate_outer_faces(G):
-            lp = angles.angle_lp(table, face)
+            lp = angle_lp(table, face)
             ref = optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None),
                                    method="highs")
             assert ref.status == 0
-            x, converged = angles.interior_point(lp.A, lp.b, lp.c)
+            x, converged = interior_point(lp.A, lp.b, lp.c)
             assert converged
             assert np.abs(lp.A @ x - lp.b).max() <= 1e-8 * (1 + np.abs(lp.b).max())
             assert x.min() >= -1e-9
-            res = angles.solve_angle_lp(table, face)
-            assert res.converged
-            assert res.t_star == x[lp.tau] - 1
-            assert abs(res.t_star - (ref.x[lp.tau] - 1)) < 1e-6
+            assert abs(x[lp.tau] - ref.x[lp.tau]) < 1e-6
+
+
+def test_the_dense_backend_ends_where_interior_point_does():
+    """``solve_angle_lp``, ``_mehrotra`` on one LP held dense, ends every
+    candidate face's LP of the test graphs where ``interior_point`` ends it:
+    the same convergence, t* within 1e-12 and the angles within a bound by
+    graph size, 1e-10 up to n = 10 and 1e-9 up to n = 15 (they differ by up
+    to 3.9e-11 at n = 5 and 2.0e-12 at n = 11, and agree bit for bit on most
+    faces: the driver cubes sigma as an array, whose rounding can differ from
+    the scalar cube)."""
+    for G in _lp_graphs():
+        table = angles.lp_table(G)
+        angle_tol = 1e-10 if G.n <= 10 else 1e-9
+        for face in candidate_outer_faces(G):
+            lp = angle_lp(table, face)
+            x, converged = interior_point(lp.A, lp.b, lp.c)
+            got = angles.solve_angle_lp(table, face)
+            t = x[lp.tau] - 1
+            assert got.converged == converged
+            assert abs(got.t_star - t) <= 1e-12
+            assert np.abs(got.angles - (x[:lp.tau] + t)).max() <= angle_tol
 
 
 @pytest.mark.parametrize("levels", [1, 2], ids=["kleetope", "kleetope2"])
@@ -163,7 +258,7 @@ def test_face_lps_agree_with_linprog_on_every_face(levels):
     table, faces = angles.lp_table(G), candidate_outer_faces(G)
     assert len(faces) == (18, 54)[levels - 1]
     for face, got in zip(faces, angles.face_lps(table, faces), strict=True):
-        lp = angles.angle_lp(table, face)
+        lp = angle_lp(table, face)
         ref = optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
         assert ref.status == 0
         assert got.converged
@@ -202,40 +297,60 @@ def test_stacked_faces_must_share_a_layout():
 
 
 def test_a_lane_is_its_lp_held_sparse():
-    """``_lanes`` holds exactly ``angle_lp``'s LP of each face, the cap row
-    moved before the edge rows: each column but tau as one nonzero per block
-    of rows, then column tau and b; ``_interior_points`` takes c as -1 at
-    tau and 0 elsewhere, as ``angle_lp`` gives it."""
+    """``_cut`` holds exactly the row-by-row LP of each face: each column but
+    tau as one nonzero per block of rows, the edge rows exactly the rows from
+    its first edge row on, then column tau and b; ``_mehrotra`` takes c as -1
+    at tau and 0 elsewhere, as the reference builds it."""
     graphs = [random_instance(n, s)[1] for n in range(4, 16) for s in range(4000, 4003)]
     for G in _lp_graphs() + graphs:
         table, faces = angles.lp_table(G), candidate_outer_faces(G)
-        rows, values, a, b, tau, split = lp_stacks._lanes(table, faces)
+        rows, values, a, b, tau, split = angles._cut(table, faces)
         for i, face in enumerate(faces):
-            lp = angles.angle_lp(table, face)
+            H = reembed_with_outer_face(G, face)
+            lp = _angle_lp_rows(H, _inner_corners(H))
             A = np.zeros_like(lp.A)
             for block in range(3):
                 A[rows[i, block], np.arange(A.shape[1])] += values[i, block]
             A[:, tau] = a[i]
             assert tau == lp.tau and np.array_equal(lp.c, -np.eye(len(lp.c))[tau])
-            # the cap row, last in angle_lp, comes before the edge rows
-            order = np.r_[:split - 1, len(A) - 1, split - 1:len(A) - 1]
-            for got, want in ((A, lp.A[order]), (b[i], lp.b[order])):
+            for got, want in ((A, lp.A), (b[i], lp.b)):
                 assert np.array_equal(got, want)
+            assert set(rows[i, 2][values[i, 2]]) == set(range(split, len(A)))
+            assert (rows[i, :2][values[i, :2]] < split).all()
+
+
+def test_lane_bytes_counts_the_lp_that_cut_gives():
+    """``lane_bytes`` counts a face's LP from the table alone, without
+    cutting it: its rows, columns and first edge row are those of the LP
+    ``_cut`` gives, for every face after the first of each test graph."""
+    for G in _lp_graphs():
+        table = angles.lp_table(G)
+        for face in candidate_outer_faces(G)[1:]:
+            rows, kept, a, _, _, _ = angles._cut(table, [face])
+            m, n = a.shape[1], rows.shape[2]
+            s1 = m - len(set(rows[0, 2][kept[0, 2]])) + 1
+            e = m - s1 + 1
+            assert lp_stacks.lane_bytes(table, face) == 8 * (3 * s1 * s1 + 2 * s1 * e + 20 * (m + n))
 
 
 def _stacks():
-    """The lanes of every candidate outer face of ``_lp_graphs()``, one stack
-    per layout, as ``_interior_points`` takes them, with each lane's LP. A
+    """The cut LPs of every candidate outer face of ``_lp_graphs()``, one
+    stack per layout, with tau, the first edge row and each lane's LP. A
     stack can mix graphs, and then its lanes stop at different iterations."""
     by_layout = {}
     for G in _lp_graphs():
         table, faces = angles.lp_table(G), candidate_outer_faces(G)
-        *stack, tau, split = lp_stacks._lanes(table, faces)
+        *stack, tau, split = angles._cut(table, faces)
         key = (stack[0].shape[1:], stack[2].shape[1], tau, split)
-        by_layout.setdefault(key, []).append((stack, [angles.angle_lp(table, f) for f in faces]))
+        by_layout.setdefault(key, []).append((stack, [angle_lp(table, f) for f in faces]))
     for (_, _, tau, split), parts in by_layout.items():
         stack = [np.concatenate(v) for v in zip(*(part for part, _ in parts))]
         yield stack, tau, split, [lp for _, lps in parts for lp in lps]
+
+
+def _eliminated(rows, kept, a, b, tau, split):
+    """``_mehrotra`` on cut LPs with the stacked solver's backend."""
+    return angles._mehrotra(lp_stacks._Eliminated(rows, kept, a, tau, split), b, tau)
 
 
 def test_a_lane_does_not_depend_on_its_stack(monkeypatch):
@@ -252,12 +367,12 @@ def test_a_lane_does_not_depend_on_its_stack(monkeypatch):
     shrank = False
     for stack, tau, split, lps in _stacks():
         lanes_per_solve.clear()
-        xs, converged = lp_stacks._interior_points(*stack, tau, split)
+        xs, converged = _eliminated(*stack, tau, split)
         shrank |= len(set(lanes_per_solve)) > 1
         for i, lp in enumerate(lps):
-            x, ok = lp_stacks._interior_points(*(v[i:i + 1] for v in stack), tau, split)
+            x, ok = _eliminated(*(v[i:i + 1] for v in stack), tau, split)
             assert np.array_equal(x[0], xs[i]) and ok[0] == converged[i]
-            assert converged[i] == angles.interior_point(lp.A, lp.b, lp.c)[1]
+            assert converged[i] == interior_point(lp.A, lp.b, lp.c)[1]
     assert shrank
 
 
@@ -282,6 +397,36 @@ def test_a_failed_stacked_solve_falls_back_to_solve_angle_lp(monkeypatch, failin
         assert got.converged == ref.converged and got.t_star == ref.t_star
         assert np.array_equal(got.angles, ref.angles)
     assert stacked_calls
+
+
+@pytest.mark.parametrize("failing_call", [2, 5])
+def test_a_failed_one_face_solve_ends_with_its_last_iterate(monkeypatch, failing_call):
+    """A LinAlgError in an iteration of a one-face run ends it, not converged,
+    where ``interior_point`` failing at the same solve ends: with the dense
+    backend, and for a one-face run of the stacked solver, which no longer
+    raises."""
+    G = random_instance(9, 1005)[1]
+    table, face = angles.lp_table(G), candidate_outer_faces(G)[0]
+    lp = angle_lp(table, face)
+    solve, calls = np.linalg.solve, []
+
+    def failing(a, b):
+        calls.append(a.shape)
+        if len(calls) > failing_call:
+            raise np.linalg.LinAlgError("forced")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    x, converged = interior_point(lp.A, lp.b, lp.c)
+    t = x[lp.tau] - 1
+    calls.clear()
+    got = angles.solve_angle_lp(table, face)
+    calls.clear()
+    stacked = lp_stacks.solve_angle_lps(table, [face])[0]
+    assert not converged and not got.converged and not stacked.converged
+    assert abs(got.t_star - t) <= 1e-12
+    assert np.abs(got.angles - (x[:lp.tau] + t)).max() <= 1e-9
+    assert np.all(np.isfinite(stacked.angles))
 
 
 @pytest.mark.parametrize("G", [random_instance(12, 1008)[1], random_instance(9, 4007)[1],
