@@ -1,15 +1,16 @@
 """Exact rational plane geometry: the predicates every other module trusts.
 
-Every predicate is exact over int or ``fractions.Fraction`` coordinates
-(arbitrary precision), never float; callers bridge floats in via
-:func:`rationalize`. The predicates that only add, multiply and compare
-(``con_poly``, ``dist_sq``, ``in_circle_sign``, ``convex_hull``,
-``circumcenter_homogeneous``, ``witness_centers``) run on Python ints as they
-are, which is far faster; :func:`circumcenter` divides, so it needs Fraction
-coordinates. The untrusted search also runs the multiply-only helpers on
-floats (``con_poly``, as the stencil evaluator's orientation form on numpy
-arrays, and ``circumcenter_homogeneous`` and ``witness_centers``, for its
-start and its float radius); nothing float is trusted.
+Every predicate is exact over int or ``fractions.Fraction`` coordinates,
+never float; callers bridge floats in via :func:`rationalize`. The
+predicates only add, multiply and compare, so they run on Python ints as
+they are, which is far faster: ``con_poly`` (orientation), ``dist_sq``,
+``convex_hull``, ``circumcenter_homogeneous`` and ``witness_centers``. The
+homogeneous circumcenter is the one circle test: the oracle and ``certify``
+compare squared distances from it, scaled by d^2. The untrusted search also
+runs the multiply-only helpers on floats (``con_poly``, as the stencil
+evaluator's orientation form on numpy arrays, and ``circumcenter_homogeneous``
+and ``witness_centers``, for its start and its float radius); nothing float
+is trusted.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ Rat = Fraction
 
 class GeometryError(ValueError):
     pass
-
-
-class CollinearTriple(GeometryError):
-    """Raised where a predicate needs three non-collinear points."""
 
 
 class NonFinite(GeometryError):
@@ -61,35 +58,6 @@ def con_poly(p0: RatPoint, p1: RatPoint, p2: RatPoint) -> Rat:
 
 def dist_sq(p: RatPoint, q: RatPoint) -> Rat:
     return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
-
-
-def in_circle_sign(a: RatPoint, b: RatPoint, c: RatPoint, q: RatPoint) -> int:
-    """Exact position of q relative to the circumcircle of {a, b, c}.
-
-    Returns +1 strictly inside, 0 on the circle, -1 strictly outside.
-    The result does not depend on the order of a, b, c.
-    """
-    orient = con_poly(a, b, c)
-    if orient == 0:
-        raise CollinearTriple(f"collinear triple {a}, {b}, {c}")
-    # 3x3 determinant of lifted difference vectors; its sign times the
-    # orientation sign of (a,b,c) is the in-circle test. With con_poly > 0
-    # meaning clockwise, det > 0 for q inside when (a,b,c) is counterclockwise.
-    ax, ay = a.x - q.x, a.y - q.y
-    bx, by = b.x - q.x, b.y - q.y
-    cx, cy = c.x - q.x, c.y - q.y
-    det = (
-        (ax * ax + ay * ay) * (bx * cy - cx * by)
-        - (bx * bx + by * by) * (ax * cy - cx * ay)
-        + (cx * cx + cy * cy) * (ax * by - bx * ay)
-    )
-    # con_poly > 0 is clockwise, i.e. negative ccw orientation.
-    det = det if orient < 0 else -det
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
 
 
 def circumcenter_homogeneous(a: RatPoint, b: RatPoint, c: RatPoint) -> tuple[Rat, Rat, Rat]:
@@ -140,12 +108,15 @@ def witness_centers(points: Sequence[tuple], faces: Iterable[tuple[int, int, int
     return centers
 
 
-def circumcenter(a: RatPoint, b: RatPoint, c: RatPoint) -> RatPoint:
-    """Exact point equidistant from a, b and c."""
-    ux, uy, d = circumcenter_homogeneous(a, b, c)
-    if d == 0:
-        raise CollinearTriple(f"collinear triple {a}, {b}, {c}")
-    return RatPoint(ux / d, uy / d)
+def scale_to_integers(points: Sequence[RatPoint]) -> list[tuple[int, int]]:
+    """Clear denominators with the LCM of all coordinate denominators.
+
+    Uniform positive scaling preserves constraint satisfaction, every circle
+    relation and so the Delaunay edge set: the integer set realizes whatever
+    the rational one did.
+    """
+    beta = math.lcm(*(c.denominator for p in points for c in p))
+    return [(int(x * beta), int(y * beta)) for x, y in points]
 
 
 def rationalize(x: float, max_denominator: int) -> Rat:

@@ -1,21 +1,28 @@
 """Exact Delaunay triangulation of a rational point set, by brute force.
 
-This is the independent ground truth the certifier compares against: all
-triples are tested with the exact empty-circumcircle predicate, O(n^4) but
-completely trustworthy at desk scale. Exact over int or Fraction
-coordinates, never float; integer points (as certify() passes them) are
-many times faster. No incremental or flip-based shortcuts, so nothing here
-shares code paths with the structures being certified.
+One circle test, ``geometry.circumcenter_homogeneous``, on the points scaled
+to integers (circle relations survive uniform scaling): q is outside the
+circle through a, b, c when it is farther from its center than a is.
+``general_position_check`` runs in O(n^3) time and O(n) extra memory;
+``delaunay`` keeps the triples with every other point outside, O(n^4) at
+worst. Exact over int or Fraction coordinates, never float.
+
+``certify``'s witness step makes the same comparison, so the oracle's
+independence now comes from the lifted in-circle determinant the tests
+cross-check it against (``tests/reference_geometry.py``) and from the judge
+in ``perfbench/exact.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations
 from typing import Sequence
 
-from .geometry import RatPoint, CollinearTriple, con_poly, convex_hull, in_circle_sign
+from .geometry import (RatPoint, circumcenter_homogeneous, con_poly, convex_hull,
+                       scale_to_integers)
 from .plane_graph import PlaneTriangulation, build_triangulation
 
 
@@ -32,24 +39,31 @@ class PositionReport:
 
 
 def general_position_check(points: Sequence[RatPoint]) -> PositionReport:
-    """Exact check for duplicates, global collinearity and cocircular quadruples."""
+    """Exact check for duplicates, global collinearity and cocircular quadruples.
+
+    Two non-collinear triples that share the pair i < j lie on one circle
+    exactly when their circumcenters are equal, compared reduced to lowest
+    terms with d > 0. So each cocircular quadruple is found once, from its
+    two smallest indices; a collinear triple (d = 0) has no circle.
+    """
     dup = tuple((i, j) for i, j in combinations(range(len(points)), 2)
                 if points[i] == points[j])
     if dup:
         return PositionReport(False, duplicate_points=dup)
-    collinear = all(con_poly(points[0], points[1], p) == 0 for p in points[2:])
-    if collinear:
+    if all(con_poly(points[0], points[1], p) == 0 for p in points[2:]):
         return PositionReport(False, all_collinear=True)
+    pts = scale_to_integers(points)
+    n = len(pts)
     cocirc = []
-    for i, j, k, l in combinations(range(len(points)), 4):
-        a, b, c, q = points[i], points[j], points[k], points[l]
-        try:
-            if in_circle_sign(a, b, c, q) == 0:
-                cocirc.append((i, j, k, l))
-        except CollinearTriple:
-            # a collinear triple cannot witness cocircularity of this quad
-            continue
-    return PositionReport(not cocirc, cocircular_quads=tuple(cocirc))
+    for i, j in combinations(range(n), 2):
+        groups: dict[tuple[int, int, int], list[int]] = {}
+        for k in range(j + 1, n):
+            x, y, d = circumcenter_homogeneous(pts[i], pts[j], pts[k])
+            if d:
+                g = math.gcd(x, y, d) if d > 0 else -math.gcd(x, y, d)
+                groups.setdefault((x // g, y // g, d // g), []).append(k)
+        cocirc += [(i, j, k, l) for ks in groups.values() for k, l in combinations(ks, 2)]
+    return PositionReport(not cocirc, cocircular_quads=tuple(sorted(cocirc)))
 
 
 @dataclass(frozen=True)
@@ -68,18 +82,21 @@ def delaunay(points: Sequence[RatPoint]) -> DelaunayResult:
     report = general_position_check(points)
     if not report.ok:
         raise NotGeneralPosition(report)
-    n = len(points)
+    pts = scale_to_integers(points)
+    n = len(pts)
     faces = []
-    for i, j, k in combinations(range(n), 3):
-        a, b, c = points[i], points[j], points[k]
-        if con_poly(a, b, c) == 0:
+    for f in combinations(range(n), 3):
+        x, y, d = circumcenter_homogeneous(*(pts[v] for v in f))
+        if d == 0:
             continue
-        if all(in_circle_sign(a, b, c, points[q]) < 0
-               for q in range(n) if q not in (i, j, k)):
-            faces.append((i, j, k))
+        ax, ay = pts[f[0]]
+        r2 = (x - d * ax) ** 2 + (y - d * ay) ** 2
+        if all((x - d * px) ** 2 + (y - d * py) ** 2 > r2
+               for q, (px, py) in enumerate(pts) if q not in f):
+            faces.append(f)
     edges = frozenset(e for f in faces for e in combinations(f, 2))
     hull = convex_hull(points).hull
-    return DelaunayResult(edges, tuple(sorted(faces)), tuple(hull))
+    return DelaunayResult(edges, tuple(faces), tuple(hull))
 
 
 def _ccw_sort(points: Sequence[RatPoint], center: int, nbrs: list[int]) -> list[int]:

@@ -22,7 +22,7 @@ from .constraints import (StencilSystem, VarId, constsqu_stencil, repair_radii,
 # perfbench/tracing.py wraps these names; realize() calls neither
 from .constraints import build_const, build_constsqu  # noqa: F401
 from .formats import RealizationCertificate
-from .geometry import RatPoint, circumcenter_homogeneous, witness_centers
+from .geometry import RatPoint, circumcenter_homogeneous, scale_to_integers, witness_centers
 from .plane_graph import (PlaneTriangulation, _canon_cycle, candidate_outer_faces,
                           reembed_with_outer_face, validate_triangulation)
 from .solver import SolverConfig, round_candidates, solve
@@ -80,19 +80,6 @@ class RealizationResult:
     # the exact rational assignment that passed the robustified system, when
     # REALIZED came out of the solve/round path (None for direct placements)
     exact_assignment: dict | None = None
-
-
-def scale_to_integers(points: Sequence[RatPoint]) -> list[tuple[int, int]]:
-    """Clear denominators with the LCM of all coordinate denominators.
-
-    Uniform positive scaling preserves both constraint satisfaction and the
-    Delaunay edge set, so the integer set realizes whatever the rational
-    one did.
-    """
-    beta = 1
-    for p in points:
-        beta = math.lcm(beta, p.x.denominator, p.y.denominator)
-    return [(int(p.x * beta), int(p.y * beta)) for p in points]
 
 
 def certify(G: PlaneTriangulation, f_star: Sequence[int],

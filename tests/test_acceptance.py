@@ -14,13 +14,14 @@ import pytest
 from dtrealize import formats, oracle
 from dtrealize.constraints import (build_const, build_constsqu, evaluate,
                                    system_to_json, system_to_smtlib2)
-from dtrealize.geometry import RatPoint, convex_hull, dist_sq, in_circle_sign, pt
+from dtrealize.geometry import RatPoint, convex_hull, dist_sq, pt
 from dtrealize.instances import (fan_triangulation, perturb_within_halfbox,
                                  perturb_within_radius, radius_bounds,
                                  random_instance)
 from dtrealize.plane_graph import _canon_cycle, reembed_with_outer_face
 from dtrealize.realizer import certify, realize
 from dtrealize.solver import CompiledSystem
+from reference_geometry import in_circle_sign
 
 TIME_LIMIT = 60.0
 CASES = [(4 + k % 12, 1000 + k) for k in range(50)]   # (n, seed), n in 4..15

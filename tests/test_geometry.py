@@ -1,4 +1,8 @@
-"""Exact predicate tests: everything else in the package trusts these."""
+"""Exact predicate tests: everything else in the package trusts these.
+
+The in-circle and circumcenter tests check the reference predicates of
+``reference_geometry``, which the oracle is cross-checked against.
+"""
 
 import random
 from fractions import Fraction
@@ -7,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtrealize.geometry import (AllCollinear, CollinearTriple, NonFinite, RatPoint,
-                                circumcenter, con_poly, convex_hull, dist_sq,
-                                in_circle_sign, pt, rationalize, witness_centers)
+from dtrealize.geometry import (AllCollinear, NonFinite, RatPoint, con_poly, convex_hull,
+                                dist_sq, pt, rationalize, witness_centers)
+from reference_geometry import CollinearTriple, circumcenter, in_circle_sign
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(pt, coords, coords)

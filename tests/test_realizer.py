@@ -13,10 +13,11 @@ import pytest
 from dtrealize import angles, constraints, lp_stacks, oracle, plane_graph, realizer, solver
 from dtrealize.constraints import (STENCIL, build_constsqu, constsqu_stencil, evaluate,
                                    repair_radii, satisfied_exact)
-from dtrealize.geometry import circumcenter, dist_sq, pt
+from dtrealize.geometry import dist_sq, pt
 from dtrealize.instances import fan_triangulation, random_instance
 from dtrealize.plane_graph import build_triangulation, candidate_outer_faces
 from dtrealize.realizer import RealizeConfig, certify, realize, scale_to_integers
+from reference_geometry import circumcenter
 
 K4_ROT = {1: [2, 4, 3], 2: [3, 4, 1], 3: [1, 4, 2], 4: [1, 2, 3]}
 K4_POINTS = [(0, 10), (-9, -5), (9, -5), (0, 0)]
