@@ -315,15 +315,20 @@ class StencilSystem:
         return ((x[d[:, 0]] - x[d[:, 2]])[:, None] + offs_x.astype(x.dtype) * unit,
                 (x[d[:, 1]] - x[d[:, 3]])[:, None] + offs_y.astype(x.dtype) * unit)
 
-    def blocks(self, x: np.ndarray, unit) -> tuple[np.ndarray, np.ndarray]:
-        """The row values per group: orientation (groups, 729), disc (pairs, 9)."""
-        orient = con_poly(*self._orient_points(x, unit))
-        dx, dy = self._disc_deltas(x, unit)
+    def stencil(self, x: np.ndarray, unit) -> tuple:
+        """The stencil points of every row, as ``blocks`` and ``vjp`` take
+        them: the orientation rows' points and the disc rows' Z - C."""
+        return self._orient_points(x, unit), self._disc_deltas(x, unit)
+
+    def blocks(self, x: np.ndarray, stencil) -> tuple[np.ndarray, np.ndarray]:
+        """The row values per group at ``stencil = self.stencil(x, unit)``:
+        orientation (groups, 729), disc (pairs, 9)."""
+        points, (dx, dy) = stencil
         r = x[self.disc[:, 4]]
-        return orient, dx * dx + dy * dy - (r * r)[:, None]
+        return con_poly(*points), dx * dx + dy * dy - (r * r)[:, None]
 
     def values(self, x: np.ndarray, unit) -> np.ndarray:
-        return np.concatenate([block.ravel() for block in self.blocks(x, unit)])
+        return np.concatenate([block.ravel() for block in self.blocks(x, self.stencil(x, unit))])
 
     def disc_extremes(self, x: np.ndarray, unit) -> tuple[np.ndarray, np.ndarray]:
         """Least and greatest |Z - C|^2 over each disc group's 9 stencil points.
@@ -354,16 +359,16 @@ class StencilSystem:
         hi = np.concatenate((orient.max(axis=1), far - r * r))
         return np.where(self.sign < 0, -hi, lo)
 
-    def vjp(self, x: np.ndarray, wo: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    def vjp(self, x: np.ndarray, stencil, wo: np.ndarray, wd: np.ndarray) -> np.ndarray:
         """Gradient of sum(wo * orient) + sum(wd * disc) with respect to the
-        float vector x, for the blocks (orient, disc) = ``blocks(x, 1.0)``."""
-        points = self._orient_points(x, 1.0)
+        float vector x, for the blocks (orient, disc) = ``blocks(x, stencil)``
+        at ``stencil = self.stencil(x, 1.0)``."""
+        points, (dx, dy) = stencil
         gx = np.zeros((len(self.orient), 3))
         gy = np.zeros((len(self.orient), 3))
         for p, q, s in _CON_PAIRS:
             gx[:, p] += s * np.einsum("gk,gk->g", wo, points[q][1])
             gy[:, q] += s * np.einsum("gk,gk->g", wo, points[p][0])
-        dx, dy = self._disc_deltas(x, 1.0)
         gdx = 2.0 * np.einsum("dk,dk->d", wd, dx)
         gdy = 2.0 * np.einsum("dk,dk->d", wd, dy)
         gr = -2.0 * x[self.disc[:, 4]] * wd.sum(axis=1)

@@ -11,7 +11,9 @@ inequalities (hinge target = margin; non-strict relations use margin 0).
 with each group's sign and hinge target broadcast over its offsets, so no
 per-row relation, sign or target array is built. All polynomials have
 degree <= 2, and the analytic gradient (``penalty_grad``) is the groups'
-``vjp`` of the hinge weights. ``CompiledSystem`` evaluates a row system
+``vjp`` of the hinge weights, at the stencil points the blocks were built
+from; ``solve`` takes each step's gradient from its accepted line-search
+trial. ``CompiledSystem`` evaluates a row system
 from flat term arrays with its own row-by-row penalty; sharing no code with
 the search, it is the row-system reference the stencil penalty is tested
 against.
@@ -78,15 +80,21 @@ class SolveOutcome:
     restart_index: int
 
 
-def _hinges(system: StencilSystem, v: np.ndarray,
-            margin: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per block of ``system.blocks``, its hinges max(0, target - sign * value)
-    (target ``margin`` on strict groups, else 0) and its groups' signs, a column."""
+def _hinges(system: StencilSystem, v: np.ndarray, margin: float) -> tuple:
+    """The stencil at v, and per block of ``system.blocks``, its hinges
+    max(0, target - sign * value) (target ``margin`` on strict groups, else
+    0) and its groups' signs, a column."""
     k = len(system.orient)
     target = np.where(system.strict, margin, 0.0)[:, None]
     sign = system.sign[:, None]
-    return [(np.maximum(0.0, t - s * block), s) for block, t, s in
-            zip(system.blocks(v, 1.0), (target[:k], target[k:]), (sign[:k], sign[k:]))]
+    stencil = system.stencil(v, 1.0)
+    hinges = []
+    # in place on each fresh value block, so that no temporary joins the stencil
+    for block, t, s in zip(system.blocks(v, stencil), (target[:k], target[k:]),
+                           (sign[:k], sign[k:])):
+        block *= s
+        hinges.append((np.maximum(0.0, np.subtract(t, block, out=block), out=block), s))
+    return stencil, hinges
 
 
 def _sum_squares(hinges: list[tuple[np.ndarray, np.ndarray]]) -> float:
@@ -97,14 +105,15 @@ def _sum_squares(hinges: list[tuple[np.ndarray, np.ndarray]]) -> float:
 
 def penalty(system: StencilSystem, v: np.ndarray, margin: float) -> float:
     """Sum of squared hinges of ConstSqu's rows at the float vector v."""
-    return _sum_squares(_hinges(system, v, margin))
+    return _sum_squares(_hinges(system, v, margin)[1])
 
 
 def penalty_grad(system: StencilSystem, v: np.ndarray,
                  margin: float) -> tuple[float, np.ndarray]:
     """``penalty`` and its gradient: a row's hinge h weighs its value by -2 h sign."""
-    hinges = _hinges(system, v, margin)
-    return _sum_squares(hinges), system.vjp(v, *(-2.0 * h * s for h, s in hinges))
+    stencil, hinges = _hinges(system, v, margin)
+    # h * (-2 sign) makes one block-sized temporary beside the stencil, not two
+    return _sum_squares(hinges), system.vjp(v, stencil, *(h * (-2.0 * s) for h, s in hinges))
 
 
 def satisfied(system: StencilSystem, v: np.ndarray, margin: float) -> tuple[bool, float]:
@@ -272,10 +281,13 @@ def solve(system: StencilSystem, config: SolverConfig, G: PlaneTriangulation,
             accepted = False
             for _ in range(40):
                 cand = vec + alpha * direction
-                closs = penalty(system, cand, MARGIN)
+                stencil, hinges = _hinges(system, cand, MARGIN)
+                closs = _sum_squares(hinges)
                 if closs < loss:
                     accepted = True
                     break
+                # a trial's stencil is dropped before the next one is built
+                del stencil, hinges
                 alpha *= 0.5
             if not accepted:
                 if steepest:
@@ -290,7 +302,9 @@ def solve(system: StencilSystem, config: SolverConfig, G: PlaneTriangulation,
                 ok, min_margin = satisfied(system, vec, MARGIN)
                 if ok:
                     return outcome("SATISFIED_FLOAT", vec, restart, min_margin)
-            new_grad = penalty_grad(system, vec, MARGIN)[1]
+            # the accepted trial's stencil and hinges give the gradient
+            new_grad = system.vjp(vec, stencil, *(h * (-2.0 * s) for h, s in hinges))
+            del stencil, hinges
             g2 = float(grad @ grad)
             beta = max(0.0, float(new_grad @ (new_grad - grad)) / g2) if g2 > 0 else 0.0
             direction = -new_grad + beta * direction
