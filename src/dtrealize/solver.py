@@ -98,9 +98,11 @@ def _hinges(system: StencilSystem, v: np.ndarray, margin: float) -> tuple:
 
 
 def _sum_squares(hinges: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    # one dot in ``values`` row order: a dot per block would round differently
+    # one sum in ``values`` row order (a sum per block would round
+    # differently), by einsum's own loop: BLAS's dot splits a long sum across
+    # its threads, so its rounding, and the descent, would follow their count
     h = np.concatenate([hinge.ravel() for hinge, _ in hinges])
-    return float(np.dot(h, h))
+    return float(np.einsum("i,i->", h, h))
 
 
 def penalty(system: StencilSystem, v: np.ndarray, margin: float) -> float:
