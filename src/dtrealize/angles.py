@@ -24,8 +24,9 @@ A D A^T), the LPs of the faces after it (a maximal planar graph has 2n - 4
 faces, all with LPs of one layout) in runs by ``lp_stacks.solve_angle_lps``
 with a backend that eliminates the edge rows first: an LU of size 30 instead
 of 53 on the 11-vertex Kleetope, but slower than the dense one on the small
-LPs most calls solve. ``LP_STACK_BYTES`` bounds a run's arrays. From a point
-with t > 0,
+LPs most calls solve. ``LP_STACK_BYTES`` bounds a run's arrays. Each result
+carries the LP's dual with its angles, and ``dual_readings`` reads candidate
+tough sets from it (README, "Refutation"). From a point with t > 0,
 ``maximise_volume`` holds each edge's opposite-angle sum fixed and maximises
 Rivin's volume, the sum of Lobachevsky functions of the angles (Rivin, Ann.
 Math. 139, 1994); at the maximum, the law-of-sines edge lengths agree across
@@ -56,6 +57,8 @@ LP_MAX_ITERATIONS = 200
 # after the first fit one run (its realize call peaks at 0.91 MB, tracemalloc),
 # 0.34 MB at n = 29 (three a run) and 2.6 MB at n = 83 (one a run)
 LP_STACK_BYTES = 2 ** 20
+# dual_readings reads a face's dual at each of these thresholds on |y|
+DUAL_THRESHOLDS = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 # Newton stops once no angle moves by more than this many radians
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITERATIONS = 100
@@ -151,8 +154,9 @@ def _cut(table: LPTable, faces: Sequence[Sequence[int]]) -> tuple:
     tau and each block of rows (faces; vertices and the cap; edges), the LP
     row of its nonzero, which is 1, and whether it has one, both (k, 3, n),
     where a block without one gives an arbitrary row; then column tau and b,
-    both (k, m), tau and the first edge row. Raises ``ValueError`` unless the
-    LPs have one layout (``_layout``)."""
+    both (k, m), tau, the first edge row and the table row of each LP row
+    (k, m). Raises ``ValueError`` unless the LPs have one layout
+    (``_layout``)."""
     nf, n = len(table.cs.faces), len(table.cs.at_vertex)
     slack = 2 * nf + 1   # the column of row i's slack is i + slack
     k = len(faces)
@@ -190,7 +194,8 @@ def _cut(table: LPTable, faces: Sequence[Sequence[int]]) -> tuple:
     kept = (t >= 0) & rows[lane, t]
     # the m + k of each row: its corners, and k = 1 exactly where it has a slack
     a = np.bincount((lane * m + lp_rows)[kept], minlength=k * m).reshape(k, m).astype(float)
-    return lp_rows, kept, a, r[rows].reshape(k, m) + a, tau, split
+    table_rows = np.nonzero(rows)[1].reshape(k, m)
+    return lp_rows, kept, a, r[rows].reshape(k, m) + a, tau, split, table_rows
 
 
 class _Dense:
@@ -222,7 +227,7 @@ class _Dense:
         return np.linalg.solve(M, r[0])[None]
 
 
-def _mehrotra(lps, b: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray]:
+def _mehrotra(lps, b: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mehrotra's predictor-corrector method (Nocedal and Wright, Numerical
     Optimization, 14.2) on k LPs of one layout: minimise c x subject to
     A x = b and x >= 0, where c is -1 at column ``tau`` and 0 elsewhere, b is
@@ -237,9 +242,10 @@ def _mehrotra(lps, b: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray]:
     r)``; and ``drop(keep)``, which keeps the lanes where ``keep`` holds.
     Each iteration makes one set of numpy calls for all lanes still running,
     and a lane leaves once it meets ``LP_TOL`` on its scaled residuals and
-    gap. Returns the last iterates (k, n) and per lane whether it met
-    ``LP_TOL``. A ``LinAlgError`` in an iteration ends a one-lane run with
-    its last iterate, not converged, and is raised from a run of several.
+    gap. Returns the last primal iterates x (k, n), the dual iterates y
+    (k, m) of the same step and per lane whether it met ``LP_TOL``. A
+    ``LinAlgError`` in an iteration ends a one-lane run with its last
+    iterates, not converged, and is raised from a run of several.
     """
     k, n = len(b), lps.n
     # x and s as one stack (k, 2, n), so that each step rule runs once for both
@@ -258,7 +264,7 @@ def _mehrotra(lps, b: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray]:
     s += 0.5 * xs / x.sum(axis=1, keepdims=True)
     b_tol = LP_TOL * (1.0 + np.abs(b).max(axis=1))
     c_tol = LP_TOL * 2.0   # 1 + max |c|
-    out, converged = np.empty((k, n)), np.zeros(k, dtype=bool)
+    out, out_y, converged = np.empty((k, n)), np.empty_like(b), np.zeros(k, dtype=bool)
     lanes = np.arange(k)
     dv = np.empty_like(v)
     dx, ds = dv[:, 0], dv[:, 1]
@@ -272,10 +278,10 @@ def _mehrotra(lps, b: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray]:
             done = ((mu <= LP_TOL) & (np.abs(lps.A_dot(x) - b).max(axis=1) <= b_tol)
                     & (np.abs(rd).max(axis=1) <= c_tol))
             if done.any():
-                out[lanes[done]] = x[done]
+                out[lanes[done]], out_y[lanes[done]] = x[done], y[done]
                 converged[lanes[done]] = True
                 if done.all():
-                    return out, converged
+                    return out, out_y, converged
                 keep = ~done
                 lps.drop(keep)
                 lanes, b, c, v, dv, y, rd, mu, b_tol = (
@@ -306,8 +312,8 @@ def _mehrotra(lps, b: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray]:
         step = 0.995 * _step_lengths(v, dv)
         v = v + step * dv
         y = y + step[:, 1] * dy
-    out[lanes] = v[:, 0]
-    return out, converged
+    out[lanes], out_y[lanes] = v[:, 0], y
+    return out, out_y, converged
 
 
 def _step_lengths(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -322,21 +328,49 @@ class AngleLPResult:
     t_star: float             # the LP optimum, in units of pi
     angles: np.ndarray        # per corner, in units of pi
     converged: bool
+    # the dual iterate per row of the graph's LPTable; 0 on the rows the
+    # face's LP leaves out
+    dual: np.ndarray
 
 
-def _lp_results(x: np.ndarray, tau: int, converged: Sequence[bool]) -> list[AngleLPResult]:
-    """The results of LPs with column tau from their last iterates x (k, n)."""
+def _lp_results(table: LPTable, x: np.ndarray, y: np.ndarray, tau: int,
+                converged: Sequence[bool], table_rows: np.ndarray) -> list[AngleLPResult]:
+    """The results of LPs with column tau from their last iterates x (k, n)
+    and y (k, m), whose LP rows are the ``table_rows`` of ``table``."""
     t = x[:, tau] - 1.0
-    return [AngleLPResult(float(ti), angles, bool(ok))
-            for ti, angles, ok in zip(t, x[:, :tau] + t[:, None], converged)]
+    dual = np.zeros((len(y), len(table.r)))
+    dual[np.arange(len(y))[:, None], table_rows] = y
+    return [AngleLPResult(float(ti), angles, bool(ok), yi)
+            for ti, angles, ok, yi in zip(t, x[:, :tau] + t[:, None], converged, dual)]
 
 
 def solve_angle_lp(table: LPTable, face: Sequence[int]) -> AngleLPResult:
     """The angle LP of outer face ``face``, solved alone by ``_mehrotra``
     with the dense backend."""
-    rows, kept, a, b, tau, _ = _cut(table, [face])
-    x, converged = _mehrotra(_Dense(rows, kept, a, tau), b, tau)
-    return _lp_results(x, tau, converged)[0]
+    rows, kept, a, b, tau, _, table_rows = _cut(table, [face])
+    x, y, converged = _mehrotra(_Dense(rows, kept, a, tau), b, tau)
+    return _lp_results(table, x, y, tau, converged, table_rows)[0]
+
+
+def dual_readings(table: LPTable, lp: AngleLPResult) -> list[frozenset[int]]:
+    """Vertex sets read from the dual of a face's angle LP, the candidates for
+    a tough set (``plane_graph.tough_set_near``). At each threshold of
+    ``DUAL_THRESHOLDS``, D is the set of vertices whose rows have |y| above
+    it, and T the set of endpoints of the edges whose rows do; the readings
+    are V - D, T and T - D, in that order, each listed once."""
+    nf, n = len(table.cs.faces), len(table.cs.at_vertex)
+    y = np.abs(lp.dual)
+    # the edge rows are the table's last rows, in edge_row's order
+    edges = np.array(list(table.edge_row), dtype=int).reshape(-1, 2)
+    everything = frozenset(range(1, n + 1))
+    readings: list[frozenset[int]] = []
+    for theta in DUAL_THRESHOLDS:
+        D = frozenset((np.flatnonzero(y[nf:nf + n] > theta) + 1).tolist())
+        T = frozenset(edges[y[nf + n + 1:] > theta].ravel().tolist())
+        for S in (everything - D, T, T - D):
+            if S not in readings:
+                readings.append(S)
+    return readings
 
 
 def face_lps(table: LPTable, faces: Sequence[Sequence[int]]) -> Iterator[AngleLPResult]:

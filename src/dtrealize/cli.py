@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import formats
 from .constraints import build_const, build_constsqu, export_system
-from .instances import BoundTooSmall, fan_triangulation, random_instance
+from .instances import BoundTooSmall, fan_triangulation, random_instance, stacked_triangulation
 from .plane_graph import candidate_outer_faces, reembed_with_outer_face, validate_triangulation
 from .realizer import RealizeConfig, certify, realize
 from .solver import SolverConfig
@@ -77,8 +77,9 @@ def cmd_gen(args) -> int:
     if args.n < 4:
         print("error: n must be at least 4", file=sys.stderr)
         return EXIT_USAGE
-    if args.kind == "fan":
-        G = fan_triangulation(args.n)
+    if args.kind != "random":
+        G = (fan_triangulation(args.n) if args.kind == "fan"
+             else stacked_triangulation(args.n, args.seed or 0))
         _write(args.graph_out, formats.graph_to_json(G))
         return EXIT_OK
     try:
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_check)
 
     g = sub.add_parser("gen", help="generate an instance")
-    g.add_argument("kind", choices=["random", "fan"])
+    g.add_argument("kind", choices=["random", "fan", "stacked"])
     g.add_argument("n", type=int)
     g.add_argument("--bound", type=int, default=1000)
     g.add_argument("--graph-out", required=True)

@@ -8,6 +8,7 @@ the returned perturbation radius is always a safe under-approximation.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -92,6 +93,35 @@ def fan_triangulation(n: int) -> PlaneTriangulation:
         rotation[k] = [k + 1, k - 1, 1]
     rotation[n] = [n - 1, 1]
     return build_triangulation(n, rotation, tuple(range(1, n + 1)))
+
+
+def stacked_triangulation(n: int, seed: int) -> PlaneTriangulation:
+    """A random stacked triangulation: starting from K4, vertices 5..n are
+    each placed in a face drawn uniformly by ``random.Random(seed)`` and
+    joined to its three corners. Maximal planar; many are not Delaunay
+    realizable."""
+    if n < 4:
+        raise ValueError("n must be at least 4")
+    rng = random.Random(seed)
+    # counterclockwise faces, each directed edge on exactly one
+    faces = [(1, 2, 3), (1, 3, 4), (1, 4, 2), (2, 4, 3)]
+    for v in range(5, n + 1):
+        i = rng.randrange(len(faces))
+        a, b, c = faces[i]
+        faces[i] = (a, b, v)
+        faces += [(b, c, v), (c, a, v)]
+    # face (u, v, w) puts w right after u in the rotation at v
+    succ: dict[int, dict[int, int]] = {}
+    for u, v, w in faces:
+        for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
+            succ.setdefault(b, {})[a] = c
+    rotation = {}
+    for v, nxt in sorted(succ.items()):
+        ring = [min(nxt)]
+        while len(ring) < len(nxt):
+            ring.append(nxt[ring[-1]])
+        rotation[v] = ring
+    return build_triangulation(n, rotation, faces[0])
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,6 @@ def solve_angle_lps(table: LPTable, faces: Sequence[Sequence[int]]) -> list[Angl
     rounding, and a lane's result does not depend on the other lanes. A
     failed solve in a run of several faces raises ``LinAlgError``.
     """
-    rows, kept, a, b, tau, split = _cut(table, faces)
-    x, converged = _mehrotra(_Eliminated(rows, kept, a, tau, split), b, tau)
-    return _lp_results(x, tau, converged)
+    rows, kept, a, b, tau, split, table_rows = _cut(table, faces)
+    x, y, converged = _mehrotra(_Eliminated(rows, kept, a, tau, split), b, tau)
+    return _lp_results(table, x, y, tau, converged, table_rows)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class PlaneGraphError(ValueError):
@@ -215,6 +215,68 @@ def validate_triangulation(G: PlaneTriangulation) -> ValidationReport:
             v.append(Violation("NOT_2_CONNECTED", f"vertex {u} is a cut vertex", (u,)))
 
     return ValidationReport(not v, tuple(v))
+
+
+# the most one-vertex moves tough_set_near makes from one candidate set
+TOUGH_SET_MOVES = 4
+
+
+def components_without(G: PlaneTriangulation, S: Iterable[int]) -> int:
+    """The number of components of G - S, by breadth-first search over G's
+    rotation."""
+    seen = set(S)
+    count = 0
+    for v in G.rotation:
+        if v in seen:
+            continue
+        count += 1
+        seen.add(v)
+        queue = [v]
+        for u in queue:
+            for w in G.rotation[u]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return count
+
+
+def is_tough_set(G: PlaneTriangulation, S: Sequence[int]) -> bool:
+    """Whether ``S`` is a tough set of G: at least two distinct vertices of G,
+    none listed twice, whose removal leaves at least len(S) components. A
+    tough set of a maximal planar graph refutes every outer face (README,
+    "Refutation")."""
+    return (len(S) >= 2 and len(set(S)) == len(S) and set(S) <= G.rotation.keys()
+            and components_without(G, S) >= len(S))
+
+
+def tough_set_near(G: PlaneTriangulation, candidates: Iterable[Iterable[int]]) -> list[int] | None:
+    """The first tough set found from ``candidates``, sorted, or None.
+
+    Each candidate vertex set is checked as it is; then, candidate by
+    candidate, up to ``TOUGH_SET_MOVES`` greedy moves are made from it, each
+    adding or removing the one vertex that raises c(G - S) - |S| the most
+    (the smallest label on a tie) while one raises it, and the set is
+    checked after each move. Every set returned has passed ``is_tough_set``.
+    """
+    candidates = [set(S) for S in candidates]
+    for S in candidates:
+        if is_tough_set(G, sorted(S)):
+            return sorted(S)
+    for S in candidates:
+        excess = components_without(G, S) - len(S)
+        for _ in range(TOUGH_SET_MOVES):
+            best = None
+            for v in sorted(G.rotation):
+                T = S ^ {v}
+                gain = components_without(G, T) - len(T)
+                if gain > excess:
+                    best, excess = T, gain
+            if best is None:
+                break
+            S = best
+            if is_tough_set(G, sorted(S)):
+                return sorted(S)
+    return None
 
 
 def _face_position(G: PlaneTriangulation, cycle: Sequence[int]) -> int | None:

@@ -3,7 +3,12 @@
 A result is only ever REALIZED when the integer points pass the full exact
 certification chain against the independent Delaunay oracle; everything
 before that is untrusted search. Failure to find a realization is reported
-as UNKNOWN, never as a negative answer.
+as UNKNOWN. On a maximal planar graph, the dual of a face's angle LP that
+stops the search may point at a tough set, which refutes every outer face
+(README, "Refutation"); a set that passes ``plane_graph.is_tough_set`` goes
+into that face's diagnostics as ``tough_set``, and the later faces are
+listed as REFUTED and not searched, so a graph refuted at its first face
+makes no stacked LP run. The status stays UNKNOWN.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .constraints import build_const, build_constsqu  # noqa: F401
 from .formats import RealizationCertificate
 from .geometry import RatPoint, circumcenter_homogeneous, scale_to_integers, witness_centers
 from .plane_graph import (PlaneTriangulation, _canon_cycle, candidate_outer_faces,
-                          reembed_with_outer_face, validate_triangulation)
+                          reembed_with_outer_face, tough_set_near, validate_triangulation)
 from .solver import SolverConfig, round_candidates, solve
 
 
@@ -39,9 +44,11 @@ class RealizeConfig:
     one face leaves unused passes to the next; the ConstSqu solve stops at the
     end of the share. A face that would start after the deadline is listed in
     the diagnostics with ``solver_status`` ``"DEADLINE"`` and not searched,
-    and no certify call starts after it. The deadline is checked between
-    stages and at every solver step, so a call can overrun it by at most one
-    stage that is not interrupted once started:
+    and no certify call starts after it. A face after one whose dual gave a
+    tough set is listed as ``"REFUTED"`` the same way, whatever the time, so
+    a graph refuted at its first face makes no stacked LP run. The deadline
+    is checked between stages and at every solver step, so a call can
+    overrun it by at most one stage that is not interrupted once started:
 
     - the build of the graph's angle LP table, before the first face;
     - one run of the angle LPs of the faces after the first, solved
@@ -50,7 +57,9 @@ class RealizeConfig:
       of the Kleetope's);
     - one face's angle LP (the first face's, or its result from its run),
       Newton step and layout, then its system build and solve start-up
-      (compiling the system and building its start assignment);
+      (compiling the system and building its start assignment); or, where
+      it stops at the angle LP on a maximal planar graph, the reading of its
+      dual for a tough set;
     - one certify call, then the draw of the next candidate: a jitter, or the
       radius fit and exact gate of each rounding candidate up to the next one
       that passes.
@@ -286,20 +295,30 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
     candidates = candidate_outer_faces(G)
     # every candidate face's angle LP is cut from one table; the faces after
     # the first are solved in stacked runs. A face is drawn only when it is
-    # searched, and once one is skipped the deadline has passed, so every
-    # later face is skipped too and the stream stays in step
-    lps = angles.face_lps(angles.lp_table(G), candidates) if warm_points is None else None
+    # searched, and once one is skipped the graph is refuted or the deadline
+    # has passed, so every later face is skipped too and the stream stays in
+    # step
+    if warm_points is None:
+        table = angles.lp_table(G)
+        lps = angles.face_lps(table, candidates)
+    # a tough set refutes every outer face of a maximal planar graph
+    refuted, maximal = False, len(G.outer_face) == 3
     diagnostics = []
     for k, face in enumerate(candidates):
         H = reembed_with_outer_face(G, face)
         record = {"outer_face": list(H.outer_face)}
         now = time.monotonic()
-        if now > deadline:
+        if refuted or now > deadline:
             warm = None
-            record["solver_status"] = "DEADLINE"
+            record["solver_status"] = "REFUTED" if refuted else "DEADLINE"
         elif warm_points is None:
-            warm, stopped = _angle_warm_start(H, next(lps))
+            lp = next(lps)
+            warm, stopped = _angle_warm_start(H, lp)
             record.update(stopped)
+            if maximal and stopped.get("solver_status") == "ANGLE_LP":
+                tough_set = tough_set_near(G, angles.dual_readings(table, lp))
+                if tough_set is not None:
+                    record["tough_set"], refuted = tough_set, True
         else:
             pts = [(float(x), float(y)) for x, y in warm_points]
             warm = _rescale_warm(pts, _float_radius(H, pts))

@@ -10,7 +10,7 @@ import pytest
 
 from dtrealize import angles, lp_stacks
 from dtrealize.instances import fan_triangulation, random_instance
-from dtrealize.plane_graph import candidate_outer_faces, reembed_with_outer_face
+from dtrealize.plane_graph import _canon_cycle, candidate_outer_faces, reembed_with_outer_face
 
 from test_acceptance import CASES
 from test_realizer import bipyramid_kleetope
@@ -49,7 +49,7 @@ class AngleLP:
 def angle_lp(table, face):
     """The LP of outer face ``face`` as the dense backend holds it, cut from
     ``table``."""
-    rows, kept, a, b, tau, _ = angles._cut(table, [face])
+    rows, kept, a, b, tau, _, _ = angles._cut(table, [face])
     c = np.zeros(rows.shape[2])
     c[tau] = -1.0
     return AngleLP(angles._Dense(rows, kept, a, tau).A, b[0], c, tau)
@@ -166,6 +166,28 @@ def test_lp_table_cuts_the_row_by_row_lp():
             for got, want in ((lp.A, ref.A), (lp.b, ref.b), (lp.c, ref.c)):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
+
+
+def test_the_dual_is_carried_per_table_row():
+    """Each face's dual, from either backend, read at the table rows of the
+    row-by-row LP's rows (its faces, its vertices, the cap and its interior
+    edges), is an optimal dual of that LP where the LP converged: A^T y <= c
+    and b y = c x. It is 0 on the table rows the face's LP leaves out."""
+    for G in _lp_graphs():
+        table, faces = angles.lp_table(G), candidate_outer_faces(G)
+        nf = len(table.cs.faces)
+        for face, got in zip(faces, angles.face_lps(table, faces), strict=True):
+            H = reembed_with_outer_face(G, face)
+            cs = _inner_corners(H)
+            ref = _angle_lp_rows(H, cs)
+            rows = [table.face_row[_canon_cycle(f)] for f in cs.faces]
+            rows += list(range(nf, nf + G.n + 1))
+            rows += [table.edge_row[e] for e in sorted(cs.opposite) if len(cs.opposite[e]) == 2]
+            assert not np.delete(got.dual, rows).any()
+            if got.converged:
+                y = got.dual[rows]
+                assert (ref.A.T @ y - ref.c).max() <= 1e-8
+                assert abs(ref.b @ y + got.t_star + 1.0) <= 1e-6
 
 
 def test_the_table_grows_linearly():
@@ -304,7 +326,7 @@ def test_a_lane_is_its_lp_held_sparse():
     graphs = [random_instance(n, s)[1] for n in range(4, 16) for s in range(4000, 4003)]
     for G in _lp_graphs() + graphs:
         table, faces = angles.lp_table(G), candidate_outer_faces(G)
-        rows, values, a, b, tau, split = angles._cut(table, faces)
+        rows, values, a, b, tau, split, _ = angles._cut(table, faces)
         for i, face in enumerate(faces):
             H = reembed_with_outer_face(G, face)
             lp = _angle_lp_rows(H, _inner_corners(H))
@@ -326,7 +348,7 @@ def test_lane_bytes_counts_the_lp_that_cut_gives():
     for G in _lp_graphs():
         table = angles.lp_table(G)
         for face in candidate_outer_faces(G)[1:]:
-            rows, kept, a, _, _, _ = angles._cut(table, [face])
+            rows, kept, a, _, _, _, _ = angles._cut(table, [face])
             m, n = a.shape[1], rows.shape[2]
             s1 = m - len(set(rows[0, 2][kept[0, 2]])) + 1
             e = m - s1 + 1
@@ -340,7 +362,7 @@ def _stacks():
     by_layout = {}
     for G in _lp_graphs():
         table, faces = angles.lp_table(G), candidate_outer_faces(G)
-        *stack, tau, split = angles._cut(table, faces)
+        *stack, tau, split, _ = angles._cut(table, faces)
         key = (stack[0].shape[1:], stack[2].shape[1], tau, split)
         by_layout.setdefault(key, []).append((stack, [angle_lp(table, f) for f in faces]))
     for (_, _, tau, split), parts in by_layout.items():
@@ -354,9 +376,9 @@ def _eliminated(rows, kept, a, b, tau, split):
 
 
 def test_a_lane_does_not_depend_on_its_stack(monkeypatch):
-    """Each LP gives the same bits solved alone (k = 1) as inside a stack,
-    also next to lanes of other graphs that stop at other iterations, and
-    converges where ``interior_point`` does."""
+    """Each LP gives the same bits, primal and dual, solved alone (k = 1) as
+    inside a stack, also next to lanes of other graphs that stop at other
+    iterations, and converges where ``interior_point`` does."""
     solve, lanes_per_solve = np.linalg.solve, []
 
     def counted(a, b):
@@ -367,11 +389,12 @@ def test_a_lane_does_not_depend_on_its_stack(monkeypatch):
     shrank = False
     for stack, tau, split, lps in _stacks():
         lanes_per_solve.clear()
-        xs, converged = _eliminated(*stack, tau, split)
+        xs, ys, converged = _eliminated(*stack, tau, split)
         shrank |= len(set(lanes_per_solve)) > 1
         for i, lp in enumerate(lps):
-            x, ok = _eliminated(*(v[i:i + 1] for v in stack), tau, split)
+            x, y, ok = _eliminated(*(v[i:i + 1] for v in stack), tau, split)
             assert np.array_equal(x[0], xs[i]) and ok[0] == converged[i]
+            assert np.array_equal(y[0], ys[i])
             assert converged[i] == interior_point(lp.A, lp.b, lp.c)[1]
     assert shrank
 

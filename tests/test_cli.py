@@ -39,6 +39,14 @@ def test_gen_random_with_points(tmp_path):
     assert len(p.read_text().strip().splitlines()) == 6
 
 
+def test_gen_stacked_is_seeded(tmp_path):
+    paths = [tmp_path / f"g{k}.json" for k in range(3)]
+    for path, seed in zip(paths, ("7", "7", "8")):
+        assert main(["--seed", seed, "gen", "stacked", "12", "--graph-out", str(path)]) == EXIT_OK
+        assert main(["check", str(path)]) == EXIT_OK
+    assert paths[0].read_text() == paths[1].read_text() != paths[2].read_text()
+
+
 def test_gen_rejects_small_n(tmp_path):
     assert main(["gen", "fan", "3", "--graph-out", str(tmp_path / "x")]) == EXIT_USAGE
 

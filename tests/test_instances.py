@@ -10,7 +10,7 @@ from dtrealize.geometry import convex_hull, pt
 from dtrealize.instances import (BoundTooSmall, UnsatisfiedInput, fan_triangulation,
                                  perturb_within_halfbox, perturb_within_radius,
                                  radius_bounds, random_instance, sqrt_lower,
-                                 sqrt_upper)
+                                 sqrt_upper, stacked_triangulation)
 from dtrealize.plane_graph import validate_triangulation
 from dtrealize.realizer import certify, realize
 
@@ -44,6 +44,21 @@ def test_fan_structure():
         assert sorted(G.rotation[1]) == list(range(2, n + 1))
     with pytest.raises(ValueError):
         fan_triangulation(3)
+
+
+def test_stacked_triangulation_structure():
+    """A valid maximal planar graph, 3n - 6 edges, the same for one seed."""
+    for n in (4, 5, 10, 30):
+        for seed in range(5):
+            G = stacked_triangulation(n, seed)
+            assert validate_triangulation(G).ok
+            assert len(G.outer_face) == 3
+            assert len(G.edge_pairs()) == 3 * n - 6
+            again = stacked_triangulation(n, seed)
+            assert (again.rotation, again.outer_face) == (G.rotation, G.outer_face)
+    assert len({tuple(stacked_triangulation(12, s).edge_pairs()) for s in range(5)}) > 1
+    with pytest.raises(ValueError):
+        stacked_triangulation(3, 0)
 
 
 def test_random_instance_round_trip():

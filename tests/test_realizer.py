@@ -391,7 +391,8 @@ def test_tight_budget_on_a_large_input():
 
 def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
     # every face of the Kleetope stops at its angle LP within milliseconds;
-    # at 10 ms per face, a 0.05 s budget runs out part way through the 18
+    # with its duals read as finding no tough set and at 10 ms per face, a
+    # 0.05 s budget runs out part way through the 18
     face_lps = angles.face_lps
 
     def slow(table, faces):
@@ -400,6 +401,7 @@ def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
             yield result
 
     monkeypatch.setattr(angles, "face_lps", slow)
+    monkeypatch.setattr(angles, "dual_readings", lambda table, lp: [])
     G = bipyramid_kleetope()
     res, elapsed = _timed_realize(G, 0.05)
     assert res.status == "UNKNOWN"
@@ -414,12 +416,16 @@ def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
     (bipyramid_kleetope, None, {"solve_angle_lp": 1, "solve_angle_lps": 1}),
     (bipyramid_kleetope, 16, {"solve_angle_lp": 1, "solve_angle_lps": 2}),
     (bipyramid_kleetope, 1, {"solve_angle_lp": 1, "solve_angle_lps": 17}),
-], ids=["k4", "kleetope", "kleetope-runs-of-16", "kleetope-runs-of-1"])
+    (bipyramid_kleetope, "realize", {"solve_angle_lp": 1, "solve_angle_lps": 0}),
+], ids=["k4", "kleetope", "kleetope-runs-of-16", "kleetope-runs-of-1", "kleetope-realize"])
 def test_faces_after_the_first_are_solved_in_stacked_runs(monkeypatch, graph, stack_bytes, calls):
-    """A call that succeeds on its first face makes no stacked LP run; the
-    Kleetope solves its first face alone and the other 17 in stacked runs of
-    at most ``LP_STACK_BYTES`` (one, at its value; 9 and 8 when it allows 16
-    faces; 17 when it allows one), counted in ``lp_stacks.lane_bytes``."""
+    """A call that succeeds on its first face makes no stacked LP run, and
+    neither does one refuted there: realize() on the Kleetope solves its
+    first face alone and no other. Drawn whole from ``face_lps``, the
+    Kleetope's faces are solved the first alone and the other 17 in stacked
+    runs of at most ``LP_STACK_BYTES`` (one, at its value; 9 and 8 when it
+    allows 16 faces; 17 when it allows one), counted in
+    ``lp_stacks.lane_bytes``."""
     counted_calls = dict.fromkeys(calls, 0)
 
     def counted(module, name):
@@ -433,12 +439,15 @@ def test_faces_after_the_first_are_solved_in_stacked_runs(monkeypatch, graph, st
     counted(angles, "solve_angle_lp")
     counted(lp_stacks, "solve_angle_lps")
     G = graph()
-    if stack_bytes is not None:
-        table = angles.lp_table(G)
-        lane = lp_stacks.lane_bytes(table, candidate_outer_faces(G)[1])
-        monkeypatch.setattr(angles, "LP_STACK_BYTES", stack_bytes * lane)
-    res = realize(G)
-    assert res.status == ("REALIZED" if graph is k4 else "UNKNOWN")
+    if graph is k4 or stack_bytes == "realize":
+        res = realize(G)
+        assert res.status == ("REALIZED" if graph is k4 else "UNKNOWN")
+    else:
+        table, faces = angles.lp_table(G), candidate_outer_faces(G)
+        if stack_bytes is not None:
+            lane = lp_stacks.lane_bytes(table, faces[1])
+            monkeypatch.setattr(angles, "LP_STACK_BYTES", stack_bytes * lane)
+        assert len(list(angles.face_lps(table, faces))) == len(faces)
     assert counted_calls == calls
 
 
@@ -605,15 +614,22 @@ def test_single_face_graphs_once_lost_by_the_search_are_realized(n, seed):
 
 
 def test_kleetope_stops_at_the_angle_lp_on_every_face():
+    """The Kleetope stops at face 0's angle LP, whose dual gives the tough
+    set of the 5 bipyramid vertices; the other 17 faces are listed as
+    refuted, not searched."""
     G = bipyramid_kleetope()
     res, elapsed = _timed_realize(G, 2.0)
     assert res.status == "UNKNOWN"
     assert elapsed < 1.0
     assert len(res.diagnostics) == 18
-    for d in res.diagnostics:
-        assert d["solver_status"] == "ANGLE_LP"
-        assert d["t_star"] < 0
-        assert d["t_star"] == pytest.approx(-1 / 12, abs=1e-6)
+    first, *rest = res.diagnostics
+    assert first["solver_status"] == "ANGLE_LP"
+    assert first["t_star"] < 0
+    assert first["t_star"] == pytest.approx(-1 / 12, abs=1e-6)
+    assert first["tough_set"] == [1, 2, 3, 4, 5]
+    for d in rest:
+        assert d.keys() == {"outer_face", "solver_status"}
+        assert d["solver_status"] == "REFUTED"
 
 
 def test_kleetope_faces_are_derived_once_per_call(monkeypatch):
