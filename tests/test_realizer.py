@@ -411,14 +411,15 @@ def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
     assert skipped and all(d.keys() == {"outer_face", "solver_status"} for d in skipped)
 
 
-@pytest.mark.parametrize("graph, stack_bytes, calls", [
-    (k4, None, {"solve_angle_lp": 1, "solve_angle_lps": 0}),
-    (bipyramid_kleetope, None, {"solve_angle_lp": 1, "solve_angle_lps": 1}),
-    (bipyramid_kleetope, 16, {"solve_angle_lp": 1, "solve_angle_lps": 2}),
-    (bipyramid_kleetope, 1, {"solve_angle_lp": 1, "solve_angle_lps": 17}),
-    (bipyramid_kleetope, "realize", {"solve_angle_lp": 1, "solve_angle_lps": 0}),
+@pytest.mark.parametrize("graph, drawn, stack_bytes, calls", [
+    (k4, "realize", None, {"solve_angle_lp": 1, "solve_angle_lps": 0}),
+    (bipyramid_kleetope, "face_lps", None, {"solve_angle_lp": 1, "solve_angle_lps": 1}),
+    (bipyramid_kleetope, "face_lps", 16, {"solve_angle_lp": 1, "solve_angle_lps": 2}),
+    (bipyramid_kleetope, "face_lps", 1, {"solve_angle_lp": 1, "solve_angle_lps": 17}),
+    (bipyramid_kleetope, "realize", None, {"solve_angle_lp": 1, "solve_angle_lps": 0}),
 ], ids=["k4", "kleetope", "kleetope-runs-of-16", "kleetope-runs-of-1", "kleetope-realize"])
-def test_faces_after_the_first_are_solved_in_stacked_runs(monkeypatch, graph, stack_bytes, calls):
+def test_faces_after_the_first_are_solved_in_stacked_runs(monkeypatch, graph, drawn, stack_bytes,
+                                                          calls):
     """A call that succeeds on its first face makes no stacked LP run, and
     neither does one refuted there: realize() on the Kleetope solves its
     first face alone and no other. Drawn whole from ``face_lps``, the
@@ -439,7 +440,7 @@ def test_faces_after_the_first_are_solved_in_stacked_runs(monkeypatch, graph, st
     counted(angles, "solve_angle_lp")
     counted(lp_stacks, "solve_angle_lps")
     G = graph()
-    if graph is k4 or stack_bytes == "realize":
+    if drawn == "realize":
         res = realize(G)
         assert res.status == ("REALIZED" if graph is k4 else "UNKNOWN")
     else:
