@@ -13,18 +13,14 @@ has triangle angles that satisfy, in units of pi and with some t > 0:
   1 (the edge is locally Delaunay).
 
 ``lp_table`` holds the LP rows of all of a graph's triangular faces by their
-structure, each column's row in each block of rows, and ``_cut`` turns
-candidate outer faces into their LPs in that sparse form. ``_mehrotra``
-maximises t (capped at 1/4) by Mehrotra's method on k >= 1 LPs of one layout
-at once, one set of numpy calls per iteration, through a backend that holds
-the LPs and solves their normal equations. ``face_lps`` yields the results
-for all candidate outer faces of a graph: the first face's LP is solved
-alone by ``solve_angle_lp`` with the dense backend ``_Dense`` (an LU of
-A D A^T), the LPs of the faces after it (a maximal planar graph has 2n - 4
-faces, all with LPs of one layout) in runs by ``lp_stacks.solve_angle_lps``
-with a backend that eliminates the edge rows first: an LU of size 30 instead
-of 53 on the 11-vertex Kleetope, but slower than the dense one on the small
-LPs most calls solve. ``LP_STACK_BYTES`` bounds a run's arrays. Each result
+structure, each column's row in each block of rows, and ``_cut`` turns a
+candidate outer face into its LP in that sparse form. ``solve_angle_lp``
+maximises t (capped at 1/4) by Mehrotra's method, ``_mehrotra``, through a
+backend that holds the LP and solves its normal equations, chosen by the
+LP's number of rows: below ``ELIMINATED_MIN_ROWS``, ``_Dense``, an LU of
+A D A^T; from there on, ``lp_stacks._Eliminated``, which eliminates the edge
+rows first (an LU of size 30 instead of 53 on the 11-vertex Kleetope) and is
+faster on large LPs but slower on the small ones most calls solve. Each result
 carries the LP's dual with its angles, and ``dual_readings`` reads candidate
 tough sets from it (README, "Refutation"). From a point with t > 0,
 ``maximise_volume`` holds each edge's opposite-angle sum fixed and maximises
@@ -38,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,11 +48,15 @@ LP_TOL = 1e-9
 # a degenerate optimum (t is attained by many rows at once) they go singular
 LP_REGULARIZATION = 1e-14
 LP_MAX_ITERATIONS = 200
-# the most bytes one stacked run's arrays take (face_lps), counted per face by
-# lp_stacks.lane_bytes: 54 KB a face on the 11-vertex Kleetope, whose 17 faces
-# after the first fit one run (its realize call peaks at 0.91 MB, tracemalloc),
-# 0.34 MB at n = 29 (three a run) and 2.6 MB at n = 83 (one a run)
-LP_STACK_BYTES = 2 ** 20
+# an LP of at least this many rows is solved by lp_stacks._Eliminated, a
+# smaller one by _Dense. One LP alone, one BLAS thread, best of 5, dense
+# against eliminated: 0.70 against 0.74 ms at m = 50, 0.77 against 0.71 ms on
+# the 11-vertex Kleetope (m = 53), 0.91 against 0.78 ms at m = 62 and 204
+# against 28 ms at n = 120 (m = 686). A face LP has 6n - 3h - 4 rows for h
+# hull vertices, so 56 is the first size past the Kleetope's: where the two
+# are within 10 %, the Kleetope and the benchmark's LPs (m <= 35) stay dense
+# and its processes, which compile what they import, never load lp_stacks
+ELIMINATED_MIN_ROWS = 56
 # dual_readings reads a face's dual at each of these thresholds on |y|
 DUAL_THRESHOLDS = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 # Newton stops once no angle moves by more than this many radians
@@ -137,77 +137,51 @@ def lp_table(G: PlaneTriangulation) -> LPTable:
                    {e: i for i, e in enumerate(edges, start=split)})
 
 
-def _layout(table: LPTable, face: Sequence[int]) -> tuple[int, int, int, int]:
-    """The shape of the LP of outer face ``face``: its rows m, its columns n,
-    column tau and its first edge row. It is the table's LP without the
-    face's own row, if any, and its three corners, and without the rows of
-    the face's interior edges and their slacks; each face vertex has a slack."""
-    own = _canon_cycle(face) in table.face_row
-    inner = sum((min(u, w), max(u, w)) in table.edge_row for u, w in zip(face, face[1:] + face[:1]))
-    faces, edges = len(table.cs.faces) - own, len(table.edge_row) - inner
-    split = faces + len(table.cs.at_vertex) + 1
-    return split + edges, 3 * faces + 2 + len(face) + edges, 3 * faces, split
-
-
-def _cut(table: LPTable, faces: Sequence[Sequence[int]]) -> tuple:
-    """The LPs of the outer faces ``faces``, held sparse: for each column but
-    tau and each block of rows (faces; vertices and the cap; edges), the LP
-    row of its nonzero, which is 1, and whether it has one, both (k, 3, n),
-    where a block without one gives an arbitrary row; then column tau and b,
-    both (k, m), tau, the first edge row and the table row of each LP row
-    (k, m). Raises ``ValueError`` unless the LPs have one layout
-    (``_layout``)."""
+def _cut(table: LPTable, face: Sequence[int]) -> tuple:
+    """The LP of outer face ``face``, held sparse: for each column but tau and
+    each block of rows (faces; vertices and the cap; edges), the LP row of its
+    nonzero, which is 1, and whether it has one, both (3, n), where a block
+    without one gives an arbitrary row; then column tau and b, both (m,), tau,
+    the first edge row and the table row of each LP row. The LP is the
+    table's without the face's own row, if any, and its three corners, and
+    without the rows of the face's interior edges and their slacks; each face
+    vertex has a slack."""
     nf, n = len(table.cs.faces), len(table.cs.at_vertex)
     slack = 2 * nf + 1   # the column of row i's slack is i + slack
-    k = len(faces)
-    # per face: its hull vertex rows, its edge rows and its own row, if any
-    of_hull, hull, of_edge, edge, of_own, own = [], [], [], [], [], []
-    for f, face in enumerate(faces):
-        for u, w in zip(face, face[1:] + face[:1]):
-            of_hull.append(f)
-            hull.append(u + nf - 1)
-            i = table.edge_row.get((u, w) if u < w else (w, u))
-            if i is not None:
-                of_edge.append(f)
-                edge.append(i)
-        j = table.face_row.get(_canon_cycle(face))
-        if j is not None:
-            of_own.append(f)
-            own.append(j)
-    of_hull, hull, of_edge, edge, of_own, own = (
-        np.array(v, dtype=int) for v in (of_hull, hull, of_edge, edge, of_own, own))
-    rows, cols = np.ones((k, len(table.r)), bool), np.ones((k, table.blocks.shape[1]), bool)
-    cols[:, nf + slack:nf + n + slack] = False
-    cols[of_hull, hull + slack] = True
-    rows[of_edge, edge], cols[of_edge, edge + slack] = False, False
-    rows[of_own, own] = False
-    cols[of_own[:, None], 3 * own[:, None] + np.arange(3)] = False
-    r = np.tile(table.r, (k, 1))
-    r[of_hull, hull] = 1.0
-    m, n, tau, split = _layout(table, faces[0])
-    if any(_layout(table, face) != (m, n, tau, split) for face in faces[1:]):
-        raise ValueError("the faces' LPs differ in layout")
-    lane = np.arange(k)[:, None, None]
+    cycle = zip(face, face[1:] + face[:1])
+    hull = np.array(face, dtype=int) + nf - 1
+    edge = np.array([i for u, w in cycle
+                     if (i := table.edge_row.get((u, w) if u < w else (w, u))) is not None],
+                    dtype=int)
+    own = table.face_row.get(_canon_cycle(face))
+    rows, cols = np.ones(len(table.r), bool), np.ones(table.blocks.shape[1], bool)
+    cols[nf + slack:nf + n + slack] = False
+    cols[hull + slack] = True
+    rows[edge] = cols[edge + slack] = False
+    faces = nf
+    if own is not None:
+        rows[own] = cols[3 * own:3 * own + 3] = False
+        faces -= 1
+    r = table.r.copy()
+    r[hull] = 1.0
     # each column's table row per block, then that row's place in the LP
-    t = table.blocks[:, np.nonzero(cols)[1].reshape(k, n)].transpose(1, 0, 2)
-    lp_rows = (np.cumsum(rows, axis=1) - 1)[lane, t]
-    kept = (t >= 0) & rows[lane, t]
+    t = table.blocks[:, cols]
+    lp_rows = (np.cumsum(rows) - 1)[t]
+    kept = (t >= 0) & rows[t]
     # the m + k of each row: its corners, and k = 1 exactly where it has a slack
-    a = np.bincount((lane * m + lp_rows)[kept], minlength=k * m).reshape(k, m).astype(float)
-    table_rows = np.nonzero(rows)[1].reshape(k, m)
-    return lp_rows, kept, a, r[rows].reshape(k, m) + a, tau, split, table_rows
+    a = np.bincount(lp_rows[kept], minlength=np.count_nonzero(rows)).astype(float)
+    return lp_rows, kept, a, r[rows] + a, 3 * faces, faces + n + 1, np.flatnonzero(rows)
 
 
 class _Dense:
-    """One LP held dense, A (m, n), for ``_mehrotra``: its normal matrix
-    A D A^T is formed as (A d) A^T and solved by LU. As a run of one lane
-    ends when its lane does, it never drops a lane."""
+    """An LP held dense, A (m, n), for ``_mehrotra``: its normal matrix
+    A D A^T is formed as (A d) A^T and solved by LU."""
 
     def __init__(self, rows: np.ndarray, kept: np.ndarray, a: np.ndarray, tau: int):
-        self.n = rows.shape[2]
-        self.A = np.zeros((a.shape[1], self.n))
-        self.A[rows[kept], np.nonzero(kept)[2]] = 1.0
-        self.A[:, tau] = a[0]
+        self.n = rows.shape[1]
+        self.A = np.zeros((len(a), self.n))
+        self.A[rows[kept], np.nonzero(kept)[1]] = 1.0
+        self.A[:, tau] = a
         self.AT = self.A.T
 
     def A_dot(self, v: np.ndarray) -> np.ndarray:
@@ -224,103 +198,92 @@ class _Dense:
         return M
 
     def solve(self, M: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(M, r[0])[None]
+        return np.linalg.solve(M, r)
 
 
-def _mehrotra(lps, b: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# an iterate that overflows ends the loop at its check, not with a warning
+@np.errstate(over="ignore", invalid="ignore")
+def _mehrotra(lp, b: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """Mehrotra's predictor-corrector method (Nocedal and Wright, Numerical
-    Optimization, 14.2) on k LPs of one layout: minimise c x subject to
-    A x = b and x >= 0, where c is -1 at column ``tau`` and 0 elsewhere, b is
-    (k, m) and each A has full row rank.
+    Optimization, 14.2) on one LP: minimise c x subject to A x = b and
+    x >= 0, where c is -1 at column ``tau`` and 0 elsewhere and A has full
+    row rank.
 
-    The backend ``lps`` holds the A's, n columns each, and their normal
-    equations A D A^T y = r, D = diag(d), with arrays stacked by lane:
-    ``A_dot(v)`` and ``AT_dot(v)``; ``form(d, shift)``, the system for d,
-    with ``shift`` adding ``LP_REGULARIZATION`` times each lane's largest
-    diagonal entry to its diagonal (at a degenerate optimum, where t is
-    attained by many rows at once, the equations go singular); ``solve(system,
-    r)``; and ``drop(keep)``, which keeps the lanes where ``keep`` holds.
-    Each iteration makes one set of numpy calls for all lanes still running,
-    and a lane leaves once it meets ``LP_TOL`` on its scaled residuals and
-    gap. Returns the last primal iterates x (k, n), the dual iterates y
-    (k, m) of the same step and per lane whether it met ``LP_TOL``. A
-    ``LinAlgError`` in an iteration ends a one-lane run with its last
-    iterates, not converged, and is raised from a run of several.
+    The backend ``lp`` holds A, with n columns, and its normal equations
+    A D A^T y = r, D = diag(d): ``A_dot(v)`` and ``AT_dot(v)``; ``form(d,
+    shift)``, the system for d, with ``shift`` adding ``LP_REGULARIZATION``
+    times its largest diagonal entry to its diagonal (at a degenerate
+    optimum, where t is attained by many rows at once, the equations go
+    singular); and ``solve(system, r)``. The loop stops once the iterate
+    meets ``LP_TOL`` on its scaled residuals and gap. Returns the last
+    primal iterate x, the dual iterate y of the same step and whether it met
+    ``LP_TOL``. A ``LinAlgError`` in an iteration, or a step to an iterate
+    that is not finite, ends the loop with the last iterates before it, not
+    converged.
     """
-    k, n = len(b), lps.n
-    # x and s as one stack (k, 2, n), so that each step rule runs once for both
-    v = np.empty((k, 2, n))
-    x, s = v[:, 0], v[:, 1]
-    c = np.zeros((k, n))
-    c[:, tau] = -1.0
-    system = lps.form(np.ones((k, n)), False)
-    x[:] = lps.AT_dot(lps.solve(system, b))
-    y = lps.solve(system, lps.A_dot(c))
+    n = lp.n
+    # x and s as one stack (2, n), so that each step rule runs once for both
+    v = np.empty((2, n))
+    x, s = v
+    c = np.zeros(n)
+    c[tau] = -1.0
+    system = lp.form(np.ones(n), False)
+    x[:] = lp.AT_dot(lp.solve(system, b))
+    y = lp.solve(system, lp.A_dot(c))
     del system
-    np.subtract(c, lps.AT_dot(y), out=s)
-    v -= 1.5 * v.min(axis=2, keepdims=True, initial=0.0)
-    xs = np.vecdot(x, s)[:, None]
-    x += 0.5 * xs / s.sum(axis=1, keepdims=True)
-    s += 0.5 * xs / x.sum(axis=1, keepdims=True)
-    b_tol = LP_TOL * (1.0 + np.abs(b).max(axis=1))
+    np.subtract(c, lp.AT_dot(y), out=s)
+    v -= 1.5 * v.min(axis=1, keepdims=True, initial=0.0)
+    xs = np.vecdot(x, s)
+    x += 0.5 * xs / s.sum()
+    s += 0.5 * xs / x.sum()
+    b_tol = LP_TOL * (1.0 + np.abs(b).max())
     c_tol = LP_TOL * 2.0   # 1 + max |c|
-    out, out_y, converged = np.empty((k, n)), np.empty_like(b), np.zeros(k, dtype=bool)
-    lanes = np.arange(k)
     dv = np.empty_like(v)
-    dx, ds = dv[:, 0], dv[:, 1]
+    dx, ds = dv
     for _ in range(LP_MAX_ITERATIONS):
-        x, s = v[:, 0], v[:, 1]
+        x, s = v
         # the dual residual A^T y + s - c, negated
-        rd = c - (lps.AT_dot(y) + s)
+        rd = c - (lp.AT_dot(y) + s)
         mu = np.vecdot(x, s) / n
-        # the residual tests only matter once a lane's gap is small
-        if mu.min() <= LP_TOL:
-            done = ((mu <= LP_TOL) & (np.abs(lps.A_dot(x) - b).max(axis=1) <= b_tol)
-                    & (np.abs(rd).max(axis=1) <= c_tol))
-            if done.any():
-                out[lanes[done]], out_y[lanes[done]] = x[done], y[done]
-                converged[lanes[done]] = True
-                if done.all():
-                    return out, out_y, converged
-                keep = ~done
-                lps.drop(keep)
-                lanes, b, c, v, dv, y, rd, mu, b_tol = (
-                    w[keep] for w in (lanes, b, c, v, dv, y, rd, mu, b_tol))
-                x, s, dx, ds = v[:, 0], v[:, 1], dv[:, 0], dv[:, 1]
+        # the residual tests only matter once the gap is small
+        if (mu <= LP_TOL and np.abs(lp.A_dot(x) - b).max() <= b_tol
+                and np.abs(rd).max() <= c_tol):
+            return x, y, True
         d = x / s
         minus_x = -x
         try:
-            system = lps.form(d, True)
+            system = lp.form(d, True)
             # with r_b = A x - b and r_xs = -x s, the predictor's right-hand
             # side -r_b - A (r_xs / s - d rd) is b + A (d rd); the
             # corrector's adds A w, and its dx is the predictor's minus w
-            rhs = b + lps.A_dot(d * rd)
-            np.subtract(rd, lps.AT_dot(lps.solve(system, rhs)), out=ds)
+            rhs = b + lp.A_dot(d * rd)
+            np.subtract(rd, lp.AT_dot(lp.solve(system, rhs)), out=ds)
             np.subtract(minus_x, d * ds, out=dx)
             after = v + _step_lengths(v, dv) * dv
-            mu_aff = np.vecdot(after[:, 0], after[:, 1]) / n
-            w = (dx * ds - ((mu_aff / mu) ** 3 * mu)[:, None]) / s
-            dy = lps.solve(system, rhs + lps.A_dot(w))
+            mu_aff = np.vecdot(after[0], after[1]) / n
+            # np.power cubes by numpy's array loop; a float64's ** calls the C
+            # library's pow, whose last bit can differ
+            w = (dx * ds - np.power(mu_aff / mu, 3) * mu) / s
+            dy = lp.solve(system, rhs + lp.A_dot(w))
         except np.linalg.LinAlgError:
-            if k > 1:
-                raise
             break
         # freed before the next iteration forms its own
         del system
-        np.subtract(rd, lps.AT_dot(dy), out=ds)
+        np.subtract(rd, lp.AT_dot(dy), out=ds)
         np.subtract(minus_x - w, d * ds, out=dx)
         step = 0.995 * _step_lengths(v, dv)
-        v = v + step * dv
-        y = y + step[:, 1] * dy
-    out[lanes], out_y[lanes] = v[:, 0], y
-    return out, out_y, converged
+        v_next, y_next = v + step * dv, y + step[1] * dy
+        if not (np.isfinite(v_next).all() and np.isfinite(y_next).all()):
+            break
+        v, y = v_next, y_next
+    return v[0], y, False
 
 
 def _step_lengths(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """Per lane and row of stacks (k, 2, n) with v > 0, the step to the
-    boundary v + a dv = 0, -1 / min(dv / v) when that is negative, clipped
-    to at most 1: shape (k, 2, 1)."""
-    return -1.0 / (dv / v).min(axis=2, keepdims=True, initial=-1.0)
+    """Per row of stacks (2, n) with v > 0, the step to the boundary
+    v + a dv = 0, -1 / min(dv / v) when that is negative, clipped to at most
+    1: shape (2, 1)."""
+    return -1.0 / (dv / v).min(axis=1, keepdims=True, initial=-1.0)
 
 
 @dataclass(frozen=True)
@@ -333,23 +296,22 @@ class AngleLPResult:
     dual: np.ndarray
 
 
-def _lp_results(table: LPTable, x: np.ndarray, y: np.ndarray, tau: int,
-                converged: Sequence[bool], table_rows: np.ndarray) -> list[AngleLPResult]:
-    """The results of LPs with column tau from their last iterates x (k, n)
-    and y (k, m), whose LP rows are the ``table_rows`` of ``table``."""
-    t = x[:, tau] - 1.0
-    dual = np.zeros((len(y), len(table.r)))
-    dual[np.arange(len(y))[:, None], table_rows] = y
-    return [AngleLPResult(float(ti), angles, bool(ok), yi)
-            for ti, angles, ok, yi in zip(t, x[:, :tau] + t[:, None], converged, dual)]
-
-
 def solve_angle_lp(table: LPTable, face: Sequence[int]) -> AngleLPResult:
-    """The angle LP of outer face ``face``, solved alone by ``_mehrotra``
-    with the dense backend."""
-    rows, kept, a, b, tau, _, table_rows = _cut(table, [face])
-    x, y, converged = _mehrotra(_Dense(rows, kept, a, tau), b, tau)
-    return _lp_results(table, x, y, tau, converged, table_rows)[0]
+    """The angle LP of outer face ``face``, solved by ``_mehrotra`` with the
+    backend for its number of rows: ``_Dense`` below
+    ``ELIMINATED_MIN_ROWS``, ``lp_stacks._Eliminated`` from there on."""
+    rows, kept, a, b, tau, split, table_rows = _cut(table, face)
+    if len(b) < ELIMINATED_MIN_ROWS:
+        lp = _Dense(rows, kept, a, tau)
+    else:
+        # loaded by the first large LP, which no benchmark workload draws
+        from .lp_stacks import _Eliminated
+        lp = _Eliminated(rows, kept, a, tau, split)
+    x, y, converged = _mehrotra(lp, b, tau)
+    t = x[tau] - 1.0
+    dual = np.zeros(len(table.r))
+    dual[table_rows] = y
+    return AngleLPResult(float(t), x[:tau] + t, converged, dual)
 
 
 def dual_readings(table: LPTable, lp: AngleLPResult) -> list[frozenset[int]]:
@@ -371,39 +333,6 @@ def dual_readings(table: LPTable, lp: AngleLPResult) -> list[frozenset[int]]:
             if S not in readings:
                 readings.append(S)
     return readings
-
-
-def face_lps(table: LPTable, faces: Sequence[Sequence[int]]) -> Iterator[AngleLPResult]:
-    """The angle LP results of one graph's candidate outer faces ``faces``
-    (``candidate_outer_faces`` order), in that order, each solved when drawn.
-
-    The first face is solved alone by ``solve_angle_lp``, as a call that
-    succeeds on it needs nothing more. The faces after it, which only a
-    maximal planar graph has, all give LPs of one layout; they go to
-    ``lp_stacks.solve_angle_lps`` in runs of balanced size, each of at most
-    ``LP_STACK_BYTES`` of the structured run's arrays (``lp_stacks.lane_bytes``
-    per face), and a run is solved whole when its first face is drawn. A run
-    of several faces whose solve fails is solved again face by face by
-    ``solve_angle_lp``; a one-face run whose iteration fails ends its face
-    with its last iterate, not converged (``_mehrotra``).
-    """
-    yield solve_angle_lp(table, faces[0])
-    rest = len(faces) - 1
-    if not rest:
-        return
-    # loaded by the first face after the first: a call that succeeds on its
-    # first face never needs it
-    from . import lp_stacks
-    per_run = LP_STACK_BYTES // lp_stacks.lane_bytes(table, faces[1])
-    runs = -(-rest // max(1, per_run))
-    for i in range(runs):
-        # the sizes differ by at most one
-        run = faces[1 + rest * i // runs:1 + rest * (i + 1) // runs]
-        try:
-            results = lp_stacks.solve_angle_lps(table, run)
-        except np.linalg.LinAlgError:
-            results = [solve_angle_lp(table, face) for face in run]
-        yield from results
 
 
 def _volume_constraints(cs: Corners) -> np.ndarray:

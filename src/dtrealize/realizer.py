@@ -7,8 +7,8 @@ as UNKNOWN. On a maximal planar graph, the dual of a face's angle LP that
 stops the search may point at a tough set, which refutes every outer face
 (README, "Refutation"); a set that passes ``plane_graph.is_tough_set`` goes
 into that face's diagnostics as ``tough_set``, and the later faces are
-listed as REFUTED and not searched, so a graph refuted at its first face
-makes no stacked LP run. The status stays UNKNOWN.
+listed as REFUTED and not searched, so their angle LPs are never solved.
+The status stays UNKNOWN.
 """
 
 from __future__ import annotations
@@ -45,21 +45,15 @@ class RealizeConfig:
     end of the share. A face that would start after the deadline is listed in
     the diagnostics with ``solver_status`` ``"DEADLINE"`` and not searched,
     and no certify call starts after it. A face after one whose dual gave a
-    tough set is listed as ``"REFUTED"`` the same way, whatever the time, so
-    a graph refuted at its first face makes no stacked LP run. The deadline
-    is checked between stages and at every solver step, so a call can
-    overrun it by at most one stage that is not interrupted once started:
+    tough set is listed as ``"REFUTED"`` the same way, whatever the time. The
+    deadline is checked between stages and at every solver step, so a call
+    can overrun it by at most one stage that is not interrupted once started:
 
     - the build of the graph's angle LP table, before the first face;
-    - one run of the angle LPs of the faces after the first, solved
-      together when ``angles.face_lps`` draws the first face of the run (at
-      most ``angles.LP_STACK_BYTES`` of the stacked solver's arrays: all 17
-      of the Kleetope's);
-    - one face's angle LP (the first face's, or its result from its run),
-      Newton step and layout, then its system build and solve start-up
-      (compiling the system and building its start assignment); or, where
-      it stops at the angle LP on a maximal planar graph, the reading of its
-      dual for a tough set;
+    - one face's angle LP, Newton step and layout, then its system build and
+      solve start-up (compiling the system and building its start
+      assignment); or, where it stops at the angle LP on a maximal planar
+      graph, the reading of its dual for a tough set;
     - one certify call, then the draw of the next candidate: a jitter, or the
       radius fit and exact gate of each rounding candidate up to the next one
       that passes.
@@ -293,14 +287,9 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             diagnostics=tuple((v.rule, v.message) for v in report.violations))
 
     candidates = candidate_outer_faces(G)
-    # every candidate face's angle LP is cut from one table; the faces after
-    # the first are solved in stacked runs. A face is drawn only when it is
-    # searched, and once one is skipped the graph is refuted or the deadline
-    # has passed, so every later face is skipped too and the stream stays in
-    # step
+    # every candidate face's angle LP is cut from one table
     if warm_points is None:
         table = angles.lp_table(G)
-        lps = angles.face_lps(table, candidates)
     # a tough set refutes every outer face of a maximal planar graph
     refuted, maximal = False, len(G.outer_face) == 3
     diagnostics = []
@@ -312,7 +301,7 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
             warm = None
             record["solver_status"] = "REFUTED" if refuted else "DEADLINE"
         elif warm_points is None:
-            lp = next(lps)
+            lp = angles.solve_angle_lp(table, face)
             warm, stopped = _angle_warm_start(H, lp)
             record.update(stopped)
             if maximal and stopped.get("solver_status") == "ANGLE_LP":

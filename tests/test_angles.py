@@ -3,12 +3,16 @@
 import cmath
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dtrealize import angles, lp_stacks
+from dtrealize import angles
 from dtrealize.instances import fan_triangulation, random_instance
 from dtrealize.plane_graph import _canon_cycle, candidate_outer_faces, reembed_with_outer_face
 
@@ -36,6 +40,13 @@ def _inner_corners(H):
     return angles.corners(H.n, H.inner_faces())
 
 
+def _solve_with(monkeypatch, eliminated, table, face):
+    """``solve_angle_lp`` by the eliminated backend or by the dense one,
+    whatever the LP's size."""
+    monkeypatch.setattr(angles, "ELIMINATED_MIN_ROWS", 0 if eliminated else math.inf)
+    return angles.solve_angle_lp(table, face)
+
+
 @dataclasses.dataclass(frozen=True)
 class AngleLP:
     """An angle LP in standard form: minimise ``c @ x`` subject to
@@ -49,10 +60,10 @@ class AngleLP:
 def angle_lp(table, face):
     """The LP of outer face ``face`` as the dense backend holds it, cut from
     ``table``."""
-    rows, kept, a, b, tau, _, _ = angles._cut(table, [face])
-    c = np.zeros(rows.shape[2])
+    rows, kept, a, b, tau, _, _ = angles._cut(table, face)
+    c = np.zeros(rows.shape[1])
     c[tau] = -1.0
-    return AngleLP(angles._Dense(rows, kept, a, tau).A, b[0], c, tau)
+    return AngleLP(angles._Dense(rows, kept, a, tau).A, b, c, tau)
 
 
 def interior_point(A, b, c):
@@ -168,7 +179,7 @@ def test_lp_table_cuts_the_row_by_row_lp():
                 assert np.array_equal(got, want)
 
 
-def test_the_dual_is_carried_per_table_row():
+def test_the_dual_is_carried_per_table_row(monkeypatch):
     """Each face's dual, from either backend, read at the table rows of the
     row-by-row LP's rows (its faces, its vertices, the cap and its interior
     edges), is an optimal dual of that LP where the LP converged: A^T y <= c
@@ -176,18 +187,20 @@ def test_the_dual_is_carried_per_table_row():
     for G in _lp_graphs():
         table, faces = angles.lp_table(G), candidate_outer_faces(G)
         nf = len(table.cs.faces)
-        for face, got in zip(faces, angles.face_lps(table, faces), strict=True):
+        for face in faces:
             H = reembed_with_outer_face(G, face)
             cs = _inner_corners(H)
             ref = _angle_lp_rows(H, cs)
             rows = [table.face_row[_canon_cycle(f)] for f in cs.faces]
             rows += list(range(nf, nf + G.n + 1))
             rows += [table.edge_row[e] for e in sorted(cs.opposite) if len(cs.opposite[e]) == 2]
-            assert not np.delete(got.dual, rows).any()
-            if got.converged:
-                y = got.dual[rows]
-                assert (ref.A.T @ y - ref.c).max() <= 1e-8
-                assert abs(ref.b @ y + got.t_star + 1.0) <= 1e-6
+            for eliminated in (False, True):
+                got = _solve_with(monkeypatch, eliminated, table, face)
+                assert not np.delete(got.dual, rows).any()
+                if got.converged:
+                    y = got.dual[rows]
+                    assert (ref.A.T @ y - ref.c).max() <= 1e-8
+                    assert abs(ref.b @ y + got.t_star + 1.0) <= 1e-6
 
 
 def test_the_table_grows_linearly():
@@ -249,8 +262,8 @@ def test_t_star_agrees_with_linprog():
             assert abs(x[lp.tau] - ref.x[lp.tau]) < 1e-6
 
 
-def test_the_dense_backend_ends_where_interior_point_does():
-    """``solve_angle_lp``, ``_mehrotra`` on one LP held dense, ends every
+def test_the_dense_backend_ends_where_interior_point_does(monkeypatch):
+    """``_mehrotra`` on one LP held dense ends every
     candidate face's LP of the test graphs where ``interior_point`` ends it:
     the same convergence, t* within 1e-12 and the angles within a bound by
     graph size, 1e-10 up to n = 10 and 1e-9 up to n = 15 (they differ by up
@@ -263,7 +276,7 @@ def test_the_dense_backend_ends_where_interior_point_does():
         for face in candidate_outer_faces(G):
             lp = angle_lp(table, face)
             x, converged = interior_point(lp.A, lp.b, lp.c)
-            got = angles.solve_angle_lp(table, face)
+            got = _solve_with(monkeypatch, False, table, face)
             t = x[lp.tau] - 1
             assert got.converged == converged
             assert abs(got.t_star - t) <= 1e-12
@@ -272,184 +285,159 @@ def test_the_dense_backend_ends_where_interior_point_does():
 
 @pytest.mark.parametrize("levels", [1, 2], ids=["kleetope", "kleetope2"])
 def test_face_lps_agree_with_linprog_on_every_face(levels):
-    """Every candidate outer face of the Kleetope (18 faces) and of its
-    Kleetope (n = 29, 54 faces), solved through ``face_lps`` (the first face
-    alone, the others in stacked runs), has t* within 1e-6 of linprog's."""
+    """Every candidate outer face of the Kleetope (18 faces, LPs of 53 rows,
+    solved dense) and of its Kleetope (n = 29, 54 faces, 161 rows, solved
+    eliminated), each solved alone by ``solve_angle_lp``, has t* within 1e-6
+    of linprog's."""
     optimize = pytest.importorskip("scipy.optimize")
     G = bipyramid_kleetope(levels)
     table, faces = angles.lp_table(G), candidate_outer_faces(G)
     assert len(faces) == (18, 54)[levels - 1]
-    for face, got in zip(faces, angles.face_lps(table, faces), strict=True):
+    for face in faces:
+        got = angles.solve_angle_lp(table, face)
         lp = angle_lp(table, face)
+        assert len(lp.b) == (53, 161)[levels - 1]
         ref = optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
         assert ref.status == 0
         assert got.converged
         assert abs(got.t_star - (ref.x[lp.tau] - 1)) < 1e-6
 
 
-def test_every_face_solved_stacked_agrees_with_solve_angle_lp():
-    """``solve_angle_lps`` on all candidate outer faces of a graph ends each
-    where ``solve_angle_lp`` ends it: the same convergence, t* within 1e-12
-    and angles within a bound that grows with the graph on a maximal planar
-    graph, whose faces after the first ``face_lps`` stacks: 1e-9 up to
-    n = 15, 1e-8 on the Kleetope of the Kleetope (n = 29), where they differ
-    by up to 4.6e-9. A graph with one candidate face is never stacked; its
-    degenerate optima (t* = 1/4 at the cap, fans) still agree within
-    ``LP_TOL``."""
+def test_both_backends_agree_face_by_face(monkeypatch):
+    """The eliminated backend ends each candidate outer face's LP where the
+    dense one ends it: the same convergence, t* within 1e-12 and angles
+    within a bound that grows with the graph on a maximal planar graph:
+    1e-9 up to n = 15, 1e-8 on the Kleetope of the Kleetope (n = 29), where
+    they differ by up to 4.6e-9. On a graph with one candidate face the
+    optima can be degenerate (t* = 1/4 at the cap, fans), and they agree
+    within ``LP_TOL``."""
     for G in _lp_graphs() + [bipyramid_kleetope(2)]:
         table, faces = angles.lp_table(G), candidate_outer_faces(G)
         if len(faces) > 1:
             t_tol, angle_tol = 1e-12, 1e-9 if G.n <= 15 else 1e-8
         else:
             t_tol = angle_tol = angles.LP_TOL
-        for face, got in zip(faces, lp_stacks.solve_angle_lps(table, faces), strict=True):
-            ref = angles.solve_angle_lp(table, face)
+        for face in faces:
+            got = _solve_with(monkeypatch, True, table, face)
+            ref = _solve_with(monkeypatch, False, table, face)
             assert got.converged == ref.converged
             assert abs(got.t_star - ref.t_star) <= t_tol
             assert np.abs(got.angles - ref.angles).max() <= angle_tol
 
 
-def test_stacked_faces_must_share_a_layout():
-    """The hull of a graph that is not maximal and one of its triangles give
-    LPs of different layouts, which are not stacked."""
-    G = random_instance(9, 4007)[1]
-    assert len(G.outer_face) > 3
-    with pytest.raises(ValueError):
-        lp_stacks.solve_angle_lps(angles.lp_table(G), [G.outer_face, G.inner_faces()[0]])
-
-
-def test_a_lane_is_its_lp_held_sparse():
+def test_the_cut_is_the_lp_held_sparse():
     """``_cut`` holds exactly the row-by-row LP of each face: each column but
     tau as one nonzero per block of rows, the edge rows exactly the rows from
     its first edge row on, then column tau and b; ``_mehrotra`` takes c as -1
     at tau and 0 elsewhere, as the reference builds it."""
     graphs = [random_instance(n, s)[1] for n in range(4, 16) for s in range(4000, 4003)]
     for G in _lp_graphs() + graphs:
-        table, faces = angles.lp_table(G), candidate_outer_faces(G)
-        rows, values, a, b, tau, split, _ = angles._cut(table, faces)
-        for i, face in enumerate(faces):
+        table = angles.lp_table(G)
+        for face in candidate_outer_faces(G):
+            rows, values, a, b, tau, split, _ = angles._cut(table, face)
             H = reembed_with_outer_face(G, face)
             lp = _angle_lp_rows(H, _inner_corners(H))
             A = np.zeros_like(lp.A)
             for block in range(3):
-                A[rows[i, block], np.arange(A.shape[1])] += values[i, block]
-            A[:, tau] = a[i]
+                A[rows[block], np.arange(A.shape[1])] += values[block]
+            A[:, tau] = a
             assert tau == lp.tau and np.array_equal(lp.c, -np.eye(len(lp.c))[tau])
-            for got, want in ((A, lp.A), (b[i], lp.b)):
+            for got, want in ((A, lp.A), (b, lp.b)):
                 assert np.array_equal(got, want)
-            assert set(rows[i, 2][values[i, 2]]) == set(range(split, len(A)))
-            assert (rows[i, :2][values[i, :2]] < split).all()
-
-
-def test_lane_bytes_counts_the_lp_that_cut_gives():
-    """``lane_bytes`` counts a face's LP from the table alone, without
-    cutting it: its rows, columns and first edge row are those of the LP
-    ``_cut`` gives, for every face after the first of each test graph."""
-    for G in _lp_graphs():
-        table = angles.lp_table(G)
-        for face in candidate_outer_faces(G)[1:]:
-            rows, kept, a, _, _, _, _ = angles._cut(table, [face])
-            m, n = a.shape[1], rows.shape[2]
-            s1 = m - len(set(rows[0, 2][kept[0, 2]])) + 1
-            e = m - s1 + 1
-            assert lp_stacks.lane_bytes(table, face) == 8 * (3 * s1 * s1 + 2 * s1 * e + 20 * (m + n))
-
-
-def _stacks():
-    """The cut LPs of every candidate outer face of ``_lp_graphs()``, one
-    stack per layout, with tau, the first edge row and each lane's LP. A
-    stack can mix graphs, and then its lanes stop at different iterations."""
-    by_layout = {}
-    for G in _lp_graphs():
-        table, faces = angles.lp_table(G), candidate_outer_faces(G)
-        *stack, tau, split, _ = angles._cut(table, faces)
-        key = (stack[0].shape[1:], stack[2].shape[1], tau, split)
-        by_layout.setdefault(key, []).append((stack, [angle_lp(table, f) for f in faces]))
-    for (_, _, tau, split), parts in by_layout.items():
-        stack = [np.concatenate(v) for v in zip(*(part for part, _ in parts))]
-        yield stack, tau, split, [lp for _, lps in parts for lp in lps]
-
-
-def _eliminated(rows, kept, a, b, tau, split):
-    """``_mehrotra`` on cut LPs with the stacked solver's backend."""
-    return angles._mehrotra(lp_stacks._Eliminated(rows, kept, a, tau, split), b, tau)
-
-
-def test_a_lane_does_not_depend_on_its_stack(monkeypatch):
-    """Each LP gives the same bits, primal and dual, solved alone (k = 1) as
-    inside a stack, also next to lanes of other graphs that stop at other
-    iterations, and converges where ``interior_point`` does."""
-    solve, lanes_per_solve = np.linalg.solve, []
-
-    def counted(a, b):
-        lanes_per_solve.append(len(a))
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    shrank = False
-    for stack, tau, split, lps in _stacks():
-        lanes_per_solve.clear()
-        xs, ys, converged = _eliminated(*stack, tau, split)
-        shrank |= len(set(lanes_per_solve)) > 1
-        for i, lp in enumerate(lps):
-            x, y, ok = _eliminated(*(v[i:i + 1] for v in stack), tau, split)
-            assert np.array_equal(x[0], xs[i]) and ok[0] == converged[i]
-            assert np.array_equal(y[0], ys[i])
-            assert converged[i] == interior_point(lp.A, lp.b, lp.c)[1]
-    assert shrank
-
-
-@pytest.mark.parametrize("failing_call", [0, 5])
-def test_a_failed_stacked_solve_falls_back_to_solve_angle_lp(monkeypatch, failing_call):
-    """A LinAlgError in a stacked solve, at the start or part way through,
-    makes every face of the run end as ``solve_angle_lp`` ends it."""
-    G = bipyramid_kleetope()
-    table, faces = angles.lp_table(G), candidate_outer_faces(G)
-    want = [angles.solve_angle_lp(table, face) for face in faces]
-    solve, stacked_calls = np.linalg.solve, []
-
-    def failing(a, b):
-        if a.ndim == 3:
-            stacked_calls.append(a.shape)
-            if len(stacked_calls) > failing_call:
-                raise np.linalg.LinAlgError("forced")
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", failing)
-    for ref, got in zip(want, angles.face_lps(table, faces), strict=True):
-        assert got.converged == ref.converged and got.t_star == ref.t_star
-        assert np.array_equal(got.angles, ref.angles)
-    assert stacked_calls
+            assert set(rows[2][values[2]]) == set(range(split, len(A)))
+            assert (rows[:2][values[:2]] < split).all()
 
 
 @pytest.mark.parametrize("failing_call", [2, 5])
 def test_a_failed_one_face_solve_ends_with_its_last_iterate(monkeypatch, failing_call):
-    """A LinAlgError in an iteration of a one-face run ends it, not converged,
-    where ``interior_point`` failing at the same solve ends: with the dense
-    backend, and for a one-face run of the stacked solver, which no longer
-    raises."""
+    """A LinAlgError in an iteration ends the solve, not converged: with the
+    dense backend where ``interior_point`` failing at the same solve ends, and
+    with the eliminated backend at a finite iterate. A solve that returns NaN
+    instead ends each backend's solve at the same iterate, bit for bit."""
     G = random_instance(9, 1005)[1]
     table, face = angles.lp_table(G), candidate_outer_faces(G)[0]
     lp = angle_lp(table, face)
-    solve, calls = np.linalg.solve, []
+    solve, calls, failure = np.linalg.solve, [], []
 
     def failing(a, b):
         calls.append(a.shape)
-        if len(calls) > failing_call:
+        if len(calls) <= failing_call:
+            return solve(a, b)
+        if failure[0] == "raise":
             raise np.linalg.LinAlgError("forced")
-        return solve(a, b)
+        return np.full(len(b), np.nan)
+
+    def solved(eliminated, how):
+        calls.clear()
+        failure[:] = [how]
+        return _solve_with(monkeypatch, eliminated, table, face)
 
     monkeypatch.setattr(np.linalg, "solve", failing)
+    failure.append("raise")
     x, converged = interior_point(lp.A, lp.b, lp.c)
     t = x[lp.tau] - 1
-    calls.clear()
-    got = angles.solve_angle_lp(table, face)
-    calls.clear()
-    stacked = lp_stacks.solve_angle_lps(table, [face])[0]
-    assert not converged and not got.converged and not stacked.converged
+    got, eliminated = solved(False, "raise"), solved(True, "raise")
+    assert not converged and not got.converged and not eliminated.converged
     assert abs(got.t_star - t) <= 1e-12
     assert np.abs(got.angles - (x[:lp.tau] + t)).max() <= 1e-9
-    assert np.all(np.isfinite(stacked.angles))
+    assert np.all(np.isfinite(eliminated.angles))
+    for backend, raised in ((False, got), (True, eliminated)):
+        nan = solved(backend, "nan")
+        assert not nan.converged and nan.t_star == raised.t_star
+        assert np.array_equal(nan.angles, raised.angles)
+        assert np.array_equal(nan.dual, raised.dual)
+
+
+def _fresh_interpreter(code, **env):
+    """The output words of ``code`` run in a fresh interpreter, with the
+    environment variables ``env`` added."""
+    src = str(Path(angles.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120, check=True).stdout.split()
+
+
+def test_the_backend_is_chosen_by_the_lp_size():
+    """An LP of 53 rows is solved dense and one of 56 by the eliminated
+    backend, and only the second loads ``lp_stacks`` (run in a fresh
+    interpreter, as the tests themselves load it). A face LP has 6n - 3h - 4
+    rows for h hull vertices, so no LP lies between the two."""
+    assert 53 < angles.ELIMINATED_MIN_ROWS <= 56
+    assert _fresh_interpreter(
+        "import sys\n"
+        "from dtrealize import angles\n"
+        "from dtrealize.instances import random_instance\n"
+        "mehrotra = angles._mehrotra\n"
+        "def recorded(lp, b, tau):\n"
+        "    print(len(b), type(lp).__name__, 'dtrealize.lp_stacks' in sys.modules)\n"
+        "    return mehrotra(lp, b, tau)\n"
+        "angles._mehrotra = recorded\n"
+        "for seed in (1005, 1004):\n"
+        "    G = random_instance(12, seed)[1]\n"
+        "    angles.solve_angle_lp(angles.lp_table(G), G.outer_face)\n"
+    ) == ["53", "_Dense", "False", "56", "_Eliminated", "True"]
+
+
+def test_the_lp_never_returns_nan():
+    """Face 0's LP of ``random_instance(120, 9, 10**6)`` (665 rows, solved
+    eliminated) does not converge at one BLAS thread: its primal residual
+    stalls, and d = x / s overflows about iteration 150. The solve ends at
+    the last finite iterate, not converged, with t*, the angles and the dual
+    finite, and t* near the optimum 1/9 (HiGHS). Whether this LP converges
+    depends on the thread count (it does at two), so the test pins one, in a
+    fresh interpreter."""
+    t_star, converged, finite = _fresh_interpreter(
+        "import numpy as np\n"
+        "from dtrealize import angles\n"
+        "from dtrealize.instances import random_instance\n"
+        "G = random_instance(120, 9, 10 ** 6)[1]\n"
+        "lp = angles.solve_angle_lp(angles.lp_table(G), G.outer_face)\n"
+        "print(repr(lp.t_star), lp.converged,\n"
+        "      np.isfinite(lp.angles).all() and np.isfinite(lp.dual).all())\n",
+        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    assert (converged, finite) == ("False", "True")
+    assert abs(float(t_star) - 1 / 9) < 1e-3
 
 
 @pytest.mark.parametrize("G", [random_instance(12, 1008)[1], random_instance(9, 4007)[1],

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dtrealize import angles, constraints, lp_stacks, oracle, plane_graph, realizer, solver
+from dtrealize import angles, constraints, oracle, plane_graph, realizer, solver
 from dtrealize.constraints import (STENCIL, build_constsqu, constsqu_stencil, evaluate,
                                    repair_radii, satisfied_exact)
 from dtrealize.geometry import dist_sq, pt
@@ -393,14 +393,13 @@ def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
     # every face of the Kleetope stops at its angle LP within milliseconds;
     # with its duals read as finding no tough set and at 10 ms per face, a
     # 0.05 s budget runs out part way through the 18
-    face_lps = angles.face_lps
+    solve_angle_lp = angles.solve_angle_lp
 
-    def slow(table, faces):
-        for result in face_lps(table, faces):
-            time.sleep(0.01)
-            yield result
+    def slow(table, face):
+        time.sleep(0.01)
+        return solve_angle_lp(table, face)
 
-    monkeypatch.setattr(angles, "face_lps", slow)
+    monkeypatch.setattr(angles, "solve_angle_lp", slow)
     monkeypatch.setattr(angles, "dual_readings", lambda table, lp: [])
     G = bipyramid_kleetope()
     res, elapsed = _timed_realize(G, 0.05)
@@ -411,52 +410,43 @@ def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
     assert skipped and all(d.keys() == {"outer_face", "solver_status"} for d in skipped)
 
 
-@pytest.mark.parametrize("graph, drawn, stack_bytes, calls", [
-    (k4, "realize", None, {"solve_angle_lp": 1, "solve_angle_lps": 0}),
-    (bipyramid_kleetope, "face_lps", None, {"solve_angle_lp": 1, "solve_angle_lps": 1}),
-    (bipyramid_kleetope, "face_lps", 16, {"solve_angle_lp": 1, "solve_angle_lps": 2}),
-    (bipyramid_kleetope, "face_lps", 1, {"solve_angle_lp": 1, "solve_angle_lps": 17}),
-    (bipyramid_kleetope, "realize", None, {"solve_angle_lp": 1, "solve_angle_lps": 0}),
-], ids=["k4", "kleetope", "kleetope-runs-of-16", "kleetope-runs-of-1", "kleetope-realize"])
-def test_faces_after_the_first_are_solved_in_stacked_runs(monkeypatch, graph, drawn, stack_bytes,
-                                                          calls):
-    """A call that succeeds on its first face makes no stacked LP run, and
-    neither does one refuted there: realize() on the Kleetope solves its
-    first face alone and no other. Drawn whole from ``face_lps``, the
-    Kleetope's faces are solved the first alone and the other 17 in stacked
-    runs of at most ``LP_STACK_BYTES`` (one, at its value; 9 and 8 when it
-    allows 16 faces; 17 when it allows one), counted in
-    ``lp_stacks.lane_bytes``."""
-    counted_calls = dict.fromkeys(calls, 0)
+@pytest.mark.parametrize("graph, reads_duals, searched", [
+    (k4, True, 1), (bipyramid_kleetope, True, 1), (bipyramid_kleetope, False, 18),
+], ids=["k4", "kleetope-refuted", "kleetope-every-face"])
+def test_each_searched_face_is_solved_alone_once(monkeypatch, graph, reads_duals, searched):
+    """realize() solves the angle LP of each face it searches when it
+    searches it, alone, by one backend call: K4 succeeds on its first face,
+    and the Kleetope is refuted there; with its duals read as finding no
+    tough set, each of the Kleetope's 18 faces is solved once, all dense
+    (53 rows)."""
+    faces, backends = [], []
+    solve_angle_lp, mehrotra = angles.solve_angle_lp, angles._mehrotra
 
-    def counted(module, name):
-        real = getattr(module, name)
+    def recorded_face(table, face):
+        faces.append(tuple(face))
+        return solve_angle_lp(table, face)
 
-        def wrapper(*args):
-            counted_calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(module, name, wrapper)
+    def recorded_backend(lp, b, tau):
+        backends.append(type(lp))
+        return mehrotra(lp, b, tau)
 
-    counted(angles, "solve_angle_lp")
-    counted(lp_stacks, "solve_angle_lps")
+    monkeypatch.setattr(angles, "solve_angle_lp", recorded_face)
+    monkeypatch.setattr(angles, "_mehrotra", recorded_backend)
+    if not reads_duals:
+        monkeypatch.setattr(angles, "dual_readings", lambda table, lp: [])
     G = graph()
-    if drawn == "realize":
-        res = realize(G)
-        assert res.status == ("REALIZED" if graph is k4 else "UNKNOWN")
-    else:
-        table, faces = angles.lp_table(G), candidate_outer_faces(G)
-        if stack_bytes is not None:
-            lane = lp_stacks.lane_bytes(table, faces[1])
-            monkeypatch.setattr(angles, "LP_STACK_BYTES", stack_bytes * lane)
-        assert len(list(angles.face_lps(table, faces))) == len(faces)
-    assert counted_calls == calls
+    res = realize(G)
+    assert res.status == ("REALIZED" if graph is k4 else "UNKNOWN")
+    assert faces == [tuple(f) for f in candidate_outer_faces(G)[:searched]]
+    assert backends == [angles._Dense] * searched
 
 
 def test_a_call_that_succeeds_on_its_first_face_never_loads_lp_stacks():
-    """``lp_stacks`` is loaded only for the faces after the first, so a
-    realize call that succeeds on its first face, on a graph with one
-    candidate face or on a maximal planar one, never imports it (run in a
-    fresh interpreter, as the tests themselves load it)."""
+    """``lp_stacks`` is loaded only for an LP of at least
+    ``angles.ELIMINATED_MIN_ROWS`` rows, so a realize call that succeeds on
+    its first small face, on a graph with one candidate face or on a maximal
+    planar one, never imports it (run in a fresh interpreter, as the tests
+    themselves load it)."""
     code = (
         "import sys\n"
         "from dtrealize.instances import random_instance\n"
