@@ -22,19 +22,35 @@ A D A^T; from there on, ``lp_stacks._Eliminated``, which eliminates the edge
 rows first (an LU of size 30 instead of 53 on the 11-vertex Kleetope) and is
 faster on large LPs but slower on the small ones most calls solve. Each result
 carries the LP's dual with its angles, and ``dual_readings`` reads candidate
-tough sets from it (README, "Refutation"). From a point with t > 0,
-``maximise_volume`` holds each edge's opposite-angle sum fixed and maximises
-Rivin's volume, the sum of Lobachevsky functions of the angles (Rivin, Ann.
-Math. 139, 1994); at the maximum, the law-of-sines edge lengths agree across
-faces, so ``layout`` can place the triangles one by one. Like the rest of the
-search, nothing here is trusted: the placement only seeds the ConstSqu solve.
+tough sets from it (README, "Refutation").
+
+A caller that only asks whether t* > T_STAR_MIN can stop the solve early.
+For the LP min c x, A x = b, x >= 0, and any y, every feasible x has
+c x = b y + (c - A^T y) x >= b y - sum_j max(0, -(c - A^T y)_j) u_j for any
+bounds x_j <= u_j on the feasible set. Here A >= 0 and b >= 0, so a row i
+with A_ij > 0 gives A_ij x_j <= (A x)_i = b_i, and u_j = min_i b_i / A_ij
+over the column's nonzeros is such a bound; every column has a nonzero. As
+t* = -min c x - 1, any dual iterate y bounds t* <= -b y - 1 + sum_j max(0,
+-(c - A^T y)_j) u_j, where c - A^T y is the loop's rd + s. ``_mehrotra``
+computes this bound once the primal iterate has t <= T_STAR_MIN, and the
+first time it is at most T_STAR_MIN it asks the caller, through
+``solve_angle_lp``'s ``enough``, whether that iterate is enough; on the
+11-vertex Kleetope that is after 3 of the 6 iterations.
+
+From a point with t > 0, ``maximise_volume`` holds each edge's
+opposite-angle sum fixed and maximises Rivin's volume, the sum of
+Lobachevsky functions of the angles (Rivin, Ann. Math. 139, 1994); at the
+maximum, the law-of-sines edge lengths agree across faces, so ``layout``
+can place the triangles one by one. Like the rest of the search, nothing
+here is trusted: the placement only seeds the ConstSqu solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -42,6 +58,8 @@ from .plane_graph import PlaneTriangulation, _canon_cycle
 
 # the LP's cap on t, in units of pi
 T_CAP = 0.25
+# a face whose angle LP optimum is not above this is not searched
+T_STAR_MIN = 1e-6
 # interior-point stopping tolerance on the scaled residuals and the duality gap
 LP_TOL = 1e-9
 # diagonal shift of the normal equations, relative to their largest entry: at
@@ -203,7 +221,8 @@ class _Dense:
 
 # an iterate that overflows ends the loop at its check, not with a warning
 @np.errstate(over="ignore", invalid="ignore")
-def _mehrotra(lp, b: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray, bool]:
+def _mehrotra(lp, b: np.ndarray, tau: int, stop: "_Stop | None" = None
+              ) -> tuple[np.ndarray, np.ndarray, bool, float | None]:
     """Mehrotra's predictor-corrector method (Nocedal and Wright, Numerical
     Optimization, 14.2) on one LP: minimise c x subject to A x = b and
     x >= 0, where c is -1 at column ``tau`` and 0 elsewhere and A has full
@@ -216,10 +235,17 @@ def _mehrotra(lp, b: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray, bool
     optimum, where t is attained by many rows at once, the equations go
     singular); and ``solve(system, r)``. The loop stops once the iterate
     meets ``LP_TOL`` on its scaled residuals and gap. Returns the last
-    primal iterate x, the dual iterate y of the same step and whether it met
-    ``LP_TOL``. A ``LinAlgError`` in an iteration, or a step to an iterate
-    that is not finite, ends the loop with the last iterates before it, not
-    converged.
+    primal iterate x, the dual iterate y of the same step, whether it met
+    ``LP_TOL`` and None. A ``LinAlgError`` in an iteration, or a step to an
+    iterate that is not finite, ends the loop with the last iterates before
+    it, not converged.
+
+    With a decision stop ``stop``, an iterate with x[tau] - 1 <= T_STAR_MIN
+    that has not converged bounds t* by weak duality (module docstring).
+    The first time that bound is at most ``T_STAR_MIN``, the loop asks
+    ``stop.enough(x, y, bound)`` whether the iterate is enough: on yes it
+    returns x, y, not converged, and the bound; on no it runs on as without
+    a stop, and never asks again.
     """
     n = lp.n
     # x and s as one stack (2, n), so that each step rule runs once for both
@@ -248,7 +274,14 @@ def _mehrotra(lp, b: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray, bool
         # the residual tests only matter once the gap is small
         if (mu <= LP_TOL and np.abs(lp.A_dot(x) - b).max() <= b_tol
                 and np.abs(rd).max() <= c_tol):
-            return x, y, True
+            return x, y, True, None
+        if stop is not None and x[tau] - 1.0 <= T_STAR_MIN:
+            # rd + s is c - A^T y
+            bound = stop.bound(y, rd + s)
+            if bound <= T_STAR_MIN:
+                if stop.enough(x, y, bound):
+                    return x, y, False, bound
+                stop = None
         d = x / s
         minus_x = -x
         try:
@@ -276,7 +309,7 @@ def _mehrotra(lp, b: np.ndarray, tau: int) -> tuple[np.ndarray, np.ndarray, bool
         if not (np.isfinite(v_next).all() and np.isfinite(y_next).all()):
             break
         v, y = v_next, y_next
-    return v[0], y, False
+    return v[0], y, False, None
 
 
 def _step_lengths(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -286,32 +319,73 @@ def _step_lengths(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     return -1.0 / (dv / v).min(axis=1, keepdims=True, initial=-1.0)
 
 
+class _Stop:
+    """A decision stop for ``_mehrotra`` on the LP ``cut``, ``_cut``'s first
+    five values: ``bound(y, reduced)``, the weak-duality bound on t* of a
+    dual iterate y with reduced costs c - A^T y (module docstring), and
+    ``enough(x, y, bound)``, the caller's answer on an iterate that proves
+    t* <= bound <= T_STAR_MIN."""
+
+    def __init__(self, cut: tuple, enough: Callable[[np.ndarray, np.ndarray, float], bool]):
+        self._cut, self.enough = cut, enough
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        """Each column's bound u_j = min_i b_i / A_ij over its nonzeros,
+        built when the first bound is asked for."""
+        rows, kept, a, b, tau = self._cut
+        # every nonzero but column tau's is 1
+        u = np.where(kept, b[rows], np.inf).min(axis=0)
+        u[tau] = (b / a).min()
+        return u
+
+    def bound(self, y: np.ndarray, reduced: np.ndarray) -> float:
+        b = self._cut[3]
+        return float(np.vecdot(np.maximum(-reduced, 0.0), self.upper) - np.vecdot(b, y) - 1.0)
+
+
 @dataclass(frozen=True)
 class AngleLPResult:
-    t_star: float             # the LP optimum, in units of pi
+    # the LP optimum, in units of pi; the last iterate's t where the solve did
+    # not converge
+    t_star: float
     angles: np.ndarray        # per corner, in units of pi
     converged: bool
     # the dual iterate per row of the graph's LPTable; 0 on the rows the
     # face's LP leaves out
     dual: np.ndarray
+    # where a decision stop ended the solve, the weak-duality bound t* <=
+    # t_bound <= T_STAR_MIN its dual proves; otherwise None
+    t_bound: float | None = None
 
 
-def solve_angle_lp(table: LPTable, face: Sequence[int]) -> AngleLPResult:
+def solve_angle_lp(table: LPTable, face: Sequence[int],
+                   enough: Callable[[AngleLPResult], bool] | None = None) -> AngleLPResult:
     """The angle LP of outer face ``face``, solved by ``_mehrotra`` with the
     backend for its number of rows: ``_Dense`` below
-    ``ELIMINATED_MIN_ROWS``, ``lp_stacks._Eliminated`` from there on."""
-    rows, kept, a, b, tau, split, table_rows = _cut(table, face)
+    ``ELIMINATED_MIN_ROWS``, ``lp_stacks._Eliminated`` from there on.
+
+    Without ``enough`` the LP is solved to ``LP_TOL``. With it, the first
+    iterate whose dual proves t* <= T_STAR_MIN is handed to ``enough`` as a
+    result with ``t_bound`` set, not converged; the solve ends there if it
+    answers yes and runs to ``LP_TOL`` otherwise."""
+    rows, kept, a, b, tau, split, table_rows = cut = _cut(table, face)
     if len(b) < ELIMINATED_MIN_ROWS:
         lp = _Dense(rows, kept, a, tau)
     else:
         # loaded by the first large LP, which no benchmark workload draws
         from .lp_stacks import _Eliminated
         lp = _Eliminated(rows, kept, a, tau, split)
-    x, y, converged = _mehrotra(lp, b, tau)
-    t = x[tau] - 1.0
-    dual = np.zeros(len(table.r))
-    dual[table_rows] = y
-    return AngleLPResult(float(t), x[:tau] + t, converged, dual)
+
+    def result(x, y, converged, t_bound):
+        t = x[tau] - 1.0
+        dual = np.zeros(len(table.r))
+        dual[table_rows] = y
+        return AngleLPResult(float(t), x[:tau] + t, converged, dual, t_bound)
+
+    stop = None if enough is None else _Stop(
+        cut[:5], lambda x, y, bound: enough(result(x, y, False, bound)))
+    return result(*_mehrotra(lp, b, tau, stop))
 
 
 def dual_readings(table: LPTable, lp: AngleLPResult) -> list[frozenset[int]]:

@@ -31,7 +31,8 @@ class _Eliminated:
     and an edge row at the one corner of that row opposite the edge, so every
     entry of KK off its diagonal and of F is one column's d (times h^-1/2 in
     F), written in place into buffers kept for the solve; KK's border, column
-    tau's a on K, is written once.
+    tau's a on K, is written once. S is written into one more buffer, kept
+    for the LP, so that an iteration allocates no matrix of that size.
     """
 
     def __init__(self, rows: np.ndarray, kept: np.ndarray, a: np.ndarray, tau: int, split: int):
@@ -57,6 +58,7 @@ class _Eliminated:
         self.ke_pos = ke_pos * e + self.ke_edge
         self.ke_pos_t = self.ke_edge * s1 + ke_pos
         self.KK, self.F, self.Ft = np.zeros((s1, s1)), np.zeros((s1, e)), np.zeros((e, s1))
+        self.S = np.empty((s1, s1))
         self.KK[:split, split] = self.KK[split, :split] = a[:split]
         self.a, self.a_squared = a, a * a
 
@@ -71,7 +73,8 @@ class _Eliminated:
         return out
 
     def form(self, d: np.ndarray, shift: bool) -> tuple[np.ndarray, np.ndarray]:
-        """S and h^-1/2 (e,) for d; F and F^T are written in place."""
+        """S and h^-1/2 (e,) for d; S, F and F^T are written in place, over
+        the last call's."""
         split, tau = self.split, self.tau
         diagonal = np.bincount(self.nz_rows, d[self.nz_cols], self.m)
         if shift:
@@ -86,7 +89,7 @@ class _Eliminated:
         values = d[self.ke_src] * root[self.ke_edge]
         self.F.ravel()[self.ke_pos] = self.Ft.ravel()[self.ke_pos_t] = values
         self.F[split] = self.Ft[:, split] = self.a[split:] * root
-        S = self.F @ self.Ft
+        S = np.matmul(self.F, self.Ft, out=self.S)
         return np.subtract(self.KK, S, out=S), root
 
     def solve(self, system: tuple[np.ndarray, np.ndarray], r: np.ndarray) -> np.ndarray:

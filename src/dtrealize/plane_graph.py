@@ -207,14 +207,44 @@ def validate_triangulation(G: PlaneTriangulation) -> ValidationReport:
             v.append(Violation("DEGREE2_INTERIOR",
                                f"degree-2 vertex {u} is not on the outer face", (u,)))
 
-    for u in labels:
-        rot = {x: [y for y in G.rotation[x] if y != u] for x in labels if x != u}
-        try:
-            _check_connected(rot)
-        except NotConnected:
-            v.append(Violation("NOT_2_CONNECTED", f"vertex {u} is a cut vertex", (u,)))
+    for u in cut_vertices(G.rotation):
+        v.append(Violation("NOT_2_CONNECTED", f"vertex {u} is a cut vertex", (u,)))
 
     return ValidationReport(not v, tuple(v))
+
+
+def cut_vertices(rotation: dict[int, list[int]]) -> list[int]:
+    """The cut vertices of a connected graph with at least two vertices,
+    given by its rotation, sorted: one depth-first search with lowpoints,
+    O(n + m). The root is one when it has two or more tree children, any
+    other vertex u when a child's subtree reaches no vertex above u."""
+    root = min(rotation)
+    depth, low, parent = {root: 0}, {root: 0}, {root: root}
+    cut, root_children = set(), 0
+    # each entry: a vertex and the iterator over its neighbours left to visit
+    stack = [(root, iter(rotation[root]))]
+    while stack:
+        u, rest = stack[-1]
+        for w in rest:
+            if w not in depth:
+                depth[w] = low[w] = depth[u] + 1
+                parent[w] = u
+                stack.append((w, iter(rotation[w])))
+                break
+            if w != parent[u]:
+                low[u] = min(low[u], depth[w])
+        else:
+            stack.pop()
+            p = parent[u]
+            if p == root and u != root:
+                root_children += 1
+            elif u != root:
+                low[p] = min(low[p], low[u])
+                if low[u] >= depth[p]:
+                    cut.add(p)
+    if root_children >= 2:
+        cut.add(root)
+    return sorted(cut)
 
 
 # the most one-vertex moves tough_set_near makes from one candidate set
@@ -249,11 +279,12 @@ def is_tough_set(G: PlaneTriangulation, S: Sequence[int]) -> bool:
             and components_without(G, S) >= len(S))
 
 
-def tough_set_near(G: PlaneTriangulation, candidates: Iterable[Iterable[int]]) -> list[int] | None:
+def tough_set_near(G: PlaneTriangulation, candidates: Iterable[Iterable[int]],
+                   moves: int = TOUGH_SET_MOVES) -> list[int] | None:
     """The first tough set found from ``candidates``, sorted, or None.
 
     Each candidate vertex set is checked as it is; then, candidate by
-    candidate, up to ``TOUGH_SET_MOVES`` greedy moves are made from it, each
+    candidate, up to ``moves`` greedy moves are made from it, each
     adding or removing the one vertex that raises c(G - S) - |S| the most
     (the smallest label on a tie) while one raises it, and the set is
     checked after each move. Every set returned has passed ``is_tough_set``.
@@ -264,7 +295,7 @@ def tough_set_near(G: PlaneTriangulation, candidates: Iterable[Iterable[int]]) -
             return sorted(S)
     for S in candidates:
         excess = components_without(G, S) - len(S)
-        for _ in range(TOUGH_SET_MOVES):
+        for _ in range(moves):
             best = None
             for v in sorted(G.rotation):
                 T = S ^ {v}

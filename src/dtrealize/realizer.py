@@ -8,7 +8,9 @@ stops the search may point at a tough set, which refutes every outer face
 (README, "Refutation"); a set that passes ``plane_graph.is_tough_set`` goes
 into that face's diagnostics as ``tough_set``, and the later faces are
 listed as REFUTED and not searched, so their angle LPs are never solved.
-The status stays UNKNOWN.
+The dual read is the first iterate's that proves t* <= ``angles.T_STAR_MIN``
+where a candidate set read from it passes as it is, and the converged one
+otherwise. The status stays UNKNOWN.
 """
 
 from __future__ import annotations
@@ -50,10 +52,12 @@ class RealizeConfig:
     can overrun it by at most one stage that is not interrupted once started:
 
     - the build of the graph's angle LP table, before the first face;
-    - one face's angle LP, Newton step and layout, then its system build and
-      solve start-up (compiling the system and building its start
-      assignment); or, where it stops at the angle LP on a maximal planar
-      graph, the reading of its dual for a tough set;
+    - one face's angle LP, with, on a maximal planar graph, the reading of
+      the dual of the iterate where its decision stop asks, then its Newton
+      step and layout, then its system build and solve start-up (compiling
+      the system and building its start assignment); or, where it stops at
+      the angle LP on a maximal planar graph after the LP has converged,
+      the reading of its dual for a tough set;
     - one certify call, then the draw of the next candidate: a jitter, or the
       radius fit and exact gate of each rounding candidate up to the next one
       that passes.
@@ -192,10 +196,6 @@ def _float_radius(G: PlaneTriangulation, pts: Sequence[tuple[float, float]]) -> 
     return min(d_n, d_c, d_a) / 3.0
 
 
-# a face whose angle LP optimum is not above this is not searched
-T_STAR_MIN = 1e-6
-
-
 def _rescale_warm(pts: list[tuple[float, float]], r: float) -> list[tuple[float, float]]:
     """Uniformly upscale a placement of float radius ``r`` past unit-stencil
     robustness; a placement with ``r <= 0`` realizes nothing and is kept as is."""
@@ -212,10 +212,13 @@ def _angle_warm_start(H: PlaneTriangulation,
     the upscale.
 
     Returns the placement, or None with the diagnostics of the stage that
-    stopped: the LP optimum t* (units of pi) is not above ``T_STAR_MIN``,
+    stopped: the LP optimum t* (units of pi) is not above
+    ``angles.T_STAR_MIN``, or a decision stop bounded it there (``t_bound``),
     Newton did not converge, or the layout does not realize H in floats.
     """
-    if not (lp.converged and lp.t_star > T_STAR_MIN):
+    if lp.t_bound is not None:
+        return None, {"solver_status": "ANGLE_LP", "t_bound": lp.t_bound}
+    if not (lp.converged and lp.t_star > angles.T_STAR_MIN):
         return None, {"solver_status": "ANGLE_LP", "t_star": lp.t_star}
     cs = angles.corners(H.n, H.inner_faces())
     x = angles.maximise_volume(cs, lp.angles)
@@ -292,20 +295,37 @@ def realize(G: PlaneTriangulation, config: RealizeConfig | None = None,
         table = angles.lp_table(G)
     # a tough set refutes every outer face of a maximal planar graph
     refuted, maximal = False, len(G.outer_face) == 3
+    # the tough set read from the dual of the last decision stop asked
+    stop_set: list[int] | None = None
+
+    def enough(lp: angles.AngleLPResult) -> bool:
+        """Whether a decision stop's iterate, whose dual bounds t* <=
+        T_STAR_MIN, is enough: always on a disk; on a maximal planar graph,
+        when a raw reading of that dual, with no greedy moves, is a tough set."""
+        nonlocal stop_set
+        if not maximal:
+            return True
+        stop_set = tough_set_near(G, angles.dual_readings(table, lp), moves=0)
+        return stop_set is not None
+
     diagnostics = []
     for k, face in enumerate(candidates):
-        H = reembed_with_outer_face(G, face)
-        record = {"outer_face": list(H.outer_face)}
         now = time.monotonic()
         if refuted or now > deadline:
-            warm = None
-            record["solver_status"] = "REFUTED" if refuted else "DEADLINE"
-        elif warm_points is None:
-            lp = angles.solve_angle_lp(table, face)
+            # G is valid, so face 0 is its designated outer face, which keeps
+            # its own rotation; re-embedding leaves every other face as it is
+            diagnostics.append({"outer_face": list(G.outer_face) if k == 0 else list(face),
+                                "solver_status": "REFUTED" if refuted else "DEADLINE"})
+            continue
+        H = reembed_with_outer_face(G, face)
+        record = {"outer_face": list(H.outer_face)}
+        if warm_points is None:
+            lp = angles.solve_angle_lp(table, face, enough)
             warm, stopped = _angle_warm_start(H, lp)
             record.update(stopped)
             if maximal and stopped.get("solver_status") == "ANGLE_LP":
-                tough_set = tough_set_near(G, angles.dual_readings(table, lp))
+                tough_set = (stop_set if lp.t_bound is not None
+                             else tough_set_near(G, angles.dual_readings(table, lp)))
                 if tough_set is not None:
                     record["tough_set"], refuted = tough_set, True
         else:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dtrealize import angles
-from dtrealize.instances import fan_triangulation, random_instance
+from dtrealize.instances import fan_triangulation, random_instance, stacked_triangulation
 from dtrealize.plane_graph import _canon_cycle, candidate_outer_faces, reembed_with_outer_face
 
 from test_acceptance import CASES
@@ -40,11 +40,11 @@ def _inner_corners(H):
     return angles.corners(H.n, H.inner_faces())
 
 
-def _solve_with(monkeypatch, eliminated, table, face):
+def _solve_with(monkeypatch, eliminated, table, face, enough=None):
     """``solve_angle_lp`` by the eliminated backend or by the dense one,
     whatever the LP's size."""
     monkeypatch.setattr(angles, "ELIMINATED_MIN_ROWS", 0 if eliminated else math.inf)
-    return angles.solve_angle_lp(table, face)
+    return angles.solve_angle_lp(table, face, enough)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -325,6 +325,122 @@ def test_both_backends_agree_face_by_face(monkeypatch):
             assert np.abs(got.angles - ref.angles).max() <= angle_tol
 
 
+def _stop_graphs():
+    """The graphs the decision stop is tested on: ``_lp_graphs()``, the
+    Kleetope of the Kleetope and ``stacked_triangulation(20, s)``,
+    s = 0..4, whose faces mostly have t* <= T_STAR_MIN."""
+    return _lp_graphs() + [bipyramid_kleetope(2)] + [stacked_triangulation(20, s)
+                                                     for s in range(5)]
+
+
+@pytest.fixture(scope="module")
+def stops():
+    """Per face of ``_stop_graphs()`` and backend: the graph's table, the
+    face, whether the backend is the eliminated one, and the face's LP solved
+    with a stop that takes every iterate it is offered and without one."""
+    out = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for G in _stop_graphs():
+            table = angles.lp_table(G)
+            for face in candidate_outer_faces(G):
+                for eliminated in (False, True):
+                    out.append((table, face, eliminated,
+                                _solve_with(monkeypatch, eliminated, table, face, lambda lp: True),
+                                _solve_with(monkeypatch, eliminated, table, face)))
+    return out
+
+
+def test_a_stop_bounds_t_star_from_above(stops):
+    """Where a decision stop ends a face's solve, its bound is at most
+    ``T_STAR_MIN`` and at least the t* of the solve run to ``LP_TOL``, less
+    1e-9; the result is not converged. Every stop is on a face whose
+    converged t* is <= T_STAR_MIN, and the Kleetope's face 0 has t* = -1/12
+    (the 5 bipyramid vertices leave 6 components)."""
+    stopped = 0
+    for _, _, _, got, full in stops:
+        assert full.converged
+        if got.t_bound is None:
+            continue
+        stopped += 1
+        assert not got.converged
+        assert full.t_star <= angles.T_STAR_MIN
+        assert full.t_star - 1e-9 <= got.t_bound <= angles.T_STAR_MIN
+    assert stopped >= 290
+    G = bipyramid_kleetope()
+    face_0 = angles.solve_angle_lp(angles.lp_table(G), candidate_outer_faces(G)[0])
+    assert face_0.converged and face_0.t_star == pytest.approx(-1 / 12, abs=1e-6)
+
+
+def test_a_stop_bound_is_above_linprog_t_star(stops):
+    """Each stop's bound is at least linprog's t* of the face's LP."""
+    optimize = pytest.importorskip("scipy.optimize")
+    optima = {}
+    for table, face, _, got, _ in stops:
+        if got.t_bound is None:
+            continue
+        key = (id(table), tuple(face))
+        if key not in optima:
+            lp = angle_lp(table, face)
+            ref = optimize.linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None),
+                                   method="highs")
+            assert ref.status == 0
+            optima[key] = ref.x[lp.tau] - 1.0
+        assert got.t_bound >= optima[key]
+
+
+def test_the_bound_holds_at_any_dual_point():
+    """The weak-duality bound of a dual point y is at least t* wherever y
+    lies: at the optimal dual of every candidate face of the Kleetope and of
+    ``stacked_triangulation(12, 0..2)``, and at that dual moved by seeded
+    noise of sizes 1e-4 to 1, which leaves some reduced costs negative, so
+    that b y alone would fall below t*. Its bound on each column is
+    min_i b_i / A_ij over the column's nonzeros, read off the dense LP."""
+    rng = np.random.default_rng(0)
+    below = 0
+    for G in [bipyramid_kleetope()] + [stacked_triangulation(12, s) for s in range(3)]:
+        table = angles.lp_table(G)
+        for face in candidate_outer_faces(G):
+            cut = angles._cut(table, face)
+            lp = angle_lp(table, face)
+            full = angles.solve_angle_lp(table, face)
+            assert full.converged
+            stop = angles._Stop(cut[:5], None)
+            ratios = lp.b[:, None] / np.where(lp.A > 0, lp.A, np.nan)
+            assert np.array_equal(stop.upper, np.nanmin(ratios, axis=0))
+            y_star = full.dual[cut[6]]
+            for scale in (0.0, 1e-4, 1e-2, 1.0):
+                y = y_star + scale * rng.standard_normal(len(y_star))
+                bound = stop.bound(y, lp.c - lp.A.T @ y)
+                assert bound >= full.t_star - 1e-9
+                below += -(lp.b @ y) - 1.0 < full.t_star - 1e-9
+    assert below >= 50
+
+
+def test_a_stop_leaves_every_other_solve_bit_for_bit(stops, monkeypatch):
+    """A stop that takes any iterate it is offered leaves the solve as it is,
+    bit for bit in t*, angles and dual, unless it ends it: so on every face
+    whose t* is above ``T_STAR_MIN``. Where it ends a solve, a stop that
+    answers no instead is asked once, and the solve runs on to the bits of
+    the solve without a stop."""
+    above = refused = 0
+    for table, face, eliminated, taken, full in stops:
+        results = [taken]
+        if taken.t_bound is not None:
+            asked = []
+            results = [_solve_with(monkeypatch, eliminated, table, face,
+                                   lambda lp: asked.append(lp.t_bound) and False)]
+            assert len(asked) == 1 and asked[0] == taken.t_bound
+            refused += 1
+        else:
+            above += full.t_star > angles.T_STAR_MIN
+        for got in results:
+            assert got.t_bound is None and got.converged == full.converged
+            assert got.t_star == full.t_star
+            assert np.array_equal(got.angles, full.angles)
+            assert np.array_equal(got.dual, full.dual)
+    assert above >= 200 and refused >= 290
+
+
 def test_the_cut_is_the_lp_held_sparse():
     """``_cut`` holds exactly the row-by-row LP of each face: each column but
     tau as one nonzero per block of rows, the edge rows exactly the rows from
@@ -409,9 +525,9 @@ def test_the_backend_is_chosen_by_the_lp_size():
         "from dtrealize import angles\n"
         "from dtrealize.instances import random_instance\n"
         "mehrotra = angles._mehrotra\n"
-        "def recorded(lp, b, tau):\n"
+        "def recorded(lp, b, tau, stop=None):\n"
         "    print(len(b), type(lp).__name__, 'dtrealize.lp_stacks' in sys.modules)\n"
-        "    return mehrotra(lp, b, tau)\n"
+        "    return mehrotra(lp, b, tau, stop)\n"
         "angles._mehrotra = recorded\n"
         "for seed in (1005, 1004):\n"
         "    G = random_instance(12, seed)[1]\n"

@@ -1,10 +1,13 @@
 """Rotation systems, face traversal, validation, re-embedding."""
 
+import random
+
 import pytest
 
 from dtrealize import plane_graph
+from dtrealize.instances import fan_triangulation, stacked_triangulation
 from dtrealize.plane_graph import (AsymmetricEdge, FaceNotFound, NotConnected,
-                                   PlaneGraphError, PlaneTriangulation, _same_cycle,
+                                   PlaneGraphError, PlaneTriangulation, Violation, _same_cycle,
                                    build_triangulation, candidate_outer_faces,
                                    faces_from_rotation, reembed_with_outer_face,
                                    validate_triangulation)
@@ -131,6 +134,98 @@ def test_validate_cut_vertex():
     report = validate_triangulation(G)
     rules = {v.rule for v in report.violations}
     assert "NOT_2_CONNECTED" in rules
+
+
+def _cut_vertices_by_removal(G):
+    """The cut vertices of G, sorted, by the check ``validate_triangulation``
+    made before its lowpoint search: one breadth-first search of the graph
+    without each vertex, over a rotation rebuilt without it."""
+    labels = sorted(G.rotation)
+    cut = []
+    for u in labels:
+        rot = {x: [y for y in G.rotation[x] if y != u] for x in labels if x != u}
+        try:
+            plane_graph._check_connected(rot)
+        except NotConnected:
+            cut.append(u)
+    return cut
+
+
+def _with_outer_face(rotation):
+    """The graph of ``rotation``, relabelled 1..n in label order, with its
+    longest face as the outer face, so that validation reaches the
+    cut-vertex check."""
+    label = {v: i for i, v in enumerate(sorted(rotation), start=1)}
+    rot = {label[v]: [label[w] for w in nbrs] for v, nbrs in rotation.items()}
+    return PlaneTriangulation(len(rot), rot, tuple(max(faces_from_rotation(rot), key=len)))
+
+
+def _without(G, removed):
+    return {v: [w for w in nbrs if w not in removed]
+            for v, nbrs in G.rotation.items() if v not in removed}
+
+
+def _glued(graphs):
+    """The graphs glued in a chain, each one's vertex 1 to the last vertex of
+    the one before, which becomes a cut vertex; the glued vertex's rotation
+    is the two rotations one after the other, so the embedding stays plane."""
+    rotation, offset = {}, 0
+    for G in graphs:
+        shift = {v: v + offset - (offset > 0) for v in G.rotation}
+        for v, nbrs in G.rotation.items():
+            rotation.setdefault(shift[v], []).extend(shift[w] for w in nbrs)
+        offset = max(rotation)
+    return rotation
+
+
+def _random_connected(n, extra, rng):
+    """A random tree on 1..n plus ``extra`` random chords, with every
+    rotation shuffled (the embedding need not be plane)."""
+    edges = {(rng.randrange(1, v), v) for v in range(2, n + 1)}
+    for _ in range(extra):
+        u, w = rng.sample(range(1, n + 1), 2)
+        edges.add((min(u, w), max(u, w)))
+    rotation = {v: [] for v in range(1, n + 1)}
+    for u, w in edges:
+        rotation[u].append(w)
+        rotation[w].append(u)
+    for nbrs in rotation.values():
+        rng.shuffle(nbrs)
+    return rotation
+
+
+def test_cut_vertices_match_the_check_by_removal():
+    """The lowpoint search reports the cut vertices, in label order, that a
+    breadth-first search of the graph without each vertex finds, on stacked
+    triangulations, fans, disks (a stacked triangulation without one
+    vertex, or two), graphs glued at planted cut vertices, and random trees
+    with chords."""
+    rng = random.Random(0)
+    graphs = [stacked_triangulation(n, s) for n in range(4, 30, 3) for s in range(5)]
+    graphs += [fan_triangulation(n) for n in range(4, 13)]
+    for n in (8, 10, 12, 14):
+        for s in range(8):
+            G = stacked_triangulation(n, s)
+            graphs.append(_with_outer_face(_without(G, {n})))
+            u = rng.choice(G.rotation[n])
+            graphs.append(_with_outer_face(_without(G, {n, u})))
+    for s in range(30):
+        parts = [stacked_triangulation(rng.randrange(4, 9), s + k)
+                 for k in range(rng.randrange(2, 4))]
+        graphs.append(_with_outer_face(_glued(parts)))
+    for s in range(60):
+        graphs.append(_with_outer_face(_random_connected(rng.randrange(2, 25),
+                                                         rng.randrange(0, 12), rng)))
+    assert len(graphs) >= 200
+    with_cut = 0
+    for G in graphs:
+        want = _cut_vertices_by_removal(G)
+        assert plane_graph.cut_vertices(G.rotation) == want
+        got = [v for v in validate_triangulation(G).violations if v.rule == "NOT_2_CONNECTED"]
+        assert got == [Violation("NOT_2_CONNECTED", f"vertex {u} is a cut vertex", (u,))
+                       for u in want]
+        with_cut += bool(want)
+    assert with_cut >= 70
 
 
 def test_validate_outer_not_a_face():

@@ -395,9 +395,9 @@ def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
     # 0.05 s budget runs out part way through the 18
     solve_angle_lp = angles.solve_angle_lp
 
-    def slow(table, face):
+    def slow(table, face, enough=None):
         time.sleep(0.01)
-        return solve_angle_lp(table, face)
+        return solve_angle_lp(table, face, enough)
 
     monkeypatch.setattr(angles, "solve_angle_lp", slow)
     monkeypatch.setattr(angles, "dual_readings", lambda table, lp: [])
@@ -422,13 +422,13 @@ def test_each_searched_face_is_solved_alone_once(monkeypatch, graph, reads_duals
     faces, backends = [], []
     solve_angle_lp, mehrotra = angles.solve_angle_lp, angles._mehrotra
 
-    def recorded_face(table, face):
+    def recorded_face(table, face, enough=None):
         faces.append(tuple(face))
-        return solve_angle_lp(table, face)
+        return solve_angle_lp(table, face, enough)
 
-    def recorded_backend(lp, b, tau):
+    def recorded_backend(lp, b, tau, stop=None):
         backends.append(type(lp))
-        return mehrotra(lp, b, tau)
+        return mehrotra(lp, b, tau, stop)
 
     monkeypatch.setattr(angles, "solve_angle_lp", recorded_face)
     monkeypatch.setattr(angles, "_mehrotra", recorded_backend)
@@ -605,9 +605,10 @@ def test_single_face_graphs_once_lost_by_the_search_are_realized(n, seed):
 
 
 def test_kleetope_stops_at_the_angle_lp_on_every_face():
-    """The Kleetope stops at face 0's angle LP, whose dual gives the tough
-    set of the 5 bipyramid vertices; the other 17 faces are listed as
-    refuted, not searched."""
+    """The Kleetope stops at face 0's angle LP, at an iterate whose dual
+    bounds t* (-1/12, ``tests/test_angles.py``) and gives the tough set of
+    the 5 bipyramid vertices; the other 17 faces are listed as refuted, not
+    searched."""
     G = bipyramid_kleetope()
     res, elapsed = _timed_realize(G, 2.0)
     assert res.status == "UNKNOWN"
@@ -615,8 +616,7 @@ def test_kleetope_stops_at_the_angle_lp_on_every_face():
     assert len(res.diagnostics) == 18
     first, *rest = res.diagnostics
     assert first["solver_status"] == "ANGLE_LP"
-    assert first["t_star"] < 0
-    assert first["t_star"] == pytest.approx(-1 / 12, abs=1e-6)
+    assert -1 / 12 - 1e-9 <= first["t_bound"] <= angles.T_STAR_MIN
     assert first["tough_set"] == [1, 2, 3, 4, 5]
     for d in rest:
         assert d.keys() == {"outer_face", "solver_status"}
@@ -637,6 +637,29 @@ def test_kleetope_faces_are_derived_once_per_call(monkeypatch):
     res = realize(G, RealizeConfig(time_budget=2))
     assert res.status == "UNKNOWN" and len(res.diagnostics) == 18
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize("budget, status", [(0, "DEADLINE"), (None, "REFUTED")])
+def test_faces_not_searched_are_not_re_embedded(monkeypatch, budget, status):
+    """A face listed as DEADLINE or REFUTED is not re-embedded, and its
+    entry's ``outer_face`` is the list re-embedding gives: face 0 keeps the
+    designated outer face of G as given, (4, 1, 6), started at another
+    vertex than G's face cycle (1, 6, 4)."""
+    G = bipyramid_kleetope()
+    faces = candidate_outer_faces(G)
+    want = [list(plane_graph.reembed_with_outer_face(G, f).outer_face) for f in faces]
+    assert want[0] == list(G.outer_face) != faces[0]
+    reembed, reembedded = realizer.reembed_with_outer_face, []
+
+    def counted(G, face):
+        reembedded.append(face)
+        return reembed(G, face)
+
+    monkeypatch.setattr(realizer, "reembed_with_outer_face", counted)
+    res = realize(G, RealizeConfig(time_budget=budget))
+    assert [d["outer_face"] for d in res.diagnostics] == want
+    skipped = [d["solver_status"] for d in res.diagnostics[len(reembedded):]]
+    assert len(reembedded) == (budget is None) and skipped == [status] * len(skipped)
 
 
 def test_realize_runs_no_base_system(monkeypatch):

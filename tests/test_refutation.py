@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dtrealize import realizer
+from dtrealize import angles, realizer
 from dtrealize.instances import fan_triangulation, random_instance, stacked_triangulation
 from dtrealize.plane_graph import components_without, is_tough_set
 from dtrealize.realizer import realize
@@ -102,3 +102,56 @@ def test_every_reported_tough_set_passes_the_oracle(corpus_results):
             assert tough_sets.is_tough(G.rotation, sets[0])
             reported += 1
     assert reported
+
+
+def _refutations(graphs):
+    """Per graph, the position of the face whose entry holds a tough set, and
+    that entry, or None."""
+    out = []
+    for G in graphs:
+        found = [(k, d) for k, d in enumerate(realize(G).diagnostics) if "tough_set" in d]
+        assert all(tough_sets.is_tough(G.rotation, d["tough_set"]) for _, d in found)
+        out.append(found[0] if found else (None, None))
+    return out
+
+
+def test_a_stop_refutes_at_the_face_converged_duals_do(monkeypatch):
+    """On ``stacked_triangulation(n, s)``, n = 10, 20 and 30, s = 0..19,
+    ``realize`` refutes at the same face, or at none, as when every face's
+    LP is solved to ``LP_TOL`` and only its converged dual is read; most of
+    the graphs are refuted, and most of those at a decision stop."""
+    graphs = [stacked_triangulation(n, s) for n in (10, 20, 30) for s in range(20)]
+    stopped = _refutations(graphs)
+    solve_angle_lp = angles.solve_angle_lp
+    monkeypatch.setattr(angles, "solve_angle_lp",
+                        lambda table, face, enough=None: solve_angle_lp(table, face))
+    converged = _refutations(graphs)
+    assert [k for k, _ in stopped] == [k for k, _ in converged]
+    assert all(d is None or "t_bound" not in d for _, d in converged)
+    assert sum(k is not None for k, _ in stopped) >= 35
+    assert sum(d is not None and "t_bound" in d for _, d in stopped) >= 20
+
+
+def test_the_benchmark_kleetope_forms_4_normal_equations(monkeypatch):
+    """Each seed 0..9 of the benchmark's Kleetope is refuted at face 0 at a
+    decision stop, after forming its normal equations 4 times (the start and
+    3 iterations), where the solve to ``LP_TOL`` forms them 7 times."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    form, forms = angles._Dense.form, []
+
+    def counted(lp, d, shift):
+        forms.append(1)
+        return form(lp, d, shift)
+
+    monkeypatch.setattr(angles._Dense, "form", counted)
+    solve_angle_lp = angles.solve_angle_lp
+    for seed in range(10):
+        G = workloads.bipyramid_kleetope(seed)[0]
+        forms.clear()
+        first = realize(G, realizer.RealizeConfig(time_budget=2)).diagnostics[0]
+        assert "tough_set" in first and "t_bound" in first
+        assert len(forms) == 4
+        forms.clear()
+        solve_angle_lp(angles.lp_table(G), realizer.candidate_outer_faces(G)[0])
+        assert len(forms) == 7

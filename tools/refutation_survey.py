@@ -8,9 +8,10 @@ Imports ``dtrealize`` from ``ROOT/src`` (default: this checkout) and runs
 ``REALIZED``; how many carry a tough set found at face 0 and at a later
 face; how many ended ``UNKNOWN`` without one; the total time spent reading
 duals (``angles.dual_readings`` and ``tough_set_near``, timed by wrappers);
-the most one call spent reading; and the most one ``REALIZED`` call spent
-reading. Every reported set is checked again here by ``is_tough_set``. It
-takes about a minute.
+the most one call spent reading; the most one ``REALIZED`` call spent
+reading; and the total time spent in ``angles.solve_angle_lp``, less the
+reading a decision stop does inside it. Every reported set is checked again
+here by ``is_tough_set``. It takes about a minute.
 """
 
 from __future__ import annotations
@@ -30,24 +31,27 @@ def main(argv: list[str]) -> int:
     from dtrealize.instances import stacked_triangulation
     from dtrealize.plane_graph import is_tough_set
 
-    reading = [0.0]
+    reading, solving = [0.0], [0.0]
 
-    def timed(function):
-        def wrapper(*args):
-            t0 = time.perf_counter()
+    def timed(function, spent):
+        def wrapper(*args, **kwargs):
+            t0, read = time.perf_counter(), reading[0]
             try:
-                return function(*args)
+                return function(*args, **kwargs)
             finally:
-                reading[0] += time.perf_counter() - t0
+                # less the reading done inside the call, counted once, as reading
+                spent[0] += time.perf_counter() - t0 - (reading[0] - read)
         return wrapper
 
-    angles.dual_readings = timed(angles.dual_readings)
-    realizer.tough_set_near = timed(realizer.tough_set_near)
+    angles.dual_readings = timed(angles.dual_readings, reading)
+    realizer.tough_set_near = timed(realizer.tough_set_near, reading)
+    angles.solve_angle_lp = timed(angles.solve_angle_lp, solving)
     print("n   realized  refuted@0  refuted@later  unrefuted  read_total_s  "
-          "read_max_s  read_max_realized_s")
+          "read_max_s  read_max_realized_s  lp_s")
     for n in SIZES:
         realized = at_first = later = unrefuted = 0
         total = most = most_realized = 0.0
+        solving[0] = 0.0
         for s in SEEDS:
             G = stacked_triangulation(n, s)
             reading[0] = 0.0
@@ -67,7 +71,7 @@ def main(argv: list[str]) -> int:
             else:
                 unrefuted += 1
         print(f"{n:<3} {realized:>8}  {at_first:>9}  {later:>13}  {unrefuted:>9}  "
-              f"{total:>12.3f}  {most:>10.3f}  {most_realized:>19.3f}")
+              f"{total:>12.3f}  {most:>10.3f}  {most_realized:>19.3f}  {solving[0]:>4.3f}")
     return 0
 
 
