@@ -67,14 +67,16 @@ LP_TOL = 1e-9
 LP_REGULARIZATION = 1e-14
 LP_MAX_ITERATIONS = 200
 # an LP of at least this many rows is solved by lp_stacks._Eliminated, a
-# smaller one by _Dense. One LP alone, one BLAS thread, best of 5, dense
-# against eliminated: 0.70 against 0.74 ms at m = 50, 0.77 against 0.71 ms on
-# the 11-vertex Kleetope (m = 53), 0.91 against 0.78 ms at m = 62 and 204
-# against 28 ms at n = 120 (m = 686). A face LP has 6n - 3h - 4 rows for h
-# hull vertices, so 56 is the first size past the Kleetope's: where the two
-# are within 10 %, the Kleetope and the benchmark's LPs (m <= 35) stay dense
-# and its processes, which compile what they import, never load lp_stacks
-ELIMINATED_MIN_ROWS = 56
+# smaller one by _Dense: the smallest size from which the eliminated backend
+# is faster on every face-0 LP of tools/lp_backends.py's corpus (one BLAS
+# thread), as that tool prints it; rerun it when either backend changes, as
+# 56 went stale within two changes. Eliminated / dense there: 1.14-1.24 at
+# m = 35-38, 1.01-1.13 at m = 41-44, 0.95-1.08 at m = 47, 0.90-0.99 at
+# m = 50 and 0.75-0.84 at m = 53, the 11-vertex Kleetope's. A face LP has
+# 6n - 3h - 4 rows for h hull vertices: the realize-mix benchmark's LPs
+# (m <= 35) stay dense, and its processes, which compile what they import,
+# never load lp_stacks; the unrealizable benchmark's Kleetope is eliminated
+ELIMINATED_MIN_ROWS = 47
 # dual_readings reads a face's dual at each of these thresholds on |y|
 DUAL_THRESHOLDS = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
 # Newton stops once no angle moves by more than this many radians
@@ -94,29 +96,30 @@ class Corners:
     pair): two for an edge of two of the faces, one for an edge of one.
     """
     faces: tuple[tuple[int, int, int], ...]
-    at_vertex: dict[int, list[int]]
     opposite: dict[tuple[int, int], list[int]]
 
 
-def corners(n: int, faces: Iterable[Sequence[int]]) -> Corners:
-    """The corners of ``faces``, triangles over the vertices 1..n."""
+def corners(faces: Iterable[Sequence[int]]) -> Corners:
+    """The corners of ``faces``, triangles."""
     faces = tuple(tuple(f) for f in faces)
-    at_vertex: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     opposite: dict[tuple[int, int], list[int]] = {}
     for fi, f in enumerate(faces):
         for k in range(3):
-            at_vertex[f[k]].append(3 * fi + k)
             u, w = f[(k + 1) % 3], f[(k + 2) % 3]
             opposite.setdefault((min(u, w), max(u, w)), []).append(3 * fi + k)
-    return Corners(faces, at_vertex, opposite)
+    return Corners(faces, opposite)
 
 
 @dataclass(frozen=True)
 class LPTable:
-    """One graph's angle LP rows, over the corners ``cs`` of all its
-    triangular faces, as if every vertex were interior and every edge of two
-    faces interior: the face rows, the vertex rows, the cap on t, then the
-    edge rows (sorted), with right-hand sides ``r``.
+    """One graph's angle LP rows, over the corners of its ``nf`` triangular
+    faces, corner ``3 * f + k`` at the k-th vertex of the f-th of them in
+    ``G.faces``, and its ``n`` vertices, as if every vertex were interior and
+    every edge of two faces interior: the face rows, the vertex rows (vertex
+    v at row nf + v - 1), the cap on t, then the edge rows (in sorted edge
+    order), with right-hand sides ``r``. ``face_row`` and ``edge_row`` give
+    the row of each face, by its canonical cycle, and of each edge of two
+    faces, by its sorted vertex pair, in row order.
 
     The LP is in standard form, minimise -t subject to A x = b and x >= 0: a
     row ``sum(angles) + k t (<=|==) r`` over m corners becomes
@@ -129,7 +132,8 @@ class LPTable:
     cap; edges). ``blocks[i, col]`` is that row in block i, or -1 (always for
     ``t + 1``).
     """
-    cs: Corners
+    nf: int
+    n: int
     blocks: np.ndarray
     r: np.ndarray
     face_row: dict[tuple[int, ...], int]
@@ -137,22 +141,35 @@ class LPTable:
 
 
 def lp_table(G: PlaneTriangulation) -> LPTable:
-    cs = corners(G.n, [f for f in G.faces if len(f) == 3])
-    edges = [e for e in sorted(cs.opposite) if len(cs.opposite[e]) == 2]
-    nf, split = len(cs.faces), len(cs.faces) + G.n + 1
-    m = split + len(edges)
+    faces = [f for f in G.faces if len(f) == 3]
+    nf, n = len(faces), G.n
+    split = nf + n + 1
+    corner_vertex = np.array(faces)
+    # corner k of a face is opposite its vertices k + 1 and k + 2 (mod 3),
+    # each edge keyed min (n + 1) + max: sorted stably, the two corners of an
+    # edge of two faces are adjacent, and the edges come in sorted order
+    twice = np.concatenate([corner_vertex, corner_vertex], axis=1)
+    u, w = twice[:, 1:4], twice[:, 2:5]
+    key = (np.minimum(u, w) * (n + 1) + np.maximum(u, w)).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    pair = np.flatnonzero(key[1:] == key[:-1])
+    m = split + len(pair)
+    edge_rows = np.arange(split, m)
     blocks = np.full((3, 2 * nf + 1 + m), -1)
     blocks[0, :3 * nf] = np.arange(3 * nf) // 3
-    blocks[1, :3 * nf] = np.ravel(cs.faces) + nf - 1
-    for i, e in enumerate(edges, start=split):
-        blocks[2, cs.opposite[e]] = i
+    blocks[1, :3 * nf] = corner_vertex.ravel() + nf - 1
+    blocks[2, order[pair]] = blocks[2, order[pair + 1]] = edge_rows
     # the slack of row i is column i + 2 nf + 1; block 1 ends with the cap
-    block_1, edge_rows = np.arange(nf, split), np.arange(split, m)
+    block_1 = np.arange(nf, split)
     blocks[1, block_1 + 2 * nf + 1] = block_1
     blocks[2, edge_rows + 2 * nf + 1] = edge_rows
-    r = np.array([1.0] * nf + [2.0] * G.n + [T_CAP] + [1.0] * len(edges))
-    return LPTable(cs, blocks, r, {_canon_cycle(f): i for i, f in enumerate(cs.faces)},
-                   {e: i for i, e in enumerate(edges, start=split)})
+    r = np.ones(m)
+    r[nf:split - 1] = 2.0
+    r[split - 1] = T_CAP
+    low, high = np.divmod(key[pair], n + 1)
+    return LPTable(nf, n, blocks, r, {_canon_cycle(f): i for i, f in enumerate(faces)},
+                   dict(zip(zip(low.tolist(), high.tolist()), edge_rows.tolist())))
 
 
 def _cut(table: LPTable, face: Sequence[int]) -> tuple:
@@ -164,7 +181,7 @@ def _cut(table: LPTable, face: Sequence[int]) -> tuple:
     table's without the face's own row, if any, and its three corners, and
     without the rows of the face's interior edges and their slacks; each face
     vertex has a slack."""
-    nf, n = len(table.cs.faces), len(table.cs.at_vertex)
+    nf, n = table.nf, table.n
     slack = 2 * nf + 1   # the column of row i's slack is i + slack
     cycle = zip(face, face[1:] + face[:1])
     hull = np.array(face, dtype=int) + nf - 1
@@ -373,7 +390,8 @@ def solve_angle_lp(table: LPTable, face: Sequence[int],
     if len(b) < ELIMINATED_MIN_ROWS:
         lp = _Dense(rows, kept, a, tau)
     else:
-        # loaded by the first large LP, which no benchmark workload draws
+        # loaded by the first large LP: the unrealizable benchmark's, not
+        # realize-mix's
         from .lp_stacks import _Eliminated
         lp = _Eliminated(rows, kept, a, tau, split)
 
@@ -394,7 +412,7 @@ def dual_readings(table: LPTable, lp: AngleLPResult) -> list[frozenset[int]]:
     ``DUAL_THRESHOLDS``, D is the set of vertices whose rows have |y| above
     it, and T the set of endpoints of the edges whose rows do; the readings
     are V - D, T and T - D, in that order, each listed once."""
-    nf, n = len(table.cs.faces), len(table.cs.at_vertex)
+    nf, n = table.nf, table.n
     y = np.abs(lp.dual)
     # the edge rows are the table's last rows, in edge_row's order
     edges = np.array(list(table.edge_row), dtype=int).reshape(-1, 2)

@@ -2,8 +2,9 @@
 
 ``angles.solve_angle_lp`` runs ``angles._mehrotra`` with it on an LP of at
 least ``angles.ELIMINATED_MIN_ROWS`` rows, as ``angles._cut`` holds it,
-sparse, and loads this module only then: no benchmark workload draws such an
-LP, and each benchmark process compiles what it imports.
+sparse, and loads this module only then. Each benchmark process compiles
+what it imports: the unrealizable workload's Kleetope (53 rows) loads it,
+and the realize-mix workload, whose LPs have at most 35 rows, does not.
 """
 
 from __future__ import annotations

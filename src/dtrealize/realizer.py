@@ -220,7 +220,7 @@ def _angle_warm_start(H: PlaneTriangulation,
         return None, {"solver_status": "ANGLE_LP", "t_bound": lp.t_bound}
     if not (lp.converged and lp.t_star > angles.T_STAR_MIN):
         return None, {"solver_status": "ANGLE_LP", "t_star": lp.t_star}
-    cs = angles.corners(H.n, H.inner_faces())
+    cs = angles.corners(H.inner_faces())
     x = angles.maximise_volume(cs, lp.angles)
     if x is None:
         return None, {"solver_status": "NEWTON"}

@@ -37,7 +37,15 @@ def _lp_graphs():
 
 
 def _inner_corners(H):
-    return angles.corners(H.n, H.inner_faces())
+    return angles.corners(H.inner_faces())
+
+
+def _at_vertex(n, cs):
+    """The corners at each vertex 1..n, in corner order."""
+    at_vertex = {v: [] for v in range(1, n + 1)}
+    for corner, v in enumerate(np.ravel(cs.faces).tolist()):
+        at_vertex[v].append(corner)
+    return at_vertex
 
 
 def _solve_with(monkeypatch, eliminated, table, face, enough=None):
@@ -134,14 +142,15 @@ def _angle_lp_rows(H, cs):
     n_corners = 3 * len(cs.faces)
     tau = n_corners
     hull = set(H.outer_face)
+    at_vertex = _at_vertex(H.n, cs)
     rows = []   # corners, k, r, has slack
     for f in range(len(cs.faces)):
         rows.append(([3 * f, 3 * f + 1, 3 * f + 2], 0, 1.0, False))
     for v in range(1, H.n + 1):
         if v in hull:
-            rows.append((cs.at_vertex[v], 1, 1.0, True))
+            rows.append((at_vertex[v], 1, 1.0, True))
         else:
-            rows.append((cs.at_vertex[v], 0, 2.0, False))
+            rows.append((at_vertex[v], 0, 2.0, False))
     rows.append(([], 1, angles.T_CAP, True))
     for e in sorted(cs.opposite):
         if len(cs.opposite[e]) == 2:
@@ -179,6 +188,42 @@ def test_lp_table_cuts_the_row_by_row_lp():
                 assert np.array_equal(got, want)
 
 
+def _table_by_loop(G):
+    """The table's blocks, right-hand sides and row maps built edge by edge
+    from the corners, the reference for ``angles.lp_table``'s sort."""
+    cs = angles.corners(f for f in G.faces if len(f) == 3)
+    edges = [e for e in sorted(cs.opposite) if len(cs.opposite[e]) == 2]
+    nf, split = len(cs.faces), len(cs.faces) + G.n + 1
+    m = split + len(edges)
+    blocks = np.full((3, 2 * nf + 1 + m), -1)
+    blocks[0, :3 * nf] = np.arange(3 * nf) // 3
+    blocks[1, :3 * nf] = np.ravel(cs.faces) + nf - 1
+    for i, e in enumerate(edges, start=split):
+        blocks[2, cs.opposite[e]] = i
+    for i in range(nf, m):
+        blocks[1 if i < split else 2, i + 2 * nf + 1] = i
+    r = np.array([1.0] * nf + [2.0] * G.n + [angles.T_CAP] + [1.0] * len(edges))
+    return (blocks, r, {_canon_cycle(f): i for i, f in enumerate(cs.faces)},
+            {e: i for i, e in enumerate(edges, start=split)})
+
+
+def test_the_table_is_the_one_built_edge_by_edge():
+    """``lp_table`` gives the loop-built table bit for bit: the same blocks
+    and right-hand sides, with their dtypes, and the same face and edge rows
+    in the same order, on graphs with and without a triangular outer face."""
+    graphs = _lp_graphs() + [bipyramid_kleetope(2), bipyramid_kleetope(3)]
+    graphs += [random_instance(n, s)[1] for n in range(4, 30, 5) for s in range(1000, 1003)]
+    graphs += [stacked_triangulation(n, s) for n in (10, 50) for s in range(3)]
+    for G in graphs:
+        table = angles.lp_table(G)
+        blocks, r, face_row, edge_row = _table_by_loop(G)
+        assert (table.nf, table.n) == (len(face_row), G.n)
+        for got, want in ((table.blocks, blocks), (table.r, r)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert list(table.face_row.items()) == list(face_row.items())
+        assert list(table.edge_row.items()) == list(edge_row.items())
+
+
 def test_the_dual_is_carried_per_table_row(monkeypatch):
     """Each face's dual, from either backend, read at the table rows of the
     row-by-row LP's rows (its faces, its vertices, the cap and its interior
@@ -186,7 +231,7 @@ def test_the_dual_is_carried_per_table_row(monkeypatch):
     and b y = c x. It is 0 on the table rows the face's LP leaves out."""
     for G in _lp_graphs():
         table, faces = angles.lp_table(G), candidate_outer_faces(G)
-        nf = len(table.cs.faces)
+        nf = table.nf
         for face in faces:
             H = reembed_with_outer_face(G, face)
             cs = _inner_corners(H)
@@ -216,7 +261,7 @@ def test_the_table_grows_linearly():
         tracemalloc.stop()
     assert peak < 0.25 * 2 ** 20
     rows = len(table.r)
-    columns = 2 * len(table.cs.faces) + 1 + rows
+    columns = 2 * table.nf + 1 + rows
     for f in dataclasses.fields(table):
         value = getattr(table, f.name)
         if isinstance(value, np.ndarray):
@@ -232,7 +277,8 @@ def test_a_realization_is_a_feasible_point_of_the_lp():
         lp = angle_lp(angles.lp_table(H), H.outer_face)
         alpha = _corner_angles(cs, points) / math.pi
         hull = set(H.outer_face)
-        slacks = [1 - alpha[cs.at_vertex[v]].sum() for v in sorted(hull)]
+        at_vertex = _at_vertex(H.n, cs)
+        slacks = [1 - alpha[at_vertex[v]].sum() for v in sorted(hull)]
         slacks += [angles.T_CAP]
         slacks += [1 - alpha[cs.opposite[e]].sum() for e in sorted(cs.opposite)
                    if len(cs.opposite[e]) == 2]
@@ -285,10 +331,10 @@ def test_the_dense_backend_ends_where_interior_point_does(monkeypatch):
 
 @pytest.mark.parametrize("levels", [1, 2], ids=["kleetope", "kleetope2"])
 def test_face_lps_agree_with_linprog_on_every_face(levels):
-    """Every candidate outer face of the Kleetope (18 faces, LPs of 53 rows,
-    solved dense) and of its Kleetope (n = 29, 54 faces, 161 rows, solved
-    eliminated), each solved alone by ``solve_angle_lp``, has t* within 1e-6
-    of linprog's."""
+    """Every candidate outer face of the Kleetope (18 faces, LPs of 53 rows)
+    and of its Kleetope (n = 29, 54 faces, 161 rows), each solved alone by
+    ``solve_angle_lp``, both by the eliminated backend, has t* within 1e-6 of
+    linprog's."""
     optimize = pytest.importorskip("scipy.optimize")
     G = bipyramid_kleetope(levels)
     table, faces = angles.lp_table(G), candidate_outer_faces(G)
@@ -515,11 +561,11 @@ def _fresh_interpreter(code, **env):
 
 
 def test_the_backend_is_chosen_by_the_lp_size():
-    """An LP of 53 rows is solved dense and one of 56 by the eliminated
+    """An LP of 44 rows is solved dense and one of 47 by the eliminated
     backend, and only the second loads ``lp_stacks`` (run in a fresh
     interpreter, as the tests themselves load it). A face LP has 6n - 3h - 4
     rows for h hull vertices, so no LP lies between the two."""
-    assert 53 < angles.ELIMINATED_MIN_ROWS <= 56
+    assert 44 < angles.ELIMINATED_MIN_ROWS <= 47
     assert _fresh_interpreter(
         "import sys\n"
         "from dtrealize import angles\n"
@@ -529,10 +575,29 @@ def test_the_backend_is_chosen_by_the_lp_size():
         "    print(len(b), type(lp).__name__, 'dtrealize.lp_stacks' in sys.modules)\n"
         "    return mehrotra(lp, b, tau, stop)\n"
         "angles._mehrotra = recorded\n"
-        "for seed in (1005, 1004):\n"
-        "    G = random_instance(12, seed)[1]\n"
+        "for seed in (1000, 1005):\n"
+        "    G = random_instance(11, seed)[1]\n"
         "    angles.solve_angle_lp(angles.lp_table(G), G.outer_face)\n"
-    ) == ["53", "_Dense", "False", "56", "_Eliminated", "True"]
+    ) == ["44", "_Dense", "False", "47", "_Eliminated", "True"]
+
+
+def test_each_backend_keeps_a_benchmark_workload(monkeypatch):
+    """Every candidate face's LP of each realize-mix input,
+    ``random_instance(n, 996 + n)`` for n = 5..9 and the fan of 6 vertices
+    (14 to 35 rows), is below ``ELIMINATED_MIN_ROWS`` and so solved dense;
+    face 0's LP of the unrealizable workload's Kleetope, seeds 0..9 (53
+    rows), is not, and is solved eliminated."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    sizes = []
+    for G in [random_instance(n, 996 + n)[1] for n in range(5, 10)] + [fan_triangulation(6)]:
+        table = angles.lp_table(G)
+        sizes += [len(angles._cut(table, face)[3]) for face in candidate_outer_faces(G)]
+    assert min(sizes) == 14 and max(sizes) == 35 < angles.ELIMINATED_MIN_ROWS
+    for seed in range(10):
+        G = workloads.bipyramid_kleetope(seed)[0]
+        b = angles._cut(angles.lp_table(G), candidate_outer_faces(G)[0])[3]
+        assert angles.ELIMINATED_MIN_ROWS <= len(b) == 53
 
 
 def test_the_lp_never_returns_nan():

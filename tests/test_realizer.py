@@ -15,6 +15,7 @@ from dtrealize.constraints import (STENCIL, build_constsqu, constsqu_stencil, ev
                                    repair_radii, satisfied_exact)
 from dtrealize.geometry import dist_sq, pt
 from dtrealize.instances import fan_triangulation, random_instance
+from dtrealize.lp_stacks import _Eliminated
 from dtrealize.plane_graph import build_triangulation, candidate_outer_faces
 from dtrealize.realizer import RealizeConfig, certify, realize, scale_to_integers
 from reference_geometry import circumcenter
@@ -416,9 +417,9 @@ def test_faces_after_the_deadline_are_listed_not_searched(monkeypatch):
 def test_each_searched_face_is_solved_alone_once(monkeypatch, graph, reads_duals, searched):
     """realize() solves the angle LP of each face it searches when it
     searches it, alone, by one backend call: K4 succeeds on its first face,
-    and the Kleetope is refuted there; with its duals read as finding no
-    tough set, each of the Kleetope's 18 faces is solved once, all dense
-    (53 rows)."""
+    solved dense, and the Kleetope is refuted there; with its duals read as
+    finding no tough set, each of the Kleetope's 18 faces is solved once,
+    all by the eliminated backend (53 rows)."""
     faces, backends = [], []
     solve_angle_lp, mehrotra = angles.solve_angle_lp, angles._mehrotra
 
@@ -438,29 +439,32 @@ def test_each_searched_face_is_solved_alone_once(monkeypatch, graph, reads_duals
     res = realize(G)
     assert res.status == ("REALIZED" if graph is k4 else "UNKNOWN")
     assert faces == [tuple(f) for f in candidate_outer_faces(G)[:searched]]
-    assert backends == [angles._Dense] * searched
+    assert backends == [angles._Dense if graph is k4 else _Eliminated] * searched
 
 
 def test_a_call_that_succeeds_on_its_first_face_never_loads_lp_stacks():
     """``lp_stacks`` is loaded only for an LP of at least
     ``angles.ELIMINATED_MIN_ROWS`` rows, so a realize call that succeeds on
     its first small face, on a graph with one candidate face or on a maximal
-    planar one, never imports it (run in a fresh interpreter, as the tests
-    themselves load it)."""
+    planar one, never imports it: not on the realize-mix workload's inputs,
+    ``random_instance(n, 996 + n)`` for n = 5..9 and the fan of 6 vertices,
+    nor on ``random_instance(7, 1003)`` and K4 (run in a fresh interpreter,
+    as the tests themselves load it)."""
     code = (
         "import sys\n"
-        "from dtrealize.instances import random_instance\n"
+        "from dtrealize.instances import fan_triangulation, random_instance\n"
         "from dtrealize.plane_graph import build_triangulation, candidate_outer_faces\n"
         "from dtrealize.realizer import realize\n"
         f"k4 = build_triangulation(4, {K4_ROT!r}, (1, 3, 2))\n"
-        "for G in (random_instance(7, 1003)[1], k4):\n"
+        "graphs = [random_instance(n, 996 + n)[1] for n in range(5, 10)]\n"
+        "for G in graphs + [fan_triangulation(6), random_instance(7, 1003)[1], k4]:\n"
         "    print(realize(G).status, len(candidate_outer_faces(G)))\n"
         "print('dtrealize.lp_stacks' in sys.modules)\n")
     src = str(Path(realizer.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          timeout=120, check=True).stdout.split()
-    assert out == ["REALIZED", "1", "REALIZED", "4", "False"]
+    assert out == ["REALIZED", "1"] * 7 + ["REALIZED", "4", "False"]
 
 
 def test_no_certify_call_starts_after_the_deadline(monkeypatch):

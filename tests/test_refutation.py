@@ -11,6 +11,7 @@ import pytest
 
 from dtrealize import angles, realizer
 from dtrealize.instances import fan_triangulation, random_instance, stacked_triangulation
+from dtrealize.lp_stacks import _Eliminated
 from dtrealize.plane_graph import components_without, is_tough_set
 from dtrealize.realizer import realize
 
@@ -39,12 +40,12 @@ def test_the_check_rejects_mutated_sets(S):
 
 
 @pytest.mark.parametrize("levels", [1, 2])
-def test_the_kleetope_is_refuted_at_face_0_without_lp_stacks(levels):
+def test_the_kleetope_is_refuted_at_face_0_by_the_eliminated_backend(levels):
     """Both Kleetope levels answer UNKNOWN in under 1 s with a tough set at
     face 0, which the oracle confirms, and every later face listed as
-    refuted. ``lp_stacks`` is loaded only at level 2, whose face-0 LP (161
-    rows) takes the eliminated backend; level 1's (53 rows) is solved dense
-    (a fresh interpreter, as the tests themselves load it)."""
+    refuted. Both face-0 LPs, of 53 rows at level 1 and 161 at level 2, take
+    the eliminated backend, so both calls load ``lp_stacks`` (a fresh
+    interpreter, as the tests themselves load it)."""
     G = bipyramid_kleetope(levels)
     code = (
         "import json, sys, time\n"
@@ -61,7 +62,7 @@ def test_the_kleetope_is_refuted_at_face_0_without_lp_stacks(levels):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          timeout=120, check=True).stdout
     status, diagnostics, elapsed, loaded = json.loads(out)
-    assert status == "UNKNOWN" and elapsed < 1.0 and loaded == (levels == 2)
+    assert status == "UNKNOWN" and elapsed < 1.0 and loaded
     first, *rest = diagnostics
     assert first["solver_status"] == "ANGLE_LP"
     assert tough_sets.is_tough(G.rotation, first["tough_set"])
@@ -135,16 +136,17 @@ def test_a_stop_refutes_at_the_face_converged_duals_do(monkeypatch):
 def test_the_benchmark_kleetope_forms_4_normal_equations(monkeypatch):
     """Each seed 0..9 of the benchmark's Kleetope is refuted at face 0 at a
     decision stop, after forming its normal equations 4 times (the start and
-    3 iterations), where the solve to ``LP_TOL`` forms them 7 times."""
+    3 iterations), where the solve to ``LP_TOL`` forms them 7 times; its
+    53-row LP takes the eliminated backend."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
-    form, forms = angles._Dense.form, []
+    form, forms = _Eliminated.form, []
 
     def counted(lp, d, shift):
         forms.append(1)
         return form(lp, d, shift)
 
-    monkeypatch.setattr(angles._Dense, "form", counted)
+    monkeypatch.setattr(_Eliminated, "form", counted)
     solve_angle_lp = angles.solve_angle_lp
     for seed in range(10):
         G = workloads.bipyramid_kleetope(seed)[0]
