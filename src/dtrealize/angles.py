@@ -18,8 +18,8 @@ candidate outer face into its LP in that sparse form. ``solve_angle_lp``
 maximises t (capped at 1/4) by Mehrotra's method, ``_mehrotra``, through a
 backend that holds the LP and solves its normal equations, chosen by the
 LP's number of rows: below ``ELIMINATED_MIN_ROWS``, ``_Dense``, an LU of
-A D A^T; from there on, ``lp_stacks._Eliminated``, which eliminates the edge
-rows first (an LU of size 30 instead of 53 on the 11-vertex Kleetope) and is
+A D A^T; from there on, ``_Eliminated``, which eliminates the edge rows
+first (an LU of size 30 instead of 53 on the 11-vertex Kleetope) and is
 faster on large LPs but slower on the small ones most calls solve. Each result
 carries the LP's dual with its angles, and ``dual_readings`` reads candidate
 tough sets from it (README, "Refutation").
@@ -66,16 +66,16 @@ LP_TOL = 1e-9
 # a degenerate optimum (t is attained by many rows at once) they go singular
 LP_REGULARIZATION = 1e-14
 LP_MAX_ITERATIONS = 200
-# an LP of at least this many rows is solved by lp_stacks._Eliminated, a
-# smaller one by _Dense: the smallest size from which the eliminated backend
-# is faster on every face-0 LP of tools/lp_backends.py's corpus (one BLAS
-# thread), as that tool prints it; rerun it when either backend changes, as
-# 56 went stale within two changes. Eliminated / dense there: 1.14-1.24 at
-# m = 35-38, 1.01-1.13 at m = 41-44, 0.95-1.08 at m = 47, 0.90-0.99 at
-# m = 50 and 0.75-0.84 at m = 53, the 11-vertex Kleetope's. A face LP has
-# 6n - 3h - 4 rows for h hull vertices: the realize-mix benchmark's LPs
-# (m <= 35) stay dense, and its processes, which compile what they import,
-# never load lp_stacks; the unrealizable benchmark's Kleetope is eliminated
+# an LP of at least this many rows is solved by _Eliminated, a smaller one
+# by _Dense: the smallest size from which the eliminated backend is faster on
+# every face-0 LP of tools/lp_backends.py's corpus (one BLAS thread), as that
+# tool prints it; rerun it when either backend changes, as 56 went stale
+# within two changes. Eliminated / dense there: 1.14-1.24 at m = 35-38,
+# 1.01-1.13 at m = 41-44, 0.95-1.08 at m = 47, 0.90-0.99 at m = 50 and
+# 0.75-0.84 at m = 53, the 11-vertex Kleetope's. A face LP has 6n - 3h - 4
+# rows for h hull vertices: the realize-mix benchmark's LPs (m <= 35) stay
+# dense, and the unrealizable benchmark's Kleetope is eliminated, so each
+# backend serves one workload
 ELIMINATED_MIN_ROWS = 47
 # dual_readings reads a face's dual at each of these thresholds on |y|
 DUAL_THRESHOLDS = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
@@ -117,9 +117,10 @@ class LPTable:
     ``G.faces``, and its ``n`` vertices, as if every vertex were interior and
     every edge of two faces interior: the face rows, the vertex rows (vertex
     v at row nf + v - 1), the cap on t, then the edge rows (in sorted edge
-    order), with right-hand sides ``r``. ``face_row`` and ``edge_row`` give
-    the row of each face, by its canonical cycle, and of each edge of two
-    faces, by its sorted vertex pair, in row order.
+    order), with right-hand sides ``r``. ``face_row`` gives the row of each
+    face, by its canonical cycle, in row order, and ``edges`` (e, 2) the
+    sorted vertex pair of each edge of two faces, in row order: the edge of
+    row ``nf + n + 1 + i`` is ``edges[i]``.
 
     The LP is in standard form, minimise -t subject to A x = b and x >= 0: a
     row ``sum(angles) + k t (<=|==) r`` over m corners becomes
@@ -137,7 +138,7 @@ class LPTable:
     blocks: np.ndarray
     r: np.ndarray
     face_row: dict[tuple[int, ...], int]
-    edge_row: dict[tuple[int, int], int]
+    edges: np.ndarray
 
 
 def lp_table(G: PlaneTriangulation) -> LPTable:
@@ -167,9 +168,8 @@ def lp_table(G: PlaneTriangulation) -> LPTable:
     r = np.ones(m)
     r[nf:split - 1] = 2.0
     r[split - 1] = T_CAP
-    low, high = np.divmod(key[pair], n + 1)
     return LPTable(nf, n, blocks, r, {_canon_cycle(f): i for i, f in enumerate(faces)},
-                   dict(zip(zip(low.tolist(), high.tolist()), edge_rows.tolist())))
+                   np.stack(np.divmod(key[pair], n + 1), axis=1))
 
 
 def _cut(table: LPTable, face: Sequence[int]) -> tuple:
@@ -179,22 +179,21 @@ def _cut(table: LPTable, face: Sequence[int]) -> tuple:
     without one gives an arbitrary row; then column tau and b, both (m,), tau,
     the first edge row and the table row of each LP row. The LP is the
     table's without the face's own row, if any, and its three corners, and
-    without the rows of the face's interior edges and their slacks; each face
-    vertex has a slack."""
+    without the rows of the face's interior edges (its corners' edge rows)
+    and their slacks; each face vertex has a slack. A face that is no table
+    face, the outer cycle of a disk, has no interior edge."""
     nf, n = table.nf, table.n
     slack = 2 * nf + 1   # the column of row i's slack is i + slack
-    cycle = zip(face, face[1:] + face[:1])
     hull = np.array(face, dtype=int) + nf - 1
-    edge = np.array([i for u, w in cycle
-                     if (i := table.edge_row.get((u, w) if u < w else (w, u))) is not None],
-                    dtype=int)
     own = table.face_row.get(_canon_cycle(face))
     rows, cols = np.ones(len(table.r), bool), np.ones(table.blocks.shape[1], bool)
     cols[nf + slack:nf + n + slack] = False
     cols[hull + slack] = True
-    rows[edge] = cols[edge + slack] = False
     faces = nf
     if own is not None:
+        edge = table.blocks[2, 3 * own:3 * own + 3]
+        edge = edge[edge >= 0]
+        rows[edge] = cols[edge + slack] = False
         rows[own] = cols[3 * own:3 * own + 3] = False
         faces -= 1
     r = table.r.copy()
@@ -234,6 +233,94 @@ class _Dense:
 
     def solve(self, M: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.linalg.solve(M, r)
+
+
+class _Eliminated:
+    """An LP held sparse, as ``_cut`` gives it, for ``_mehrotra``: its
+    normal equations are solved through its structure, every column but tau
+    having at most one nonzero, which is 1, in each block of rows (faces,
+    vertices and the cap; then the edges, from row ``split`` on).
+
+    A D A^T y = r is solved as a bordered system with one more unknown,
+    z = d_tau a^T y: the part of A D A^T without column tau is diagonal (h)
+    on the edge rows (E), which are eliminated, leaving the rows before
+    split (K) and z. Every pivot there is large, as each edge row has a
+    basic variable; the cap row, whose slack goes to 0 where t* = 1/4, stays
+    in K. With KK and KE the blocks of the bordered system on K + z and on
+    K + z and E, and F = KE h^-1/2, a solve is one LU of S = KK - F F^T. A
+    column but tau meets a face row and a vertex row at its corner, and a row
+    and an edge row at the one corner of that row opposite the edge, so every
+    entry of KK off its diagonal and of F is one column's d (times h^-1/2 in
+    F), written in place into buffers kept for the solve; KK's border, column
+    tau's a on K, is written once. S is written into one more buffer, kept
+    for the LP, so that an iteration allocates no matrix of that size.
+    """
+
+    def __init__(self, rows: np.ndarray, kept: np.ndarray, a: np.ndarray, tau: int, split: int):
+        m, n = len(a), rows.shape[1]
+        s1, e = split + 1, m - split
+        self.m, self.n, self.tau, self.split = m, n, tau, split
+        # each nonzero of A but in column tau, by its row and its column
+        self.nz_rows, self.nz_cols = rows[kept], np.nonzero(kept)[1]
+        face_vertex = kept[0] & kept[1]
+        p, q = rows[0][face_vertex], rows[1][face_vertex]
+        # positions in the flat KK, then in the flat F (s1, e) and its
+        # transpose, and on the diagonal of E, each with the column of its d
+        self.kk_pos = np.concatenate([p * s1 + q, q * s1 + p])
+        self.kk_src = np.tile(np.flatnonzero(face_vertex), 2)
+        ke_pos, ke_src, ke_edge = [], [], []
+        for block in (0, 1):
+            with_edge = kept[block] & kept[2]
+            ke_pos.append(rows[block][with_edge])
+            ke_edge.append(rows[2][with_edge] - split)
+            ke_src.append(np.flatnonzero(with_edge))
+        ke_pos, self.ke_edge = np.concatenate(ke_pos), np.concatenate(ke_edge)
+        self.ke_src = np.concatenate(ke_src)
+        self.ke_pos = ke_pos * e + self.ke_edge
+        self.ke_pos_t = self.ke_edge * s1 + ke_pos
+        self.KK, self.F, self.Ft = np.zeros((s1, s1)), np.zeros((s1, e)), np.zeros((e, s1))
+        self.S = np.empty((s1, s1))
+        self.KK[:split, split] = self.KK[split, :split] = a[:split]
+        self.a, self.a_squared = a, a * a
+
+    def A_dot(self, v: np.ndarray) -> np.ndarray:
+        return np.bincount(self.nz_rows, v[self.nz_cols], self.m) + self.a * v[self.tau]
+
+    def AT_dot(self, v: np.ndarray) -> np.ndarray:
+        entries = v[self.nz_rows]
+        out = np.bincount(self.nz_cols, entries, self.n)
+        # column tau's a counts each row's other nonzeros, so a^T v sums the entries
+        out[self.tau] = entries.sum()
+        return out
+
+    def form(self, d: np.ndarray, shift: bool) -> tuple[np.ndarray, np.ndarray]:
+        """S and h^-1/2 (e,) for d; S, F and F^T are written in place, over
+        the last call's."""
+        split, tau = self.split, self.tau
+        diagonal = np.bincount(self.nz_rows, d[self.nz_cols], self.m)
+        if shift:
+            # relative to the largest diagonal entry of A D A^T
+            diagonal += LP_REGULARIZATION * (diagonal + d[tau] * self.a_squared).max()
+        root = 1.0 / np.sqrt(diagonal[split:])
+        flat = self.KK.ravel()
+        s1 = split + 1   # KK's size, the rows K and z
+        flat[:split * (s1 + 1):s1 + 1] = diagonal[:split]
+        flat[-1] = -1.0 / d[tau]
+        flat[self.kk_pos] = d[self.kk_src]
+        values = d[self.ke_src] * root[self.ke_edge]
+        self.F.ravel()[self.ke_pos] = self.Ft.ravel()[self.ke_pos_t] = values
+        self.F[split] = self.Ft[:, split] = self.a[split:] * root
+        S = np.matmul(self.F, self.Ft, out=self.S)
+        return np.subtract(self.KK, S, out=S), root
+
+    def solve(self, system: tuple[np.ndarray, np.ndarray], r: np.ndarray) -> np.ndarray:
+        S, root = system
+        split = self.split
+        r_E = r[split:] * root
+        rhs = -(self.F @ r_E)
+        rhs[:split] += r[:split]
+        yz = np.linalg.solve(S, rhs)
+        return np.concatenate([yz[:split], root * (r_E - self.Ft @ yz)])
 
 
 # an iterate that overflows ends the loop at its check, not with a warning
@@ -380,7 +467,7 @@ def solve_angle_lp(table: LPTable, face: Sequence[int],
                    enough: Callable[[AngleLPResult], bool] | None = None) -> AngleLPResult:
     """The angle LP of outer face ``face``, solved by ``_mehrotra`` with the
     backend for its number of rows: ``_Dense`` below
-    ``ELIMINATED_MIN_ROWS``, ``lp_stacks._Eliminated`` from there on.
+    ``ELIMINATED_MIN_ROWS``, ``_Eliminated`` from there on.
 
     Without ``enough`` the LP is solved to ``LP_TOL``. With it, the first
     iterate whose dual proves t* <= T_STAR_MIN is handed to ``enough`` as a
@@ -390,9 +477,6 @@ def solve_angle_lp(table: LPTable, face: Sequence[int],
     if len(b) < ELIMINATED_MIN_ROWS:
         lp = _Dense(rows, kept, a, tau)
     else:
-        # loaded by the first large LP: the unrealizable benchmark's, not
-        # realize-mix's
-        from .lp_stacks import _Eliminated
         lp = _Eliminated(rows, kept, a, tau, split)
 
     def result(x, y, converged, t_bound):
@@ -413,14 +497,13 @@ def dual_readings(table: LPTable, lp: AngleLPResult) -> list[frozenset[int]]:
     it, and T the set of endpoints of the edges whose rows do; the readings
     are V - D, T and T - D, in that order, each listed once."""
     nf, n = table.nf, table.n
-    y = np.abs(lp.dual)
-    # the edge rows are the table's last rows, in edge_row's order
-    edges = np.array(list(table.edge_row), dtype=int).reshape(-1, 2)
+    # per threshold, which rows after the face rows have |y| above it
+    above = np.abs(lp.dual[nf:]) > np.array(DUAL_THRESHOLDS)[:, None]
     everything = frozenset(range(1, n + 1))
     readings: list[frozenset[int]] = []
-    for theta in DUAL_THRESHOLDS:
-        D = frozenset((np.flatnonzero(y[nf:nf + n] > theta) + 1).tolist())
-        T = frozenset(edges[y[nf + n + 1:] > theta].ravel().tolist())
+    for row in above:
+        D = frozenset((np.flatnonzero(row[:n]) + 1).tolist())
+        T = frozenset(table.edges[row[n + 1:]].ravel().tolist())
         for S in (everything - D, T, T - D):
             if S not in readings:
                 readings.append(S)

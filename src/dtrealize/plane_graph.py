@@ -34,10 +34,6 @@ def _canon_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     return tuple(cycle[k:]) + tuple(cycle[:k])
 
 
-def _same_cycle(a: Sequence[int], b: Sequence[int]) -> bool:
-    return len(a) == len(b) and _canon_cycle(list(a)) == _canon_cycle(list(b))
-
-
 def faces_from_rotation(rotation: dict[int, list[int]]) -> list[list[int]]:
     """All face cycles of the combinatorial embedding.
 
@@ -136,13 +132,27 @@ class PlaneTriangulation:
         index.update((_canon_cycle(f), i) for i, f in enumerate(self._faces))
         return index
 
+    @cached_property
+    def _outer_index(self) -> int | None:
+        """The position in ``_faces`` of the outer face, or None when
+        ``outer_face`` is no face cycle in its orientation."""
+        # the faces are walked first, so a malformed rotation raises here
+        index = self._face_index
+        if not self.outer_face:
+            return None
+        outer = _canon_cycle(self.outer_face)
+        k = index.get(outer)
+        # the index also holds each face's reversed cycle
+        return k if k is not None and _canon_cycle(self._faces[k]) == outer else None
+
     @property
     def faces(self) -> list[list[int]]:
         """All face cycles including the outer one."""
         return [list(f) for f in self._faces]
 
     def inner_faces(self) -> list[list[int]]:
-        return [f for f in self.faces if not _same_cycle(f, self.outer_face)]
+        k = self._outer_index
+        return [list(f) for i, f in enumerate(self._faces) if i != k]
 
 
 def build_triangulation(n: int, rotation: dict[int, list[int]],
@@ -152,15 +162,15 @@ def build_triangulation(n: int, rotation: dict[int, list[int]],
     Rotations may be given in either sense: if the supplied outer face
     appears reversed among the derived face cycles, all rotations are
     flipped, so the stored ones turn the same way as the clockwise outer face.
+    The instance returned keeps the faces walked to check this.
     """
-    faces = faces_from_rotation(rotation)
     outer = tuple(outer_face)
-    if any(_same_cycle(f, outer) for f in faces):
-        return PlaneTriangulation(n, {u: list(v) for u, v in rotation.items()}, outer)
-    flipped = {u: list(reversed(v)) for u, v in rotation.items()}
-    faces = faces_from_rotation(flipped)
-    if any(_same_cycle(f, outer) for f in faces):
-        return PlaneTriangulation(n, flipped, outer)
+    G = PlaneTriangulation(n, {u: list(v) for u, v in rotation.items()}, outer)
+    if G._outer_index is not None:
+        return G
+    G = PlaneTriangulation(n, {u: list(reversed(v)) for u, v in rotation.items()}, outer)
+    if G._outer_index is not None:
+        return G
     raise PlaneGraphError("outer_face is not a face of the embedding")
 
 
@@ -184,7 +194,7 @@ def validate_triangulation(G: PlaneTriangulation) -> ValidationReport:
     ne, nf = len(edges), len(faces)
     if G.n - ne + nf != 2:
         v.append(Violation("EULER", f"V - E + F = {G.n - ne + nf}, expected 2"))
-    if not any(_same_cycle(f, G.outer_face) for f in faces):
+    if G._outer_index is None:
         v.append(Violation("OUTER_FACE_NOT_A_FACE",
                            "designated outer face is not a face cycle",
                            tuple(G.outer_face)))
@@ -310,12 +320,6 @@ def tough_set_near(G: PlaneTriangulation, candidates: Iterable[Iterable[int]],
     return None
 
 
-def _face_position(G: PlaneTriangulation, cycle: Sequence[int]) -> int | None:
-    """The position in ``G.faces`` of the face ``cycle`` bounds, in either
-    orientation, or None when it bounds none."""
-    return G._face_index.get(_canon_cycle(cycle)) if len(cycle) else None
-
-
 def candidate_outer_faces(G: PlaneTriangulation) -> list[list[int]]:
     """Outer faces worth trying for realization.
 
@@ -326,8 +330,8 @@ def candidate_outer_faces(G: PlaneTriangulation) -> list[list[int]]:
     if len(G.outer_face) >= 4:
         return [list(G.outer_face)]
     faces = G.faces
-    k = _face_position(G, G.outer_face)
-    if k is None or not _same_cycle(faces[k], G.outer_face):
+    k = G._outer_index
+    if k is None:
         return faces
     return [faces.pop(k)] + faces
 
@@ -338,16 +342,14 @@ def reembed_with_outer_face(G: PlaneTriangulation, face: Sequence[int]) -> Plane
     ``face`` may be given in either orientation; the new outer face is G's
     face cycle. Re-rooting leaves the face orbits of the rotation system
     unchanged, so the result takes G's derived faces and their index, and only
-    the designated outer cycle moves.
+    the designated outer cycle and its position among the faces move.
     """
-    k = _face_position(G, face)
+    k = G._face_index.get(_canon_cycle(face)) if len(face) else None
     if k is None:
         raise FaceNotFound(f"{list(face)} is not a face of the triangulation")
-    f = G._faces[k]
-    if _same_cycle(f, G.outer_face):
+    if k == G._outer_index:
         return G
-    H = PlaneTriangulation(G.n, G.rotation, f)
+    H = PlaneTriangulation(G.n, G.rotation, G._faces[k])
     # cached_property reads the instance dict before computing
-    H.__dict__["_faces"] = G._faces
-    H.__dict__["_face_index"] = G._face_index
+    H.__dict__.update(_faces=G._faces, _face_index=G._face_index, _outer_index=k)
     return H

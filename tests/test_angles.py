@@ -17,7 +17,7 @@ from dtrealize.instances import fan_triangulation, random_instance, stacked_tria
 from dtrealize.plane_graph import _canon_cycle, candidate_outer_faces, reembed_with_outer_face
 
 from test_acceptance import CASES
-from test_realizer import bipyramid_kleetope
+from test_realizer import bipyramid_kleetope, record_backends
 
 
 def _corner_angles(cs, points):
@@ -189,8 +189,8 @@ def test_lp_table_cuts_the_row_by_row_lp():
 
 
 def _table_by_loop(G):
-    """The table's blocks, right-hand sides and row maps built edge by edge
-    from the corners, the reference for ``angles.lp_table``'s sort."""
+    """The table's blocks, right-hand sides, face rows and edges built edge
+    by edge from the corners, the reference for ``angles.lp_table``'s sort."""
     cs = angles.corners(f for f in G.faces if len(f) == 3)
     edges = [e for e in sorted(cs.opposite) if len(cs.opposite[e]) == 2]
     nf, split = len(cs.faces), len(cs.faces) + G.n + 1
@@ -203,25 +203,25 @@ def _table_by_loop(G):
     for i in range(nf, m):
         blocks[1 if i < split else 2, i + 2 * nf + 1] = i
     r = np.array([1.0] * nf + [2.0] * G.n + [angles.T_CAP] + [1.0] * len(edges))
-    return (blocks, r, {_canon_cycle(f): i for i, f in enumerate(cs.faces)},
-            {e: i for i, e in enumerate(edges, start=split)})
+    return blocks, r, {_canon_cycle(f): i for i, f in enumerate(cs.faces)}, edges
 
 
 def test_the_table_is_the_one_built_edge_by_edge():
     """``lp_table`` gives the loop-built table bit for bit: the same blocks
-    and right-hand sides, with their dtypes, and the same face and edge rows
+    and right-hand sides, with their dtypes, and the same face rows and edges
     in the same order, on graphs with and without a triangular outer face."""
     graphs = _lp_graphs() + [bipyramid_kleetope(2), bipyramid_kleetope(3)]
     graphs += [random_instance(n, s)[1] for n in range(4, 30, 5) for s in range(1000, 1003)]
     graphs += [stacked_triangulation(n, s) for n in (10, 50) for s in range(3)]
     for G in graphs:
         table = angles.lp_table(G)
-        blocks, r, face_row, edge_row = _table_by_loop(G)
+        blocks, r, face_row, edges = _table_by_loop(G)
         assert (table.nf, table.n) == (len(face_row), G.n)
         for got, want in ((table.blocks, blocks), (table.r, r)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert list(table.face_row.items()) == list(face_row.items())
-        assert list(table.edge_row.items()) == list(edge_row.items())
+        assert table.edges.shape == (len(edges), 2)
+        assert list(map(tuple, table.edges.tolist())) == edges
 
 
 def test_the_dual_is_carried_per_table_row(monkeypatch):
@@ -232,13 +232,15 @@ def test_the_dual_is_carried_per_table_row(monkeypatch):
     for G in _lp_graphs():
         table, faces = angles.lp_table(G), candidate_outer_faces(G)
         nf = table.nf
+        edge_row = {e: i for i, e in enumerate(map(tuple, table.edges.tolist()),
+                                               start=nf + G.n + 1)}
         for face in faces:
             H = reembed_with_outer_face(G, face)
             cs = _inner_corners(H)
             ref = _angle_lp_rows(H, cs)
             rows = [table.face_row[_canon_cycle(f)] for f in cs.faces]
             rows += list(range(nf, nf + G.n + 1))
-            rows += [table.edge_row[e] for e in sorted(cs.opposite) if len(cs.opposite[e]) == 2]
+            rows += [edge_row[e] for e in sorted(cs.opposite) if len(cs.opposite[e]) == 2]
             for eliminated in (False, True):
                 got = _solve_with(monkeypatch, eliminated, table, face)
                 assert not np.delete(got.dual, rows).any()
@@ -560,25 +562,18 @@ def _fresh_interpreter(code, **env):
                           timeout=120, check=True).stdout.split()
 
 
-def test_the_backend_is_chosen_by_the_lp_size():
+def test_the_backend_is_chosen_by_the_lp_size(monkeypatch):
     """An LP of 44 rows is solved dense and one of 47 by the eliminated
-    backend, and only the second loads ``lp_stacks`` (run in a fresh
-    interpreter, as the tests themselves load it). A face LP has 6n - 3h - 4
-    rows for h hull vertices, so no LP lies between the two."""
+    backend. A face LP has 6n - 3h - 4 rows for h hull vertices, so no LP
+    lies between the two."""
     assert 44 < angles.ELIMINATED_MIN_ROWS <= 47
-    assert _fresh_interpreter(
-        "import sys\n"
-        "from dtrealize import angles\n"
-        "from dtrealize.instances import random_instance\n"
-        "mehrotra = angles._mehrotra\n"
-        "def recorded(lp, b, tau, stop=None):\n"
-        "    print(len(b), type(lp).__name__, 'dtrealize.lp_stacks' in sys.modules)\n"
-        "    return mehrotra(lp, b, tau, stop)\n"
-        "angles._mehrotra = recorded\n"
-        "for seed in (1000, 1005):\n"
-        "    G = random_instance(11, seed)[1]\n"
-        "    angles.solve_angle_lp(angles.lp_table(G), G.outer_face)\n"
-    ) == ["44", "_Dense", "False", "47", "_Eliminated", "True"]
+    backends = record_backends(monkeypatch)
+    for seed, rows in ((1000, 44), (1005, 47)):
+        G = random_instance(11, seed)[1]
+        table = angles.lp_table(G)
+        assert len(angles._cut(table, G.outer_face)[3]) == rows
+        angles.solve_angle_lp(table, G.outer_face)
+    assert backends == [angles._Dense, angles._Eliminated]
 
 
 def test_each_backend_keeps_a_benchmark_workload(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from dtrealize import geometry, oracle
 from dtrealize.geometry import RatPoint, con_poly, convex_hull, pt
-from dtrealize.plane_graph import _same_cycle, validate_triangulation
+from dtrealize.plane_graph import _canon_cycle, validate_triangulation
 from reference_geometry import CollinearTriple, in_circle_sign
 
 
@@ -86,7 +86,7 @@ def test_as_plane_triangulation_valid_and_consistent():
         G = oracle.as_plane_triangulation(dt, pts)
         assert validate_triangulation(G).ok
         assert {tuple(sorted((a + 1, b + 1))) for a, b in dt.edges} == set(G.edge_pairs())
-        assert _same_cycle(G.outer_face, [i + 1 for i in dt.hull])
+        assert _canon_cycle(G.outer_face) == _canon_cycle([i + 1 for i in dt.hull])
         # every DT face appears as an inner face
         inner = {tuple(sorted(f)) for f in G.inner_faces()}
         assert inner == {tuple(sorted((i + 1, j + 1, k + 1))) for i, j, k in dt.faces}

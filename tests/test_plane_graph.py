@@ -7,7 +7,7 @@ import pytest
 from dtrealize import plane_graph
 from dtrealize.instances import fan_triangulation, stacked_triangulation
 from dtrealize.plane_graph import (AsymmetricEdge, FaceNotFound, NotConnected,
-                                   PlaneGraphError, PlaneTriangulation, Violation, _same_cycle,
+                                   PlaneGraphError, PlaneTriangulation, Violation, _canon_cycle,
                                    build_triangulation, candidate_outer_faces,
                                    faces_from_rotation, reembed_with_outer_face,
                                    validate_triangulation)
@@ -58,9 +58,11 @@ def test_disconnected_raises():
 
 
 def test_faces_and_edge_pairs_are_derived_once(monkeypatch):
-    """Faces are walked once per triangulation; callers get fresh lists, so
-    changing one leaves the next access as it was."""
-    G = k4()
+    """Faces are walked once per triangulation, counted from its
+    construction, which walks them to check the outer face (given a rotation
+    that needs no flip); callers get fresh lists, so changing one leaves the
+    next access as it was."""
+    rotation = k4().rotation
     walks = []
     real = plane_graph.faces_from_rotation
 
@@ -69,6 +71,7 @@ def test_faces_and_edge_pairs_are_derived_once(monkeypatch):
         return real(rotation)
 
     monkeypatch.setattr(plane_graph, "faces_from_rotation", counted)
+    G = build_triangulation(4, rotation, K4_OUTER)
     G.faces[0].append(99)
     G.edge_pairs().clear()
     assert G.faces == real(G.rotation) and len(G.inner_faces()) == 3
@@ -89,7 +92,7 @@ def test_build_normalizes_reflection():
     report = validate_triangulation(G)
     assert report.ok
     # outer face must appear with the requested orientation among face cycles
-    assert any(_same_cycle(f, K4_OUTER) for f in G.faces)
+    assert _canon_cycle(K4_OUTER) in map(_canon_cycle, G.faces)
 
 
 def test_build_rejects_non_face():
@@ -235,6 +238,34 @@ def test_validate_outer_not_a_face():
     assert any(v.rule == "OUTER_FACE_NOT_A_FACE" for v in report.violations)
 
 
+def test_the_outer_face_is_found_in_its_orientation(monkeypatch):
+    """An outer face that is K4's reversed, empty or no face cycle is
+    reported as OUTER_FACE_NOT_A_FACE, alone and with the cycle as given.
+    ``build_triangulation`` walks the faces once when the given rotation
+    turns with the outer face and twice when it must flip it, and the
+    instance it returns walks them no more."""
+    rotation = k4().rotation
+    for outer in [(1, 2, 3), (), (1, 2, 4, 3)]:
+        report = validate_triangulation(PlaneTriangulation(4, rotation, outer))
+        assert not report.ok and report.violations == (Violation(
+            "OUTER_FACE_NOT_A_FACE", "designated outer face is not a face cycle", outer),)
+    walks = []
+    real = plane_graph.faces_from_rotation
+
+    def counted(rotation):
+        walks.append(1)
+        return real(rotation)
+
+    monkeypatch.setattr(plane_graph, "faces_from_rotation", counted)
+    flipped = {u: v[::-1] for u, v in rotation.items()}
+    for given, walked in ((rotation, 1), (flipped, 2)):
+        walks.clear()
+        G = build_triangulation(4, given, K4_OUTER)
+        assert G.rotation == rotation and validate_triangulation(G).ok
+        assert _canon_cycle(candidate_outer_faces(G)[0]) == _canon_cycle(K4_OUTER)
+        assert len(walks) == walked
+
+
 @pytest.mark.parametrize("n, rot, outer, rule, elements", [
     # K4 with every rotation in label order: a torus embedding, V - E + F = 0
     (4, {1: [2, 3, 4], 2: [1, 3, 4], 3: [1, 2, 4], 4: [1, 2, 3]}, (1, 2, 3, 4), "EULER", ()),
@@ -254,17 +285,17 @@ def test_candidate_outer_faces():
     # maximal planar: every face is a candidate, current outer first
     cands = candidate_outer_faces(k4())
     assert len(cands) == 4
-    assert _same_cycle(cands[0], K4_OUTER)
+    assert _canon_cycle(cands[0]) == _canon_cycle(K4_OUTER)
     # longer outer face: fixed
     assert candidate_outer_faces(fan5()) == [[1, 2, 3, 4, 5]]
 
 
 def test_reembed_with_outer_face():
     G = k4()
-    other = next(f for f in G.faces if not _same_cycle(f, G.outer_face))
+    other = next(f for f in G.faces if _canon_cycle(f) != _canon_cycle(G.outer_face))
     H = reembed_with_outer_face(G, other)
     assert H.rotation == G.rotation
-    assert _same_cycle(H.outer_face, other)
+    assert _canon_cycle(H.outer_face) == _canon_cycle(other)
     assert validate_triangulation(H).ok
     # the reversed cycle names the same face, kept in G's orientation
     assert reembed_with_outer_face(G, other[::-1]).outer_face == H.outer_face

@@ -1,12 +1,8 @@
 """End-to-end realization and the exact certifier."""
 
 import math
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -15,7 +11,6 @@ from dtrealize.constraints import (STENCIL, build_constsqu, constsqu_stencil, ev
                                    repair_radii, satisfied_exact)
 from dtrealize.geometry import dist_sq, pt
 from dtrealize.instances import fan_triangulation, random_instance
-from dtrealize.lp_stacks import _Eliminated
 from dtrealize.plane_graph import build_triangulation, candidate_outer_faces
 from dtrealize.realizer import RealizeConfig, certify, realize, scale_to_integers
 from reference_geometry import circumcenter
@@ -368,6 +363,19 @@ def bipyramid_kleetope(levels=1):
     return build_triangulation(n, rotation, faces[0])
 
 
+def record_backends(monkeypatch):
+    """The list that the type of each backend ``angles._mehrotra`` solves
+    with is appended to, from this call on."""
+    backends, mehrotra = [], angles._mehrotra
+
+    def recorded(lp, b, tau, stop=None):
+        backends.append(type(lp))
+        return mehrotra(lp, b, tau, stop)
+
+    monkeypatch.setattr(angles, "_mehrotra", recorded)
+    return backends
+
+
 def _timed_realize(G, budget):
     t0 = time.monotonic()
     res = realize(G, RealizeConfig(time_budget=budget))
@@ -420,51 +428,32 @@ def test_each_searched_face_is_solved_alone_once(monkeypatch, graph, reads_duals
     solved dense, and the Kleetope is refuted there; with its duals read as
     finding no tough set, each of the Kleetope's 18 faces is solved once,
     all by the eliminated backend (53 rows)."""
-    faces, backends = [], []
-    solve_angle_lp, mehrotra = angles.solve_angle_lp, angles._mehrotra
+    faces, solve_angle_lp = [], angles.solve_angle_lp
 
     def recorded_face(table, face, enough=None):
         faces.append(tuple(face))
         return solve_angle_lp(table, face, enough)
 
-    def recorded_backend(lp, b, tau, stop=None):
-        backends.append(type(lp))
-        return mehrotra(lp, b, tau, stop)
-
     monkeypatch.setattr(angles, "solve_angle_lp", recorded_face)
-    monkeypatch.setattr(angles, "_mehrotra", recorded_backend)
+    backends = record_backends(monkeypatch)
     if not reads_duals:
         monkeypatch.setattr(angles, "dual_readings", lambda table, lp: [])
     G = graph()
     res = realize(G)
     assert res.status == ("REALIZED" if graph is k4 else "UNKNOWN")
     assert faces == [tuple(f) for f in candidate_outer_faces(G)[:searched]]
-    assert backends == [angles._Dense if graph is k4 else _Eliminated] * searched
+    assert backends == [angles._Dense if graph is k4 else angles._Eliminated] * searched
 
 
-def test_a_call_that_succeeds_on_its_first_face_never_loads_lp_stacks():
-    """``lp_stacks`` is loaded only for an LP of at least
-    ``angles.ELIMINATED_MIN_ROWS`` rows, so a realize call that succeeds on
-    its first small face, on a graph with one candidate face or on a maximal
-    planar one, never imports it: not on the realize-mix workload's inputs,
-    ``random_instance(n, 996 + n)`` for n = 5..9 and the fan of 6 vertices,
-    nor on ``random_instance(7, 1003)`` and K4 (run in a fresh interpreter,
-    as the tests themselves load it)."""
-    code = (
-        "import sys\n"
-        "from dtrealize.instances import fan_triangulation, random_instance\n"
-        "from dtrealize.plane_graph import build_triangulation, candidate_outer_faces\n"
-        "from dtrealize.realizer import realize\n"
-        f"k4 = build_triangulation(4, {K4_ROT!r}, (1, 3, 2))\n"
-        "graphs = [random_instance(n, 996 + n)[1] for n in range(5, 10)]\n"
-        "for G in graphs + [fan_triangulation(6), random_instance(7, 1003)[1], k4]:\n"
-        "    print(realize(G).status, len(candidate_outer_faces(G)))\n"
-        "print('dtrealize.lp_stacks' in sys.modules)\n")
-    src = str(Path(realizer.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                         timeout=120, check=True).stdout.split()
-    assert out == ["REALIZED", "1"] * 7 + ["REALIZED", "4", "False"]
+def test_the_realize_mix_inputs_are_realized_from_one_dense_lp(monkeypatch):
+    """Each input of the realize-mix workload, ``random_instance(n, 996 + n)``
+    for n = 5..9 and the fan of 6 vertices, has one candidate face and is
+    realized on it from one angle LP, solved dense."""
+    backends = record_backends(monkeypatch)
+    for G in [random_instance(n, 996 + n)[1] for n in range(5, 10)] + [fan_triangulation(6)]:
+        backends.clear()
+        assert realize(G).status == "REALIZED" and len(candidate_outer_faces(G)) == 1
+        assert backends == [angles._Dense]
 
 
 def test_no_certify_call_starts_after_the_deadline(monkeypatch):
@@ -628,8 +617,9 @@ def test_kleetope_stops_at_the_angle_lp_on_every_face():
 
 
 def test_kleetope_faces_are_derived_once_per_call(monkeypatch):
-    """The 18 re-embeddings take the graph's face orbits; none walks them again."""
-    G = bipyramid_kleetope()
+    """The 18 re-embeddings take the graph's face orbits; none walks them
+    again. The one walk, counted from the construction, is the one that
+    checks the outer face."""
     walks = []
     real = plane_graph.faces_from_rotation
 
@@ -638,6 +628,7 @@ def test_kleetope_faces_are_derived_once_per_call(monkeypatch):
         return real(rotation)
 
     monkeypatch.setattr(plane_graph, "faces_from_rotation", counted)
+    G = bipyramid_kleetope()
     res = realize(G, RealizeConfig(time_budget=2))
     assert res.status == "UNKNOWN" and len(res.diagnostics) == 18
     assert len(walks) == 1

@@ -1,23 +1,19 @@
 """Refutation by a tough set: the check, the search from face 0's LP dual,
 and the exhaustive oracle of ``tough_sets``."""
 
-import json
-import os
-import subprocess
-import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from dtrealize import angles, realizer
 from dtrealize.instances import fan_triangulation, random_instance, stacked_triangulation
-from dtrealize.lp_stacks import _Eliminated
 from dtrealize.plane_graph import components_without, is_tough_set
 from dtrealize.realizer import realize
 
 import tough_sets
 from test_acceptance import CASES
-from test_realizer import bipyramid_kleetope
+from test_realizer import bipyramid_kleetope, record_backends
 
 
 @pytest.mark.parametrize("S", [
@@ -40,30 +36,19 @@ def test_the_check_rejects_mutated_sets(S):
 
 
 @pytest.mark.parametrize("levels", [1, 2])
-def test_the_kleetope_is_refuted_at_face_0_by_the_eliminated_backend(levels):
+def test_the_kleetope_is_refuted_at_face_0_by_the_eliminated_backend(monkeypatch, levels):
     """Both Kleetope levels answer UNKNOWN in under 1 s with a tough set at
     face 0, which the oracle confirms, and every later face listed as
     refuted. Both face-0 LPs, of 53 rows at level 1 and 161 at level 2, take
-    the eliminated backend, so both calls load ``lp_stacks`` (a fresh
-    interpreter, as the tests themselves load it)."""
+    the eliminated backend."""
     G = bipyramid_kleetope(levels)
-    code = (
-        "import json, sys, time\n"
-        "from dtrealize.plane_graph import build_triangulation\n"
-        "from dtrealize.realizer import realize\n"
-        f"G = build_triangulation({G.n}, {G.rotation!r}, {G.outer_face!r})\n"
-        "t0 = time.perf_counter()\n"
-        "res = realize(G)\n"
-        "elapsed = time.perf_counter() - t0\n"
-        "print(json.dumps([res.status, res.diagnostics, elapsed,\n"
-        "                  'dtrealize.lp_stacks' in sys.modules]))\n")
-    src = str(Path(realizer.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                         timeout=120, check=True).stdout
-    status, diagnostics, elapsed, loaded = json.loads(out)
-    assert status == "UNKNOWN" and elapsed < 1.0 and loaded
-    first, *rest = diagnostics
+    backends = record_backends(monkeypatch)
+    t0 = time.perf_counter()
+    res = realize(G)
+    elapsed = time.perf_counter() - t0
+    assert res.status == "UNKNOWN" and elapsed < 1.0
+    assert backends == [angles._Eliminated]
+    first, *rest = res.diagnostics
     assert first["solver_status"] == "ANGLE_LP"
     assert tough_sets.is_tough(G.rotation, first["tough_set"])
     if levels == 1:
@@ -140,13 +125,13 @@ def test_the_benchmark_kleetope_forms_4_normal_equations(monkeypatch):
     53-row LP takes the eliminated backend."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
-    form, forms = _Eliminated.form, []
+    form, forms = angles._Eliminated.form, []
 
     def counted(lp, d, shift):
         forms.append(1)
         return form(lp, d, shift)
 
-    monkeypatch.setattr(_Eliminated, "form", counted)
+    monkeypatch.setattr(angles._Eliminated, "form", counted)
     solve_angle_lp = angles.solve_angle_lp
     for seed in range(10):
         G = workloads.bipyramid_kleetope(seed)[0]

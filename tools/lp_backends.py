@@ -8,7 +8,7 @@ is face 0's angle LP of ``random_instance(n, s)`` for n = 8..13 and
 s = 1000..1005, of ``stacked_triangulation(n, s)`` for n = 9..12 and
 s = 0..1, and of the benchmark's Kleetope (``perfbench/workloads.py``,
 seed 0). Each LP is cut once. A solve then builds one backend from the
-cut, ``angles._Dense`` or ``lp_stacks._Eliminated``, and solves the LP to
+cut, ``angles._Dense`` or ``angles._Eliminated``, and solves the LP to
 ``LP_TOL`` with ``angles._mehrotra``; a timing is the mean of a batch of 10
 solves. Each backend is timed 7 times per LP, the two alternating, and the
 best timing counts: a single solve of about 1 ms is too short to time
@@ -53,11 +53,11 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str((root / "src").resolve()))
     sys.path.insert(0, str((root / "perfbench").resolve()))
     from dtrealize import angles, instances
-    from dtrealize.lp_stacks import _Eliminated
     from dtrealize.plane_graph import candidate_outer_faces
     import workloads
 
-    backends = (lambda rows, kept, a, tau, split: angles._Dense(rows, kept, a, tau), _Eliminated)
+    backends = (lambda rows, kept, a, tau, split: angles._Dense(rows, kept, a, tau),
+                angles._Eliminated)
     results = []
     for name, G in corpus(instances, workloads.bipyramid_kleetope(0)[0]):
         rows, kept, a, b, tau, split, _ = angles._cut(angles.lp_table(G),
